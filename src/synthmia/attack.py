@@ -1,4 +1,4 @@
-"""Membership-inference attack scores, household aggregation, activations.
+"""Membership-inference attack registry, scores, household aggregation, activations.
 
 Every attack compares the synthetic data against the auxiliary data through
 ratios of floored probability tables; a record with a high ratio looks more
@@ -6,14 +6,44 @@ typical of the synthetic data than of the population, suggesting membership
 in the training set. Scores are kept in log-space internally.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import marginals, sdg
 from .errors import ConfigurationError
 
-LOG_SIMPLE_THRESHOLD = np.log(3.0)  # 2*sigmoid(ln 3) - 1 = 0.5
+# attack name -> (generator family it targets, attacker input it takes):
+# "structure" (a tree's edges or a network's order), "weights" (shadow
+# weights) or None
+ATTACKS = {
+    "tamis-mst": (sdg.METHOD_MST, "structure"),
+    "tamis-mst-avg": (sdg.METHOD_MST, "structure"),
+    "mamamia-mst": (sdg.METHOD_MST, "weights"),
+    "hybrid-mst": (sdg.METHOD_MST, "structure"),
+    "tamis-pb": (sdg.METHOD_PRIVBAYES, "structure"),
+    "mamamia-pb": (sdg.METHOD_PRIVBAYES, "weights"),
+    "hybrid-pb": (sdg.METHOD_PRIVBAYES, "structure"),
+    "marginals-sigma": ("free", None),
+    "marginals-pi": ("free", None),
+}
+
+
+def lookup(name):
+    """(family, input, starred, score function) of an attack name.
+
+    A trailing ``*`` asks for the generator's true structure, so it is only
+    valid on structure attacks. The score function is this module's
+    attribute named like the attack, read at call time.
+    """
+    base = name[:-1] if name.endswith("*") else name
+    if base not in ATTACKS:
+        raise ConfigurationError(f"unknown attack {name!r}")
+    family, needs = ATTACKS[base]
+    starred = base != name
+    if starred and needs != "structure":
+        raise ConfigurationError(f"{name!r}: '*' (true structure) applies only to structure attacks")
+    return family, needs, starred, globals()[base.replace("-", "_")]
 
 
 @dataclass(frozen=True)
@@ -45,22 +75,6 @@ class ScoreVector:
         return np.exp(self.log_scores)
 
 
-@dataclass(frozen=True)
-class ActivationConfig:
-    regime: str = "simple"
-    threshold: float = 0.5
-    prior: float = None
-
-    def __post_init__(self):
-        if self.regime not in ("simple", "calibrated"):
-            raise ConfigurationError(f"unknown activation regime {self.regime!r}")
-        if not 0.0 <= self.threshold <= 1.0:
-            raise ConfigurationError("threshold must lie in [0, 1]")
-        if self.regime == "calibrated":
-            if self.prior is None or not 0.0 < self.prior < 1.0:
-                raise ConfigurationError("calibrated activation needs a prior in (0, 1)")
-
-
 def _rows(target):
     return np.atleast_2d(np.asarray(getattr(target, "rows", target), dtype=np.int64))
 
@@ -72,9 +86,10 @@ def _log_marginal_ratio(rows, attrs, synth, aux):
     return np.log(ts.lookup_rows(rows)) - np.log(ta.lookup_rows(rows))
 
 
-def _log_conditional_ratio(rows, node, parents, synth, aux):
-    ts = marginals.conditional(synth, node, parents)
-    ta = marginals.conditional(aux, node, parents)
+def _log_conditional_ratio(rows, key, synth, aux):
+    """log of the floored conditional ratio for a (node, parents) key, per record."""
+    ts = marginals.conditional(synth, *key)
+    ta = marginals.conditional(aux, *key)
     return np.log(ts.lookup_rows(rows)) - np.log(ta.lookup_rows(rows))
 
 
@@ -96,84 +111,74 @@ def tamis_pb(target, order, synth, aux):
     return ScoreVector("tamis-pb", logs)
 
 
+def _weighted_mean_ratio(name, target, terms, log_ratio, synth, aux):
+    """log of the weighted mean of per-factor ratios, summed in ``terms`` order.
+
+    ``terms`` is a sequence of (key, weight); ``log_ratio`` is
+    ``_log_marginal_ratio`` (pair keys) or ``_log_conditional_ratio``.
+    """
+    rows = _rows(target)
+    total = sum(w for _, w in terms)
+    if total <= 0:
+        raise ConfigurationError(f"{name}: no structure element has positive weight")
+    acc = np.zeros(rows.shape[0])
+    for key, w in terms:
+        if w:
+            acc += w * np.exp(log_ratio(rows, key, synth, aux))
+    return ScoreVector(name, np.log(acc / total))
+
+
 def mamamia_mst(target, weights, synth, aux):
     """Weight-normalized average of 2-way marginal ratios (1-ways excluded)."""
-    rows = _rows(target)
-    total = weights.total()
-    if total <= 0:
-        raise ConfigurationError("shadow weights are degenerate (total 0)")
-    acc = np.zeros(rows.shape[0])
-    for (i, j), w in sorted(weights.weights.items()):
-        if w:
-            acc += w * np.exp(_log_marginal_ratio(rows, (i, j), synth, aux))
-    return ScoreVector("mamamia-mst", np.log(acc / total))
+    terms = sorted(weights.weights.items())
+    return _weighted_mean_ratio("mamamia-mst", target, terms, _log_marginal_ratio, synth, aux)
 
 
 def mamamia_pb(target, weights, synth, aux):
     """Weight-normalized average of conditional-table ratios."""
-    rows = _rows(target)
-    total = weights.total()
-    if total <= 0:
-        raise ConfigurationError("shadow weights are degenerate (total 0)")
-    acc = np.zeros(rows.shape[0])
-    for (node, parents), w in sorted(weights.weights.items()):
-        if w:
-            acc += w * np.exp(_log_conditional_ratio(rows, node, parents, synth, aux))
-    return ScoreVector("mamamia-pb", np.log(acc / total))
+    terms = sorted(weights.weights.items())
+    return _weighted_mean_ratio("mamamia-pb", target, terms, _log_conditional_ratio, synth, aux)
 
 
 def hybrid_mst(target, edges, synth, aux):
     """Uniform average of 2-way ratios over the recovered tree's edges."""
-    rows = _rows(target)
-    edges = tuple(sorted(tuple(sorted(e)) for e in edges))
-    if not edges:
-        raise ConfigurationError("hybrid score needs at least one edge")
-    acc = np.zeros(rows.shape[0])
-    for i, j in edges:
-        acc += np.exp(_log_marginal_ratio(rows, (i, j), synth, aux))
-    return ScoreVector("hybrid-mst", np.log(acc / len(edges)))
+    # unit weights in sorted key order: exactly mamamia's sum under indicator weights
+    terms = [(e, 1) for e in sorted(tuple(sorted(e)) for e in edges)]
+    return _weighted_mean_ratio("hybrid-mst", target, terms, _log_marginal_ratio, synth, aux)
 
 
 def hybrid_pb(target, order, synth, aux):
     """Uniform average of conditional ratios over the recovered network."""
+    # unit weights in sorted key order: exactly mamamia's sum under indicator weights
+    terms = [(key, 1) for key in sorted((n, tuple(p)) for n, p in order)]
+    return _weighted_mean_ratio("hybrid-pb", target, terms, _log_conditional_ratio, synth, aux)
+
+
+def _node_pair_mean(name, target, pairs, synth, aux):
+    """log of the mean of the d node ratios and each pair's ratio over its nodes'."""
     rows = _rows(target)
+    d = len(synth.domain)
+    node_ratio = [_log_marginal_ratio(rows, (i,), synth, aux) for i in range(d)]
     acc = np.zeros(rows.shape[0])
-    # sorted key order keeps the floating-point sum identical to the
-    # weight-normalized variant under indicator weights
-    for node, parents in sorted((n, tuple(p)) for n, p in order):
-        acc += np.exp(_log_conditional_ratio(rows, node, parents, synth, aux))
-    return ScoreVector("hybrid-pb", np.log(acc / len(order)))
+    for i in range(d):
+        acc += np.exp(node_ratio[i])
+    for i, j in pairs:
+        pair = _log_marginal_ratio(rows, (i, j), synth, aux)
+        acc += np.exp(pair - node_ratio[i] - node_ratio[j])
+    return ScoreVector(name, np.log(acc / (d + len(pairs))))
 
 
 def tamis_mst_avg(target, edges, synth, aux):
     """Average (rather than product) of node and edge ratio terms."""
-    rows = _rows(target)
     edges = tuple(sorted(tuple(sorted(e)) for e in edges))
-    d = len(synth.domain)
-    node_ratio = {i: _log_marginal_ratio(rows, (i,), synth, aux) for i in range(d)}
-    acc = np.zeros(rows.shape[0])
-    for i in range(d):
-        acc += np.exp(node_ratio[i])
-    for i, j in edges:
-        pair = _log_marginal_ratio(rows, (i, j), synth, aux)
-        acc += np.exp(pair - node_ratio[i] - node_ratio[j])
-    return ScoreVector("tamis-mst-avg", np.log(acc / (d + len(edges))))
+    return _node_pair_mean("tamis-mst-avg", target, edges, synth, aux)
 
 
 def marginals_sigma(target, synth, aux):
     """Structure-free baseline: average over all 1- and 2-way ratio terms."""
-    rows = _rows(target)
     d = len(synth.domain)
-    node_ratio = {i: _log_marginal_ratio(rows, (i,), synth, aux) for i in range(d)}
-    acc = np.zeros(rows.shape[0])
-    for i in range(d):
-        acc += np.exp(node_ratio[i])
-    for i in range(d):
-        for j in range(i + 1, d):
-            pair = _log_marginal_ratio(rows, (i, j), synth, aux)
-            acc += np.exp(pair - node_ratio[i] - node_ratio[j])
-    n_terms = d + d * (d - 1) // 2
-    return ScoreVector("marginals-sigma", np.log(acc / n_terms))
+    pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
+    return _node_pair_mean("marginals-sigma", target, pairs, synth, aux)
 
 
 def marginals_pi(target, synth, aux):
@@ -229,9 +234,3 @@ def activate_calibrated(score_vector, prior, threshold=0.5):
     probs = 1.0 / (1.0 + np.exp(-centered))
     preds = (probs >= threshold).astype(np.int64)
     return probs, preds
-
-
-def activate(score_vector, config):
-    if config.regime == "simple":
-        return activate_simple(score_vector, config.threshold)
-    return activate_calibrated(score_vector, config.prior, config.threshold)

@@ -48,8 +48,7 @@ def _read_structure(path):
 
 def cmd_generate(args):
     train = load_csv(args.data)
-    cfg = sdg.GeneratorConfig(args.method, _dp_from_args(args), args.n_synth)
-    model = sdg.fit(train, cfg)
+    model = sdg.fit(train, sdg.GeneratorConfig(args.method, _dp_from_args(args)))
     synth = sdg.sample(model, args.n_synth, derive_seed(args.seed, 1))
     os.makedirs(args.out, exist_ok=True)
     write_csv(synth, os.path.join(args.out, "synth.csv"))
@@ -78,34 +77,19 @@ def cmd_shadow(args):
 
 
 def cmd_attack(args):
+    _, needs, _, fn = attack_mod.lookup(args.attack)
+    inputs = ()
+    if needs is not None:
+        path = getattr(args, needs)  # --structure or --weights
+        if not path:
+            raise ConfigurationError(f"{args.attack} needs --{needs}")
+        read = _read_structure if needs == "structure" else recovery.weights_from_file
+        inputs = (read(path),)
     # aux is the population superset, so its inferred domain covers the others
     aux = load_csv(args.aux)
     target = load_csv(args.target, schema=aux.domain)
     synth = load_csv(args.synth, schema=aux.domain)
-    base = args.attack.rstrip("*")
-    if base in ("mamamia-mst", "mamamia-pb"):
-        if not args.weights:
-            raise ConfigurationError(f"{args.attack} needs --weights")
-        weights = recovery.weights_from_file(args.weights)
-        fn = attack_mod.mamamia_mst if base == "mamamia-mst" else attack_mod.mamamia_pb
-        sv = fn(target, weights, synth, aux)
-    elif base in ("marginals-sigma", "marginals-pi"):
-        fn = attack_mod.marginals_sigma if base == "marginals-sigma" else attack_mod.marginals_pi
-        sv = fn(target, synth, aux)
-    else:
-        if not args.structure:
-            raise ConfigurationError(f"{args.attack} needs --structure")
-        structure = _read_structure(args.structure)
-        fn = {
-            "tamis-mst": attack_mod.tamis_mst,
-            "tamis-mst-avg": attack_mod.tamis_mst_avg,
-            "hybrid-mst": attack_mod.hybrid_mst,
-            "tamis-pb": attack_mod.tamis_pb,
-            "hybrid-pb": attack_mod.hybrid_pb,
-        }.get(base)
-        if fn is None:
-            raise ConfigurationError(f"unknown attack {args.attack!r}")
-        sv = fn(target, structure, synth, aux)
+    sv = fn(target, *inputs, synth, aux)
 
     if args.prior is not None:
         probs, preds = attack_mod.activate_calibrated(sv, args.prior, args.threshold)

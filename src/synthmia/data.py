@@ -6,9 +6,7 @@ membership labels through files.
 """
 
 import csv
-import json
-import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,17 +48,6 @@ class Domain:
 
     def __len__(self):
         return len(self.names)
-
-    @property
-    def shape(self):
-        return self.cardinalities
-
-    def log_size(self):
-        """log of the total domain size, computed in log-space."""
-        return float(sum(math.log(c) for c in self.cardinalities))
-
-    def index(self, name):
-        return self.names.index(name)
 
     def labels(self, attr):
         """Decode labels for one attribute (falls back to stringified indices)."""
@@ -345,13 +332,3 @@ def generate_households(
     household = household[:n_rows]
     domain = Domain([f"a{i}" for i in range(n_attrs)], cards.tolist())
     return Dataset(domain, rows, household_id=household)
-
-
-def domain_to_file(domain, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(domain.to_json(), fh, indent=2)
-
-
-def domain_from_file(path):
-    with open(path, encoding="utf-8") as fh:
-        return Domain.from_json(json.load(fh))

@@ -5,7 +5,6 @@ skipped by callers and the exponential mechanism degenerates to argmax.
 """
 
 import hashlib
-import json
 import math
 from dataclasses import dataclass, field, replace
 
@@ -121,8 +120,3 @@ def exponential_mechanism(scores, epsilon, sensitivity, seed, size=None):
     if size is not None:
         return rng.choice(scores.size, size=int(size), p=probs)
     return int(rng.choice(scores.size, p=probs))
-
-
-def ledger_to_file(ledger, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(ledger.to_json(), fh, indent=2)

@@ -8,22 +8,6 @@ from .errors import ConfigurationError, UndefinedMetric
 
 
 @dataclass(frozen=True)
-class MetricBundle:
-    auroc: float
-    balanced_accuracy_simple: float
-    balanced_accuracy_calibrated: float
-    n: int
-
-    def to_json(self):
-        return {
-            "auroc": self.auroc,
-            "balanced_accuracy_simple": self.balanced_accuracy_simple,
-            "balanced_accuracy_calibrated": self.balanced_accuracy_calibrated,
-            "n": self.n,
-        }
-
-
-@dataclass(frozen=True)
 class RecoveryMetrics:
     choice_accuracy: float
     precision: float

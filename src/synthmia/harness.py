@@ -19,27 +19,15 @@ import numpy as np
 
 from . import attack as attack_mod
 from . import evaluation, recovery, sdg
-from .data import Dataset, SplitSpec, generate_households, load_csv, snake_split_indices
+from .data import SplitSpec, generate_households, load_csv, snake_split_indices
 from .dp import DpParams, derive_seed
 from .errors import ConfigurationError, ResumeMismatch
 
-SETTINGS = ("aux-individuals", "target-individuals", "target-households")
-
-MST_ATTACKS = ("tamis-mst", "tamis-mst-avg", "mamamia-mst", "hybrid-mst")
-PB_ATTACKS = ("tamis-pb", "tamis-pb*", "mamamia-pb", "hybrid-pb", "hybrid-pb*")
-FREE_ATTACKS = ("marginals-sigma", "marginals-pi")
-ALL_ATTACKS = MST_ATTACKS + PB_ATTACKS + FREE_ATTACKS
-
-
-def attack_family(name):
-    base = name.rstrip("*")
-    if base in ("marginals-sigma", "marginals-pi"):
-        return "free"
-    if base.endswith("-mst") or base.endswith("-mst-avg"):
-        return sdg.METHOD_MST
-    if base.endswith("-pb"):
-        return sdg.METHOD_PRIVBAYES
-    raise ConfigurationError(f"unknown attack {name!r}")
+ALL_ATTACKS = (
+    "tamis-mst", "tamis-mst-avg", "mamamia-mst", "hybrid-mst",
+    "tamis-pb", "tamis-pb*", "mamamia-pb", "hybrid-pb", "hybrid-pb*",
+    "marginals-sigma", "marginals-pi",
+)
 
 
 @dataclass(frozen=True)
@@ -67,7 +55,7 @@ class ExperimentConfig:
         if not self.epsilons:
             raise ConfigurationError("epsilon grid must be non-empty")
         for name in self.attacks:
-            attack_family(name)
+            attack_mod.lookup(name)
         for method in self.methods:
             if method not in (sdg.METHOD_MST, sdg.METHOD_PRIVBAYES):
                 raise ConfigurationError(f"unknown method {method!r}")
@@ -144,17 +132,17 @@ class _AttackContext:
         self.shadow_k = shadow_k
         self._cache = {}
 
-    def tree_edges(self):
-        if "tree" not in self._cache:
-            self._cache["tree"] = recovery.recover_tree(self.synth)
-        return self._cache["tree"]
-
-    def bayes_order(self):
-        if "order" not in self._cache:
-            self._cache["order"] = recovery.recover_bayesnet(
-                self.synth, self.dp.with_seed(derive_seed(self.seed, 1))
-            )
-        return self._cache["order"]
+    def structure(self, method):
+        """The structure of a ``method`` generator recovered from synth."""
+        key = f"structure-{method}"
+        if key not in self._cache:
+            if method == sdg.METHOD_MST:
+                self._cache[key] = recovery.recover_tree(self.synth)
+            else:
+                self._cache[key] = recovery.recover_bayesnet(
+                    self.synth, self.dp.with_seed(derive_seed(self.seed, 1))
+                )
+        return self._cache[key]
 
     def weights(self, method):
         key = f"weights-{method}"
@@ -170,33 +158,17 @@ class _AttackContext:
 
 
 def score_attack(name, target, ctx):
-    """Dispatch one attack by name against a record set."""
-    base = name.rstrip("*")
-    starred = name.endswith("*")
-    if starred and ctx.true_method != attack_family(name):
-        raise ConfigurationError(f"{name!r} needs the true structure of a {attack_family(name)} generator")
-    if base == "tamis-mst":
-        edges = ctx.true_structure if starred else ctx.tree_edges()
-        return attack_mod.tamis_mst(target, edges, ctx.synth, ctx.aux)
-    if base == "tamis-mst-avg":
-        return attack_mod.tamis_mst_avg(target, ctx.tree_edges(), ctx.synth, ctx.aux)
-    if base == "hybrid-mst":
-        return attack_mod.hybrid_mst(target, ctx.tree_edges(), ctx.synth, ctx.aux)
-    if base == "mamamia-mst":
-        return attack_mod.mamamia_mst(target, ctx.weights(sdg.METHOD_MST), ctx.synth, ctx.aux)
-    if base == "tamis-pb":
-        order = ctx.true_structure if starred else ctx.bayes_order()
-        return attack_mod.tamis_pb(target, order, ctx.synth, ctx.aux)
-    if base == "hybrid-pb":
-        order = ctx.true_structure if starred else ctx.bayes_order()
-        return attack_mod.hybrid_pb(target, order, ctx.synth, ctx.aux)
-    if base == "mamamia-pb":
-        return attack_mod.mamamia_pb(target, ctx.weights(sdg.METHOD_PRIVBAYES), ctx.synth, ctx.aux)
-    if base == "marginals-sigma":
-        return attack_mod.marginals_sigma(target, ctx.synth, ctx.aux)
-    if base == "marginals-pi":
-        return attack_mod.marginals_pi(target, ctx.synth, ctx.aux)
-    raise ConfigurationError(f"unknown attack {name!r}")
+    """Score one attack by name against a record set."""
+    family, needs, starred, fn = attack_mod.lookup(name)
+    if starred and ctx.true_method != family:
+        raise ConfigurationError(f"{name!r} needs the true structure of a {family} generator")
+    if needs == "structure":
+        inputs = (ctx.true_structure if starred else ctx.structure(family),)
+    elif needs == "weights":
+        inputs = (ctx.weights(family),)
+    else:
+        inputs = ()
+    return fn(target, *inputs, ctx.synth, ctx.aux)
 
 
 def _setting_metrics(score_vector, labels, prior, threshold):
@@ -215,10 +187,10 @@ def _setting_metrics(score_vector, labels, prior, threshold):
 def _attacks_for(cfg, method):
     names = []
     for name in cfg.attacks:
-        fam = attack_family(name)
-        if name.endswith("*") and fam != method:
+        family, _, starred, _ = attack_mod.lookup(name)
+        if starred and family != method:
             continue  # true-structure variants only apply to their own generator
-        if cfg.cross_targeted or fam in ("free", method):
+        if cfg.cross_targeted or family in ("free", method):
             names.append(name)
     return names
 
@@ -258,22 +230,16 @@ def run_replica(cfg, replica_index, aux=None):
             stage = derive_seed(rseed, 1 + m_idx * len(cfg.epsilons) + e_idx)
             delta = cfg.delta if (method == sdg.METHOD_MST and math.isfinite(eps)) else 0.0
             dp = DpParams(eps, delta=delta, theta=cfg.theta, seed=derive_seed(stage, 0))
-            gcfg = sdg.GeneratorConfig(method, dp, n_synth)
-            model = sdg.fit(train, gcfg)
+            model = sdg.fit(train, sdg.GeneratorConfig(method, dp))
             synth = sdg.sample(model, n_synth, derive_seed(stage, 1))
-            if method == sdg.METHOD_MST:
-                true_structure = model.edges
-                estimated = recovery.recover_tree(synth)
-            else:
-                true_structure = model.order
-                estimated = recovery.recover_bayesnet(synth, dp.with_seed(derive_seed(stage, 2)))
-            rec = evaluation.recovery_metrics(true_structure, estimated)
-            emit(method, eps, "recovery", f"recover-{method}", rec.to_json())
-
+            true_structure = model.edges if method == sdg.METHOD_MST else model.order
             ctx = _AttackContext(
                 synth, aux, split.train_size, dp, derive_seed(stage, 3),
                 true_structure, method, cfg.shadow_k,
             )
+            # the structure the attacks score with is the one whose recovery is reported
+            rec = evaluation.recovery_metrics(true_structure, ctx.structure(method))
+            emit(method, eps, "recovery", f"recover-{method}", rec.to_json())
             for name in _attacks_for(cfg, method):
                 sv_aux = score_attack(name, aux, ctx)
                 sv_target = score_attack(name, target, ctx)

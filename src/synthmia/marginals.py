@@ -5,12 +5,11 @@ are exact and independent of row order. Zero cells can be floored to a small
 positive value and renormalized, which keeps density ratios finite downstream.
 """
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, EstimationError, SchemaViolation
+from .errors import ConfigurationError, EstimationError
 
 # floor default: 1/(FLOOR_FACTOR * source_size)
 FLOOR_FACTOR = 10
@@ -21,8 +20,22 @@ def default_floor(source_size):
     return 1.0 / (FLOOR_FACTOR * max(int(source_size), 1))
 
 
+class _Table:
+    """Lookups shared by the table types; the axes of ``probs`` follow ``attrs``."""
+
+    def lookup_rows(self, rows):
+        """Vectorized probability lookup for a (n, d) matrix of records."""
+        cols = tuple(rows[:, a] for a in self.attrs)
+        flat = np.ravel_multi_index(cols, self.probs.shape)
+        return self.probs.ravel()[flat]
+
+    def lookup(self, x):
+        x = np.asarray(x, dtype=np.int64)
+        return float(self.lookup_rows(x[None, :])[0])
+
+
 @dataclass(frozen=True)
-class MarginalTable:
+class MarginalTable(_Table):
     """Empirical probability table over an attribute subset."""
 
     attrs: tuple
@@ -34,20 +47,6 @@ class MarginalTable:
         probs = np.ascontiguousarray(self.probs, dtype=np.float64)
         probs.setflags(write=False)
         object.__setattr__(self, "probs", probs)
-
-    @property
-    def shape(self):
-        return self.probs.shape
-
-    def lookup_rows(self, rows):
-        """Vectorized probability lookup for a (n, d) matrix of records."""
-        cols = tuple(rows[:, a] for a in self.attrs)
-        flat = np.ravel_multi_index(cols, self.probs.shape)
-        return self.probs.ravel()[flat]
-
-    def lookup(self, x):
-        x = np.asarray(x, dtype=np.int64)
-        return float(self.lookup_rows(x[None, :])[0])
 
     def to_json(self):
         return {
@@ -65,7 +64,7 @@ class MarginalTable:
 
 
 @dataclass(frozen=True)
-class ConditionalTable:
+class ConditionalTable(_Table):
     """P(child | parents), one distribution per parent configuration.
 
     ``probs`` has shape parent_cardinalities + (child_cardinality,);
@@ -86,15 +85,6 @@ class ConditionalTable:
     @property
     def attrs(self):
         return self.parents + (self.child,)
-
-    def lookup_rows(self, rows):
-        cols = tuple(rows[:, a] for a in self.attrs)
-        flat = np.ravel_multi_index(cols, self.probs.shape)
-        return self.probs.ravel()[flat]
-
-    def lookup(self, x):
-        x = np.asarray(x, dtype=np.int64)
-        return float(self.lookup_rows(x[None, :])[0])
 
     def to_json(self):
         return {
@@ -185,25 +175,3 @@ def conditional(ds, child, parents, floor=None):
         floor = default_floor(len(ds))
     joint = counts(ds, parents + (child,)).astype(np.float64) / len(ds)
     return conditional_from_joint(joint, child, parents, len(ds), floor)
-
-
-def lookup(table, x):
-    """Probability of a record's projection through a table."""
-    x = np.asarray(x, dtype=np.int64)
-    for pos, a in enumerate(table.attrs):
-        if x[a] < 0 or x[a] >= table.probs.shape[pos]:
-            raise SchemaViolation(f"value {x[a]} outside attribute {a} bounds")
-    return table.lookup(x)
-
-
-def table_to_file(table, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(table.to_json(), fh)
-
-
-def table_from_file(path):
-    with open(path, encoding="utf-8") as fh:
-        obj = json.load(fh)
-    if obj.get("kind") == "conditional":
-        return ConditionalTable.from_json(obj)
-    return MarginalTable.from_json(obj)

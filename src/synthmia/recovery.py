@@ -7,7 +7,6 @@ how often each structure element gets picked).
 """
 
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -91,19 +90,10 @@ def recover_tree(synth):
             scored.append((-sdg.mst_edge_score(synth, i, j), (i, j)))
     scored.sort()
 
-    parent = list(range(d))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
+    sets = sdg.DisjointSets(d)
     edges = []
     for _, (i, j) in scored:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
+        if sets.union(i, j):
             edges.append((i, j))
             if len(edges) == d - 1:
                 break
@@ -116,15 +106,13 @@ def recover_bayesnet(synth, dp):
     Requires the generator's hyper-parameters (epsilon, theta); returns the
     ordered (node, parent set) structure only.
     """
-    cfg = sdg.GeneratorConfig(sdg.METHOD_PRIVBAYES, dp)
-    model = sdg.fit_privbayes(synth, cfg, structure_only=True)
-    return model.order
+    return sdg._select_bayes_order(synth, dp, as_generator(dp.seed))
 
 
 def _selection_run(subset, method, dp, rng):
     if method == sdg.METHOD_MST:
-        return sdg._select_tree_edges(subset, dp, (1.0 / 3.0, 2.0 / 3.0), rng)
-    return sdg._select_bayes_order(subset, dp, (1.0 / 3.0, 2.0 / 3.0), rng)
+        return sdg._select_tree_edges(subset, dp, rng)
+    return sdg._select_bayes_order(subset, dp, rng)
 
 
 def shadow_weights(aux, cfg, method=sdg.METHOD_MST):

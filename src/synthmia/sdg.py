@@ -2,14 +2,14 @@
 
 Both follow the same pipeline: privately select a graph structure, measure
 the associated statistics with calibrated noise, then sample i.i.d. records
-from the factorized joint density. The default budget split gives 1/3 of
-epsilon to structure selection and 2/3 to statistics measurement.
+from the factorized joint density. ``BUDGET_SPLIT`` gives 1/3 of epsilon to
+structure selection and 2/3 to statistics measurement.
 """
 
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,6 +31,9 @@ METHOD_PRIVBAYES = "privbayes"
 # default theta such that theta * epsilon * n = 4 * epsilon at |train| scale
 DEFAULT_THETA_SCALE = 4.0
 
+# epsilon fractions for (structure selection, statistics measurement)
+BUDGET_SPLIT = (1.0 / 3.0, 2.0 / 3.0)
+
 # L1 sensitivity of a probability table under one-record change
 def _table_sensitivity(n):
     return 2.0 / n
@@ -40,14 +43,32 @@ def _table_sensitivity(n):
 class GeneratorConfig:
     method: str
     dp: DpParams
-    n_synth: int = 10000
-    budget_split: tuple = (1.0 / 3.0, 2.0 / 3.0)
 
     def __post_init__(self):
         if self.method not in (METHOD_MST, METHOD_PRIVBAYES):
             raise ConfigurationError(f"unknown method {self.method!r}")
-        if abs(sum(self.budget_split) - 1.0) > 1e-9:
-            raise ConfigurationError("budget split fractions must sum to 1")
+
+
+class DisjointSets:
+    """Union-find over 0..n-1 with path halving."""
+
+    def __init__(self, n):
+        self.parent = list(range(n))
+
+    def find(self, a):
+        parent = self.parent
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    def union(self, a, b):
+        """Merge the sets of a and b; False if they already share one."""
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        self.parent[ra] = rb
+        return True
 
 
 @dataclass
@@ -71,19 +92,9 @@ class TreeModel:
         d = len(self.domain)
         if len(self.edges) != d - 1:
             raise ConfigurationError("a spanning tree needs exactly d - 1 edges")
-        parent = list(range(d))
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for i, j in self.edges:
-            ri, rj = find(i), find(j)
-            if ri == rj:
-                raise ConfigurationError("edges contain a cycle")
-            parent[ri] = rj
+        sets = DisjointSets(d)
+        if not all(sets.union(i, j) for i, j in self.edges):
+            raise ConfigurationError("edges contain a cycle")
         for i, j in self.edges:
             pair = self.edge_tables[(i, j)].probs
             if np.abs(pair.sum(axis=1) - self.node_tables[i].probs).max() > tol:
@@ -192,13 +203,13 @@ def _ipf_to_margins(pair, pi, pj, tol=1e-13, max_iters=2000):
     return out
 
 
-def _select_tree_edges(ds, dp, budget_split, rng, ledger=None):
+def _select_tree_edges(ds, dp, rng, ledger=None):
     """DP spanning-tree selection: noisy scores + d-1 exponential-mechanism steps."""
     d = len(ds.domain)
     n = len(ds)
     eps = dp.epsilon
     noiseless = math.isinf(eps)
-    sel_frac = budget_split[0]
+    sel_frac = BUDGET_SPLIT[0]
 
     if noiseless:
         one_way = None
@@ -218,24 +229,17 @@ def _select_tree_edges(ds, dp, budget_split, rng, ledger=None):
     all_pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
     scores = {p: mst_edge_score(ds, p[0], p[1], one_way) for p in all_pairs}
 
-    parent = list(range(d))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
+    sets = DisjointSets(d)
     eps_step = math.inf if noiseless else sel_frac * eps / (2 * (d - 1))
     edges = []
     for step in range(d - 1):
-        candidates = [p for p in all_pairs if find(p[0]) != find(p[1])]
+        candidates = [p for p in all_pairs if sets.find(p[0]) != sets.find(p[1])]
         cand_scores = np.array([scores[p] for p in candidates])
         k = exponential_mechanism(cand_scores, eps_step, _table_sensitivity(n), rng)
         if ledger is not None and not noiseless:
             ledger.spend(f"mst/select/edge/{step}", sel_frac / (2 * (d - 1)), 0.0, "exponential")
         i, j = candidates[k]
-        parent[find(i)] = find(j)
+        sets.union(i, j)
         edges.append((i, j))
     return tuple(sorted(edges))
 
@@ -268,12 +272,12 @@ def fit_mst(train, cfg):
     rng = as_generator(dp.seed)
     ledger = BudgetLedger(dp)
 
-    edges = _select_tree_edges(train, dp, cfg.budget_split, rng, ledger)
+    edges = _select_tree_edges(train, dp, rng, ledger)
 
     n_tables = 2 * d - 1
     sigma = None
     if not noiseless:
-        eps_each = cfg.budget_split[1] * eps / n_tables
+        eps_each = BUDGET_SPLIT[1] * eps / n_tables
         delta_each = dp.delta / (3 * d - 1)
         sigma = gaussian_sigma(eps_each, delta_each, _table_sensitivity(n))
 
@@ -282,14 +286,14 @@ def fit_mst(train, cfg):
         probs = marginals.marginal(train, (i,)).probs
         if sigma is not None:
             probs = _noisy_probs(probs, sigma, rng)
-            ledger.spend(f"mst/measure/1way/{i}", cfg.budget_split[1] / n_tables, 1.0 / (3 * d - 1), "gaussian")
+            ledger.spend(f"mst/measure/1way/{i}", BUDGET_SPLIT[1] / n_tables, 1.0 / (3 * d - 1), "gaussian")
         node_probs[i] = probs
     edge_probs = {}
     for (i, j) in edges:
         probs = marginals.marginal(train, (i, j)).probs
         if sigma is not None:
             probs = _noisy_probs(probs, sigma, rng)
-            ledger.spend(f"mst/measure/2way/{i}-{j}", cfg.budget_split[1] / n_tables, 1.0 / (3 * d - 1), "gaussian")
+            ledger.spend(f"mst/measure/2way/{i}-{j}", BUDGET_SPLIT[1] / n_tables, 1.0 / (3 * d - 1), "gaussian")
         edge_probs[(i, j)] = probs
 
     floor = marginals.default_floor(n)
@@ -365,12 +369,11 @@ def sample_tree(model, n, seed):
 # bayesian network
 # ---------------------------------------------------------------------------
 
-def privbayes_score(ds, i, parents, literal=False):
+def privbayes_score(ds, i, parents):
     """Dependency score of a (node, parent set) candidate.
 
-    The default compares the joint P(X_i, Pi_i) against the product of
-    marginals; ``literal=True`` uses the conditional P(X_i | Pi_i) in the
-    first term instead.
+    Half the L1 distance between the joint P(X_i, Pi_i) and the product of
+    its marginals; a one-record change moves it by at most 2/n.
     """
     parents = tuple(parents)
     if i in parents:
@@ -381,12 +384,7 @@ def privbayes_score(ds, i, parents, literal=False):
     p_child = marginals.marginal(ds, (i,)).probs
     p_parents = joint.sum(axis=-1)
     product = p_parents[..., None] * p_child
-    if literal:
-        denom = np.where(p_parents > 0, p_parents, 1.0)[..., None]
-        first = np.where(p_parents[..., None] > 0, joint / denom, 0.0)
-    else:
-        first = joint
-    return float(0.5 * np.abs(first - product).sum())
+    return float(0.5 * np.abs(joint - product).sum())
 
 
 def _parent_subsets(placed, cards, limit):
@@ -406,9 +404,11 @@ def _parent_subsets(placed, cards, limit):
     return out
 
 
-def _select_bayes_order(ds, dp, budget_split, rng, ledger=None, literal=False):
+def _select_bayes_order(ds, dp, rng, ledger=None):
     """Greedy DP selection of an ordered (node, parent set) list."""
     d = len(ds.domain)
+    if d < 1:
+        raise ConfigurationError("empty domain")
     n = len(ds)
     cards = ds.domain.cardinalities
     eps = dp.epsilon
@@ -421,7 +421,7 @@ def _select_bayes_order(ds, dp, budget_split, rng, ledger=None, literal=False):
     placed = [first]
     if d == 1:
         return tuple(order)
-    eps_step = math.inf if noiseless else budget_split[0] * eps / (d - 1)
+    eps_step = math.inf if noiseless else BUDGET_SPLIT[0] * eps / (d - 1)
     for step in range(1, d):
         unplaced = sorted(set(range(d)) - set(placed))
         candidates = []
@@ -431,22 +431,20 @@ def _select_bayes_order(ds, dp, budget_split, rng, ledger=None, literal=False):
                 candidates.append((node, sub))
         if not candidates:
             candidates = [(node, ()) for node in unplaced]
-        scores = np.array([privbayes_score(ds, node, sub, literal) for node, sub in candidates])
+        scores = np.array([privbayes_score(ds, node, sub) for node, sub in candidates])
         k = exponential_mechanism(scores, eps_step, _table_sensitivity(n), rng)
         if ledger is not None and not noiseless:
-            ledger.spend(f"privbayes/select/{step}", budget_split[0] / (d - 1), 0.0, "exponential")
+            ledger.spend(f"privbayes/select/{step}", BUDGET_SPLIT[0] / (d - 1), 0.0, "exponential")
         node, sub = candidates[k]
         order.append((node, sub))
         placed.append(node)
     return tuple(order)
 
 
-def fit_privbayes(train, cfg, structure_only=False, literal_score=False):
+def fit_privbayes(train, cfg):
     """Fit a DP Bayesian network; Laplace noise on measured conditionals."""
     domain = train.domain
     d = len(domain)
-    if d < 1:
-        raise ConfigurationError("empty domain")
     n = len(train)
     dp = cfg.dp
     eps = dp.epsilon
@@ -456,14 +454,12 @@ def fit_privbayes(train, cfg, structure_only=False, literal_score=False):
     theta = dp.theta if dp.theta is not None else DEFAULT_THETA_SCALE / n
     threshold = math.inf if noiseless else theta * eps * n
 
-    order = _select_bayes_order(train, dp, cfg.budget_split, rng, ledger, literal_score)
-    if structure_only:
-        return BayesNetModel(domain, order, {}, threshold, ledger)
+    order = _select_bayes_order(train, dp, rng, ledger)
 
     floor = marginals.default_floor(n)
     scale = None
     if not noiseless:
-        eps_each = cfg.budget_split[1] * eps / d
+        eps_each = BUDGET_SPLIT[1] * eps / d
         scale = _table_sensitivity(n) / eps_each
 
     cond_tables = {}
@@ -472,7 +468,7 @@ def fit_privbayes(train, cfg, structure_only=False, literal_score=False):
         if scale is not None:
             joint = joint + laplace_noise(scale, joint.size, rng).reshape(joint.shape)
             joint = np.clip(joint, 0.0, None)
-            ledger.spend(f"privbayes/measure/{node}", cfg.budget_split[1] / d, 0.0, "laplace")
+            ledger.spend(f"privbayes/measure/{node}", BUDGET_SPLIT[1] / d, 0.0, "laplace")
         cond_tables[node] = marginals.conditional_from_joint(joint, node, parents, n, floor)
     return BayesNetModel(domain, order, cond_tables, threshold, ledger)
 

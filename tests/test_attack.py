@@ -217,15 +217,43 @@ class TestActivations:
         probs, preds = attack.activate_calibrated(sv, prior=0.5)
         assert preds.sum() == 0
 
-    def test_activation_config_validation(self):
-        with pytest.raises(ConfigurationError):
-            attack.ActivationConfig(regime="nope")
-        with pytest.raises(ConfigurationError):
-            attack.ActivationConfig(regime="calibrated")
-        cfg = attack.ActivationConfig(regime="calibrated", prior=0.3)
+    def test_calibrated_prior_validation(self):
         sv = attack.ScoreVector("x", np.arange(10.0))
-        probs, preds = attack.activate(sv, cfg)
+        for prior in (0.0, 1.0, 1.5):
+            with pytest.raises(ConfigurationError):
+                attack.activate_calibrated(sv, prior)
+        probs, preds = attack.activate_calibrated(sv, 0.3)
         assert preds.sum() == 3
+
+
+class TestRegistry:
+    def test_every_name_resolves_to_its_public_scorer(self):
+        domain = Domain(["a", "b", "c"], [2, 3, 2])
+        synth, aux = random_ds(28, domain=domain), random_ds(29, domain=domain)
+        target = random_ds(30, n=10, domain=domain)
+        inputs = {
+            ("mst", "structure"): (((0, 1), (1, 2)),),
+            ("privbayes", "structure"): (((0, ()), (1, (0,)), (2, (1,))),),
+            ("mst", "weights"): (indicator_weights(((0, 1), (0, 2))),),
+            ("privbayes", "weights"): (recovery.ShadowWeights("privbayes", 1, {(1, (0,)): 1}),),
+            ("free", None): (),
+        }
+        for name, (family, needs) in attack.ATTACKS.items():
+            got_family, got_needs, starred, fn = attack.lookup(name)
+            assert (got_family, got_needs, starred) == (family, needs, False)
+            assert fn is getattr(attack, name.replace("-", "_"))
+            assert not fn.__name__.startswith("_")
+            sv = fn(target, *inputs[(family, needs)], synth, aux)
+            assert sv.attack_name == name
+            assert len(sv) == len(target)
+
+    def test_star_only_on_structure_attacks(self):
+        for name, (_, needs) in attack.ATTACKS.items():
+            if needs == "structure":
+                assert attack.lookup(name + "*")[2] is True
+            else:
+                with pytest.raises(ConfigurationError):
+                    attack.lookup(name + "*")
 
 
 def test_permuting_records_permutes_scores():

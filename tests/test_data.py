@@ -61,10 +61,6 @@ class TestDomainDataset:
         with pytest.raises(ConfigurationError):
             data.Domain(["a"], [0])
 
-    def test_log_size(self):
-        dom = data.Domain(["a", "b"], [4, 8])
-        assert dom.log_size() == pytest.approx(np.log(32))
-
     def test_out_of_domain_cell(self):
         dom = data.Domain(["a"], [2])
         with pytest.raises(SchemaViolation):

@@ -5,8 +5,9 @@ import os
 import numpy as np
 import pytest
 
-from synthmia import cli, harness
+from synthmia import attack, cli, harness, recovery
 from synthmia.data import SplitSpec, generate_households, make_snake_split, write_csv
+from synthmia.dp import DpParams
 from synthmia.errors import ConfigurationError, ResumeMismatch
 
 
@@ -28,11 +29,37 @@ def small_config(out_dir, **overrides):
 
 class TestConfig:
     def test_attack_families(self):
-        assert harness.attack_family("tamis-mst") == "mst"
-        assert harness.attack_family("tamis-pb*") == "privbayes"
-        assert harness.attack_family("marginals-pi") == "free"
+        assert attack.lookup("tamis-mst")[:3] == ("mst", "structure", False)
+        assert attack.lookup("tamis-pb*")[:3] == ("privbayes", "structure", True)
+        assert attack.lookup("marginals-pi")[:3] == ("free", None, False)
         with pytest.raises(ConfigurationError):
-            harness.attack_family("nonsense")
+            attack.lookup("nonsense")
+
+    @pytest.mark.parametrize(
+        "name",
+        ["foo-mst", "tamis_mst", "*", "tamis-mst**", "mamamia-mst*", "mamamia-pb*", "marginals-pi*", "marginals-sigma*"],
+    )
+    def test_bad_attack_name_rejected_before_anything_is_written(self, tmp_path, capsys, name):
+        out_dir = str(tmp_path / "exp")
+        with pytest.raises(ConfigurationError):
+            small_config(out_dir, attacks=("tamis-mst", name))
+        obj = small_config(out_dir).to_json()
+        obj["attacks"] = ["tamis-mst", name]
+        cfg_path = str(tmp_path / "config.json")
+        with open(cfg_path, "w") as fh:
+            json.dump(obj, fh)
+        assert cli.main(["replicate", "--config", cfg_path]) == 1
+        assert not os.path.exists(out_dir)
+        # the name is checked before any input file is opened
+        scores = str(tmp_path / "scores.csv")
+        missing = str(tmp_path / "missing.csv")
+        assert cli.main([
+            "attack", "--attack", name, "--target", missing, "--synth", missing, "--aux", missing,
+            "--structure", missing, "--weights", missing, "--out", scores,
+        ]) == 1
+        assert not os.path.exists(scores)
+        errors = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+        assert [e["error"] for e in errors] == ["ConfigurationError", "ConfigurationError"]
 
     def test_json_round_trip_with_infinite_epsilon(self, tmp_path):
         cfg = small_config(str(tmp_path), epsilons=(0.1, math.inf))
@@ -87,6 +114,26 @@ class TestRunReplica:
         names = {r["attack"] for r in rows if r["setting"] != "recovery"}
         assert names == {"tamis-mst", "hybrid-pb"}
 
+    def test_structure_recovered_once_per_cell(self, tmp_path, monkeypatch):
+        calls = {"recover_tree": 0, "recover_bayesnet": 0}
+        for fn_name in calls:
+            original = getattr(recovery, fn_name)
+
+            def counted(*args, _original=original, _name=fn_name):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(recovery, fn_name, counted)
+        cfg = small_config(
+            str(tmp_path),
+            methods=("mst", "privbayes"),
+            epsilons=(1.0, math.inf),
+            attacks=("tamis-mst", "hybrid-mst", "tamis-mst-avg", "tamis-pb", "hybrid-pb"),
+        )
+        rows = harness.run_replica(cfg, 0)
+        assert calls == {"recover_tree": 2, "recover_bayesnet": 2}
+        assert {r["attack"] for r in rows if r["setting"] == "recovery"} == {"recover-mst", "recover-privbayes"}
+
     def test_determinism(self, tmp_path):
         cfg = small_config(str(tmp_path))
         assert harness.run_replica(cfg, 0) == harness.run_replica(cfg, 0)
@@ -123,6 +170,48 @@ class TestRunExperiment:
         harness.run_experiment(small_config(out))
         with pytest.raises(ResumeMismatch):
             harness.run_experiment(small_config(out, seed=8))
+
+
+class TestStarredAttacks:
+    """A starred structure attack scores with the generator's true structure."""
+
+    def _context(self, method, candidates):
+        aux = generate_households(3000, n_attrs=4, max_cardinality=3, seed=5)
+        synth = aux.subset(np.arange(800))
+        dp = DpParams(math.inf, seed=0)
+        ctx = harness._AttackContext(synth, aux, 800, dp, 11, None, method, 2)
+        recovered = ctx.structure(method)
+        ctx.true_structure = next(s for s in candidates if s != recovered)
+        return ctx, recovered
+
+    @pytest.mark.parametrize("name", ["tamis-mst", "tamis-mst-avg", "hybrid-mst"])
+    def test_mst(self, name):
+        ctx, recovered = self._context("mst", [((0, 1), (0, 2), (0, 3)), ((0, 1), (1, 2), (2, 3))])
+        self._check(name, ctx, recovered)
+
+    @pytest.mark.parametrize("name", ["tamis-pb", "hybrid-pb"])
+    def test_privbayes(self, name):
+        ctx, recovered = self._context(
+            "privbayes",
+            [((0, ()), (1, (0,)), (2, (1,)), (3, (2,))), ((3, ()), (2, (3,)), (1, (2,)), (0, (1,)))],
+        )
+        self._check(name, ctx, recovered)
+
+    def _check(self, name, ctx, recovered):
+        fn = getattr(attack, name.replace("-", "_"))
+        target = ctx.aux.subset(np.arange(50))
+        starred = harness.score_attack(name + "*", target, ctx)
+        plain = harness.score_attack(name, target, ctx)
+        want_star = fn(target, ctx.true_structure, ctx.synth, ctx.aux)
+        want_plain = fn(target, recovered, ctx.synth, ctx.aux)
+        assert np.array_equal(starred.log_scores, want_star.log_scores)
+        assert np.array_equal(plain.log_scores, want_plain.log_scores)
+        assert not np.array_equal(starred.log_scores, plain.log_scores)
+
+    def test_star_needs_matching_generator(self):
+        ctx, _ = self._context("mst", [((0, 1), (0, 2), (0, 3)), ((0, 1), (1, 2), (2, 3))])
+        with pytest.raises(ConfigurationError):
+            harness.score_attack("tamis-pb*", ctx.aux.subset(np.arange(5)), ctx)
 
 
 class TestHouseholdLabels:

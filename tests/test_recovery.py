@@ -30,7 +30,7 @@ class TestRecoverTree:
 
     def test_recovers_generating_tree(self):
         ds = random_ds(2, d=4, n=3000)
-        cfg = sdg.GeneratorConfig("mst", DpParams(math.inf, seed=0), 20000)
+        cfg = sdg.GeneratorConfig("mst", DpParams(math.inf, seed=0))
         model = sdg.fit_mst(ds, cfg)
         synth = sdg.sample(model, 20000, seed=3)
         assert recovery.recover_tree(synth) == model.edges
@@ -142,7 +142,7 @@ def test_shadow_config_validation():
 
 def test_recovery_on_household_data_end_to_end():
     aux = generate_households(4000, n_attrs=5, max_cardinality=4, seed=21)
-    cfg = sdg.GeneratorConfig("mst", DpParams(1000.0, delta=1e-9, seed=1), 4000)
+    cfg = sdg.GeneratorConfig("mst", DpParams(1000.0, delta=1e-9, seed=1))
     model = sdg.fit_mst(aux, cfg)
     synth = sdg.sample(model, 4000, seed=2)
     est = recovery.recover_tree(synth)

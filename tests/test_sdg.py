@@ -3,8 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from synthmia import marginals, sdg
+from synthmia import marginals, recovery, sdg
 from synthmia.data import Dataset, Domain
 from synthmia.dp import DpParams
 from synthmia.errors import ConfigurationError
@@ -24,8 +26,8 @@ def random_ds(seed, d=None, n=300, max_card=4):
     return make_ds(cards, rng.integers(0, cards, size=(n, d)))
 
 
-def noiseless_cfg(method, seed=0, n_synth=100):
-    return sdg.GeneratorConfig(method, DpParams(INF, seed=seed), n_synth)
+def noiseless_cfg(method, seed=0):
+    return sdg.GeneratorConfig(method, DpParams(INF, seed=seed))
 
 
 def enumerate_grid(domain):
@@ -82,7 +84,7 @@ class TestFitMst:
     def test_spanning_tree_invariant_random_seeds(self):
         ds = random_ds(2, d=5)
         for seed in range(40):
-            cfg = sdg.GeneratorConfig("mst", DpParams(1.0, delta=1e-9, seed=seed), 10)
+            cfg = sdg.GeneratorConfig("mst", DpParams(1.0, delta=1e-9, seed=seed))
             model = sdg.fit_mst(ds, cfg)
             model.validate()  # spanning tree + table consistency
 
@@ -103,11 +105,11 @@ class TestFitMst:
     def test_finite_epsilon_needs_delta(self):
         ds = random_ds(3)
         with pytest.raises(ConfigurationError):
-            sdg.fit_mst(ds, sdg.GeneratorConfig("mst", DpParams(1.0), 10))
+            sdg.fit_mst(ds, sdg.GeneratorConfig("mst", DpParams(1.0)))
 
     def test_budget_ledger_within_bounds(self):
         ds = random_ds(5, d=4)
-        cfg = sdg.GeneratorConfig("mst", DpParams(2.0, delta=1e-9, seed=0), 10)
+        cfg = sdg.GeneratorConfig("mst", DpParams(2.0, delta=1e-9, seed=0))
         model = sdg.fit_mst(ds, cfg)
         assert model.ledger.epsilon_spent() == pytest.approx(1.0)
         assert model.ledger.delta_spent() == pytest.approx(1.0)
@@ -182,15 +184,45 @@ class TestPrivbayesScore:
         ds = make_ds([2, 2], [[0, 0], [1, 1], [0, 0], [1, 1]])
         assert sdg.privbayes_score(ds, 0, (1,)) == pytest.approx(0.5)
 
-    def test_literal_reading_differs(self):
-        ds = random_ds(13, d=2)
-        joint = sdg.privbayes_score(ds, 0, (1,), literal=False)
-        literal = sdg.privbayes_score(ds, 0, (1,), literal=True)
-        assert joint != pytest.approx(literal)
-
     def test_self_parent_rejected(self):
         with pytest.raises(ConfigurationError):
             sdg.privbayes_score(random_ds(14), 0, (0,))
+
+
+@st.composite
+def neighbouring_datasets(draw):
+    """Two datasets of n records over 3 attributes that differ in one record."""
+    cards = draw(st.lists(st.integers(2, 4), min_size=3, max_size=3))
+    record = st.tuples(*(st.integers(0, c - 1) for c in cards))
+    rows = draw(st.lists(record, min_size=1, max_size=25))
+    changed = list(rows)
+    changed[draw(st.integers(0, len(rows) - 1))] = draw(record)
+    return make_ds(cards, rows), make_ds(cards, changed)
+
+
+class TestSensitivity:
+    """A one-record change moves every selection score by at most 2/n."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(neighbouring_datasets(), st.sampled_from([(1,), (2,), (1, 2)]))
+    def test_privbayes_score(self, pair, parents):
+        ds, other = pair
+        diff = abs(sdg.privbayes_score(ds, 0, parents) - sdg.privbayes_score(other, 0, parents))
+        assert diff <= 2.0 / len(ds) + 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(neighbouring_datasets(), st.integers(0, 2**32 - 1))
+    def test_mst_edge_score_with_fixed_noisy_1way(self, pair, seed):
+        ds, other = pair
+        rng = np.random.default_rng(seed)
+        # the noisy 1-way tables are measured once and shared by both datasets
+        one_way = {
+            i: marginals.MarginalTable((i,), rng.dirichlet(np.ones(c)), len(ds))
+            for i, c in enumerate(ds.domain.cardinalities)
+        }
+        for i, j in itertools.combinations(range(3), 2):
+            diff = abs(sdg.mst_edge_score(ds, i, j, one_way) - sdg.mst_edge_score(other, i, j, one_way))
+            assert diff <= 2.0 / len(ds) + 1e-12
 
 
 class TestFitPrivbayes:
@@ -204,7 +236,7 @@ class TestFitPrivbayes:
     def test_acyclicity_over_seeds(self):
         ds = random_ds(16, d=5)
         for seed in range(40):
-            cfg = sdg.GeneratorConfig("privbayes", DpParams(1.0, seed=seed), 10)
+            cfg = sdg.GeneratorConfig("privbayes", DpParams(1.0, seed=seed))
             model = sdg.fit_privbayes(ds, cfg)
             model.validate()
 
@@ -230,7 +262,7 @@ class TestFitPrivbayes:
     def test_theta_constraint_respected(self):
         ds = random_ds(18, d=4, n=500)
         theta = 8.0 / 500
-        cfg = sdg.GeneratorConfig("privbayes", DpParams(1.0, theta=theta, seed=0), 10)
+        cfg = sdg.GeneratorConfig("privbayes", DpParams(1.0, theta=theta, seed=0))
         model = sdg.fit_privbayes(ds, cfg)
         limit = theta * 1.0 * 500
         for node, parents in model.order:
@@ -239,10 +271,14 @@ class TestFitPrivbayes:
                 size *= ds.domain.cardinalities[p]
             assert size <= limit or not parents
 
-    def test_structure_only_skips_tables(self):
-        ds = random_ds(19, d=3)
-        model = sdg.fit_privbayes(ds, noiseless_cfg("privbayes"), structure_only=True)
-        assert model.cond_tables == {}
+    def test_recover_bayesnet_matches_fit_order(self):
+        # the recovery run draws the same random numbers as the fit's selection
+        ds = random_ds(19, d=4)
+        for eps in (0.5, 10.0, INF):
+            for seed in range(5):
+                dp = DpParams(eps, seed=seed)
+                fitted = sdg.fit_privbayes(ds, sdg.GeneratorConfig("privbayes", dp))
+                assert recovery.recover_bayesnet(ds, dp) == fitted.order
 
 
 class TestBayesDensity:
@@ -320,6 +356,4 @@ class TestSerialization:
 
 def test_generator_config_validation():
     with pytest.raises(ConfigurationError):
-        sdg.GeneratorConfig("nope", DpParams(1.0), 10)
-    with pytest.raises(ConfigurationError):
-        sdg.GeneratorConfig("mst", DpParams(1.0), 10, budget_split=(0.5, 0.6))
+        sdg.GeneratorConfig("nope", DpParams(1.0))
