@@ -14,8 +14,7 @@ from . import marginals, sdg
 from .errors import ConfigurationError
 
 # attack name -> (generator family it targets, attacker input it takes):
-# "structure" (a tree's edges or a network's order), "weights" (shadow
-# weights) or None
+# "structure" (an ``sdg.Structure``), "weights" (shadow weights) or None
 ATTACKS = {
     "tamis-mst": (sdg.METHOD_MST, "structure"),
     "tamis-mst-avg": (sdg.METHOD_MST, "structure"),
@@ -93,20 +92,20 @@ def _log_conditional_ratio(rows, key, synth, aux):
     return np.log(ts.lookup_rows(rows)) - np.log(ta.lookup_rows(rows))
 
 
-def tamis_mst(target, edges, synth, aux):
+def tamis_mst(target, structure, synth, aux):
     """Ratio of tree-factorized densities fitted on synth and on aux."""
     rows = _rows(target)
-    model_s = sdg.tree_model_from_data(synth, edges)
-    model_a = sdg.tree_model_from_data(aux, edges)
+    model_s = sdg.tree_model_from_data(synth, structure)
+    model_a = sdg.tree_model_from_data(aux, structure)
     logs = sdg.tree_log_density(model_s, rows) - sdg.tree_log_density(model_a, rows)
     return ScoreVector("tamis-mst", logs)
 
 
-def tamis_pb(target, order, synth, aux):
+def tamis_pb(target, structure, synth, aux):
     """Ratio of Bayesian-network densities fitted on synth and on aux."""
     rows = _rows(target)
-    model_s = sdg.bayes_model_from_data(synth, order)
-    model_a = sdg.bayes_model_from_data(aux, order)
+    model_s = sdg.bayes_model_from_data(synth, structure)
+    model_a = sdg.bayes_model_from_data(aux, structure)
     logs = sdg.bayes_log_density(model_s, rows) - sdg.bayes_log_density(model_a, rows)
     return ScoreVector("tamis-pb", logs)
 
@@ -140,17 +139,17 @@ def mamamia_pb(target, weights, synth, aux):
     return _weighted_mean_ratio("mamamia-pb", target, terms, _log_conditional_ratio, synth, aux)
 
 
-def hybrid_mst(target, edges, synth, aux):
+def hybrid_mst(target, structure, synth, aux):
     """Uniform average of 2-way ratios over the recovered tree's edges."""
     # unit weights in sorted key order: exactly mamamia's sum under indicator weights
-    terms = [(e, 1) for e in sorted(tuple(sorted(e)) for e in edges)]
+    terms = [(e, 1) for e in structure.keys]
     return _weighted_mean_ratio("hybrid-mst", target, terms, _log_marginal_ratio, synth, aux)
 
 
-def hybrid_pb(target, order, synth, aux):
+def hybrid_pb(target, structure, synth, aux):
     """Uniform average of conditional ratios over the recovered network."""
     # unit weights in sorted key order: exactly mamamia's sum under indicator weights
-    terms = [(key, 1) for key in sorted((n, tuple(p)) for n, p in order)]
+    terms = [(key, 1) for key in sorted(structure.keys)]
     return _weighted_mean_ratio("hybrid-pb", target, terms, _log_conditional_ratio, synth, aux)
 
 
@@ -168,10 +167,9 @@ def _node_pair_mean(name, target, pairs, synth, aux):
     return ScoreVector(name, np.log(acc / (d + len(pairs))))
 
 
-def tamis_mst_avg(target, edges, synth, aux):
+def tamis_mst_avg(target, structure, synth, aux):
     """Average (rather than product) of node and edge ratio terms."""
-    edges = tuple(sorted(tuple(sorted(e)) for e in edges))
-    return _node_pair_mean("tamis-mst-avg", target, edges, synth, aux)
+    return _node_pair_mean("tamis-mst-avg", target, structure.keys, synth, aux)
 
 
 def marginals_sigma(target, synth, aux):

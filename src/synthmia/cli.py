@@ -17,7 +17,7 @@ from . import attack as attack_mod
 from . import evaluation, harness, recovery, sdg
 from .data import MEMBER_COLUMN, load_csv, write_csv
 from .dp import DpParams, derive_seed
-from .errors import ConfigurationError, SynthmiaError
+from .errors import ConfigurationError, ParseError, SynthmiaError
 
 
 def _dp_from_args(args):
@@ -29,21 +29,17 @@ def _dp_from_args(args):
     )
 
 
-def _write_structure(structure, method, path):
-    if method == sdg.METHOD_MST:
-        obj = {"method": method, "edges": [list(e) for e in structure]}
-    else:
-        obj = {"method": method, "order": [[node, list(parents)] for node, parents in structure]}
+def _write_json(obj, path):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh, indent=2)
 
 
-def _read_structure(path):
+def _read_json(path):
     with open(path, encoding="utf-8") as fh:
-        obj = json.load(fh)
-    if "edges" in obj:
-        return tuple(tuple(e) for e in obj["edges"])
-    return tuple((node, tuple(parents)) for node, parents in obj["order"])
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise ParseError(f"{path}: not JSON ({exc})") from None
 
 
 def cmd_generate(args):
@@ -53,18 +49,14 @@ def cmd_generate(args):
     os.makedirs(args.out, exist_ok=True)
     write_csv(synth, os.path.join(args.out, "synth.csv"))
     sdg.model_to_file(model, os.path.join(args.out, "model.json"))
-    structure = model.edges if args.method == sdg.METHOD_MST else model.order
-    _write_structure(structure, args.method, os.path.join(args.out, "structure.json"))
+    _write_json(model.structure.to_json(), os.path.join(args.out, "structure.json"))
     print(json.dumps({"synth": os.path.join(args.out, "synth.csv"), "rows": len(synth)}))
 
 
 def cmd_recover(args):
     synth = load_csv(args.synth)
-    if args.method == sdg.METHOD_MST:
-        structure = recovery.recover_tree(synth)
-    else:
-        structure = recovery.recover_bayesnet(synth, _dp_from_args(args))
-    _write_structure(structure, args.method, args.out)
+    structure = recovery.recover(synth, args.method, _dp_from_args(args))
+    _write_json(structure.to_json(), args.out)
     print(json.dumps({"structure": args.out}))
 
 
@@ -72,19 +64,21 @@ def cmd_shadow(args):
     aux = load_csv(args.aux)
     cfg = recovery.ShadowConfig(K=args.k, subset_size=args.subset_size, dp=_dp_from_args(args), seed=args.seed)
     weights = recovery.shadow_weights(aux, cfg, args.method)
-    recovery.weights_to_file(weights, args.out)
+    _write_json(weights.to_json(), args.out)
     print(json.dumps({"weights": args.out, "total": weights.total()}))
 
 
 def cmd_attack(args):
-    _, needs, _, fn = attack_mod.lookup(args.attack)
+    family, needs, _, fn = attack_mod.lookup(args.attack)
     inputs = ()
     if needs is not None:
         path = getattr(args, needs)  # --structure or --weights
         if not path:
             raise ConfigurationError(f"{args.attack} needs --{needs}")
-        read = _read_structure if needs == "structure" else recovery.weights_from_file
-        inputs = (read(path),)
+        parse = sdg.Structure.from_json if needs == "structure" else recovery.ShadowWeights.from_json
+        inputs = (parse(_read_json(path)),)
+        if inputs[0].method != family:
+            raise ConfigurationError(f"{args.attack} attacks {family} generators; {path} is {inputs[0].method}")
     # aux is the population superset, so its inferred domain covers the others
     aux = load_csv(args.aux)
     target = load_csv(args.target, schema=aux.domain)
@@ -139,8 +133,7 @@ def cmd_evaluate(args):
 
 
 def cmd_replicate(args):
-    with open(args.config, encoding="utf-8") as fh:
-        obj = json.load(fh)
+    obj = _read_json(args.config)
     if args.out:
         obj["out_dir"] = args.out
     if args.seed is not None:

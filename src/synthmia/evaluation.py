@@ -27,18 +27,9 @@ class RecoveryMetrics:
 
 def _tie_average_ranks(values):
     """Ranks 1..n with ties averaged (midrank)."""
-    values = np.asarray(values, dtype=np.float64)
-    order = np.argsort(values, kind="mergesort")
-    ranks = np.empty(values.size, dtype=np.float64)
-    sorted_vals = values[order]
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    _, inv, cnt = np.unique(np.asarray(values, dtype=np.float64), return_inverse=True, return_counts=True)
+    # a run of cnt equal values ending at rank c has midrank c - (cnt - 1) / 2
+    return (np.cumsum(cnt) - 0.5 * (cnt - 1))[inv]
 
 
 def auroc(scores, labels):
@@ -72,27 +63,12 @@ def balanced_accuracy(predictions, labels):
     return 0.5 * (tpr + tnr)
 
 
-def _as_key_set(structure):
-    """Normalize a structure into a set of hashable keys.
-
-    Tree structures become sorted edge pairs; Bayesian-network structures
-    become (node, parent tuple) pairs.
-    """
-    keys = set()
-    for item in structure:
-        first, second = item
-        if isinstance(second, (tuple, list)) and not isinstance(first, (tuple, list)):
-            keys.add((int(first), tuple(int(p) for p in second)))
-        else:
-            i, j = int(first), int(second)
-            keys.add((min(i, j), max(i, j)))
-    return keys
-
-
 def recovery_metrics(true_structure, estimated_structure):
-    """Set-overlap metrics between true and estimated structure keys."""
-    truth = _as_key_set(true_structure)
-    est = _as_key_set(estimated_structure)
+    """Set-overlap metrics between the keys of two ``sdg.Structure``s of one method."""
+    if true_structure.method != estimated_structure.method:
+        raise ConfigurationError("recovery metrics need two structures of one method")
+    truth = set(true_structure.keys)
+    est = set(estimated_structure.keys)
     if not truth:
         raise ConfigurationError("true structure is empty")
     inter = truth & est

@@ -121,14 +121,13 @@ def load_aux(cfg):
 class _AttackContext:
     """Lazily-computed attacker inputs shared across attacks in one cell."""
 
-    def __init__(self, synth, aux, train_size, dp, seed, true_structure, true_method, shadow_k):
+    def __init__(self, synth, aux, train_size, dp, seed, true_structure, shadow_k):
         self.synth = synth
         self.aux = aux
         self.train_size = train_size
         self.dp = dp
         self.seed = seed
         self.true_structure = true_structure
-        self.true_method = true_method
         self.shadow_k = shadow_k
         self._cache = {}
 
@@ -136,12 +135,8 @@ class _AttackContext:
         """The structure of a ``method`` generator recovered from synth."""
         key = f"structure-{method}"
         if key not in self._cache:
-            if method == sdg.METHOD_MST:
-                self._cache[key] = recovery.recover_tree(self.synth)
-            else:
-                self._cache[key] = recovery.recover_bayesnet(
-                    self.synth, self.dp.with_seed(derive_seed(self.seed, 1))
-                )
+            dp = self.dp.with_seed(derive_seed(self.seed, 1))
+            self._cache[key] = recovery.recover(self.synth, method, dp)
         return self._cache[key]
 
     def weights(self, method):
@@ -160,7 +155,7 @@ class _AttackContext:
 def score_attack(name, target, ctx):
     """Score one attack by name against a record set."""
     family, needs, starred, fn = attack_mod.lookup(name)
-    if starred and ctx.true_method != family:
+    if starred and ctx.true_structure.method != family:
         raise ConfigurationError(f"{name!r} needs the true structure of a {family} generator")
     if needs == "structure":
         inputs = (ctx.true_structure if starred else ctx.structure(family),)
@@ -232,13 +227,11 @@ def run_replica(cfg, replica_index, aux=None):
             dp = DpParams(eps, delta=delta, theta=cfg.theta, seed=derive_seed(stage, 0))
             model = sdg.fit(train, sdg.GeneratorConfig(method, dp))
             synth = sdg.sample(model, n_synth, derive_seed(stage, 1))
-            true_structure = model.edges if method == sdg.METHOD_MST else model.order
             ctx = _AttackContext(
-                synth, aux, split.train_size, dp, derive_seed(stage, 3),
-                true_structure, method, cfg.shadow_k,
+                synth, aux, split.train_size, dp, derive_seed(stage, 3), model.structure, cfg.shadow_k,
             )
             # the structure the attacks score with is the one whose recovery is reported
-            rec = evaluation.recovery_metrics(true_structure, ctx.structure(method))
+            rec = evaluation.recovery_metrics(model.structure, ctx.structure(method))
             emit(method, eps, "recovery", f"recover-{method}", rec.to_json())
             for name in _attacks_for(cfg, method):
                 sv_aux = score_attack(name, aux, ctx)

@@ -1,19 +1,18 @@
 """Attacker-side structure estimation.
 
-Three routes: exact maximum-spanning-tree recovery from the synthetic data,
-a single Bayesian-network selection run on the synthetic data, and shadow
-modeling (repeated selection runs on random auxiliary subsets, accumulating
-how often each structure element gets picked).
+Each route is the generator's own DP structure selection: a noiseless tree
+selection (the exact maximum spanning tree) or a Bayesian-network run on the
+synthetic data, or shadow modeling (K runs on random auxiliary subsets).
 """
 
-import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import sdg
 from .dp import DpParams, as_generator, derive_seed
-from .errors import ConfigurationError
+from .errors import ConfigurationError, ParseError
 
 
 @dataclass(frozen=True)
@@ -36,8 +35,8 @@ class ShadowConfig:
 class ShadowWeights:
     """Selection counts per structure key over K shadow runs.
 
-    Keys are edge pairs (i, j) with i < j for the tree method, or
-    (node, parent tuple) for the Bayesian network.
+    Keys are ``sdg.Structure`` keys: edges (i, j) with i < j for the tree
+    method, (node, parent tuple) for the Bayesian network.
     """
 
     method: str
@@ -63,41 +62,37 @@ class ShadowWeights:
 
     @classmethod
     def from_json(cls, obj):
-        weights = {}
-        for name, w in obj["weights"].items():
-            if obj["method"] == sdg.METHOD_MST:
-                i, j = name.split("-")
-                key = (int(i), int(j))
-            else:
-                node, parents = name.split("|")
-                key = (int(node), tuple(int(p) for p in parents.split(",")) if parents else ())
-            weights[key] = int(w)
-        return cls(obj["method"], int(obj["K"]), weights)
+        """Inverse of ``to_json``; ParseError on a missing or ill-typed field."""
+        try:
+            weights = {_parse_key(obj["method"], name): w for name, w in obj["weights"].items()}
+            counts = [obj["K"], *weights.values()]
+        except (KeyError, TypeError, ValueError, AttributeError):
+            counts = None
+        if counts is None or not all(map(sdg._is_index, counts)):
+            raise ParseError('shadow weights are {"method", "K": runs, "weights": {key: count, ...}}')
+        return cls(obj["method"], obj["K"], weights)
+
+
+def _parse_key(method, name):
+    """The structure key of a ``to_json`` key name ("i-j" or "node|p,p")."""
+    if method == sdg.METHOD_MST:
+        i, j = name.split("-")
+        return (int(i), int(j))
+    if method == sdg.METHOD_PRIVBAYES:
+        node, parents = name.split("|")
+        return (int(node), tuple(int(p) for p in parents.split(",")) if parents else ())
+    raise ValueError(f"unknown method {method!r}")
 
 
 def recover_tree(synth):
     """Exact maximum spanning tree under the edge dependency score.
 
-    Deterministic Kruskal greedy over edges ordered by (-score, pair);
-    needs no knowledge of the generator's DP parameters.
+    The tree generator's own selection run at epsilon = inf, greedy over edges
+    by (-score, pair); needs no knowledge of the generator's DP parameters.
     """
-    d = len(synth.domain)
-    if len(synth) == 0 or d < 2:
+    if len(synth) == 0 or len(synth.domain) < 2:
         raise ConfigurationError("tree recovery needs a non-empty dataset with d >= 2")
-    scored = []
-    for i in range(d):
-        for j in range(i + 1, d):
-            scored.append((-sdg.mst_edge_score(synth, i, j), (i, j)))
-    scored.sort()
-
-    sets = sdg.DisjointSets(d)
-    edges = []
-    for _, (i, j) in scored:
-        if sets.union(i, j):
-            edges.append((i, j))
-            if len(edges) == d - 1:
-                break
-    return tuple(sorted(edges))
+    return sdg._select_tree_edges(synth, DpParams(math.inf), None)
 
 
 def recover_bayesnet(synth, dp):
@@ -109,36 +104,21 @@ def recover_bayesnet(synth, dp):
     return sdg._select_bayes_order(synth, dp, as_generator(dp.seed))
 
 
-def _selection_run(subset, method, dp, rng):
-    if method == sdg.METHOD_MST:
-        return sdg._select_tree_edges(subset, dp, rng)
-    return sdg._select_bayes_order(subset, dp, rng)
+def recover(synth, method, dp):
+    """The structure of a ``method`` generator recovered from synth (dp: PrivBayes's)."""
+    return recover_tree(synth) if method == sdg.METHOD_MST else recover_bayesnet(synth, dp)
 
 
 def shadow_weights(aux, cfg, method=sdg.METHOD_MST):
     """K selection runs on uniform without-replacement subsets of aux."""
     if cfg.subset_size > len(aux):
         raise ConfigurationError("shadow subset size exceeds the auxiliary dataset")
+    select = {sdg.METHOD_MST: sdg._select_tree_edges, sdg.METHOD_PRIVBAYES: sdg._select_bayes_order}[method]
     weights = ShadowWeights(method, cfg.K)
     for k in range(cfg.K):
         rng = as_generator(derive_seed(cfg.seed, k))
         idx = rng.choice(len(aux), size=cfg.subset_size, replace=False)
         subset = aux.subset(np.sort(idx))
-        structure = _selection_run(subset, method, cfg.dp, rng)
-        if method == sdg.METHOD_MST:
-            for edge in structure:
-                weights.add(edge)
-        else:
-            for node, parents in structure:
-                weights.add((node, tuple(parents)))
+        for key in select(subset, cfg.dp, rng).keys:
+            weights.add(key)
     return weights
-
-
-def weights_to_file(weights, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(weights.to_json(), fh, indent=2)
-
-
-def weights_from_file(path):
-    with open(path, encoding="utf-8") as fh:
-        return ShadowWeights.from_json(json.load(fh))

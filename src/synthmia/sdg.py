@@ -23,7 +23,7 @@ from .dp import (
     gaussian_sigma,
     laplace_noise,
 )
-from .errors import ConfigurationError
+from .errors import ConfigurationError, EstimationError, ParseError
 
 METHOD_MST = "mst"
 METHOD_PRIVBAYES = "privbayes"
@@ -71,31 +71,83 @@ class DisjointSets:
         return True
 
 
+def _is_index(x):
+    return type(x) is int and x >= 0
+
+
+def _is_indices(x):
+    return isinstance(x, list) and all(map(_is_index, x))
+
+
+@dataclass(frozen=True)
+class Structure:
+    """A generator's graph: a tree's edges or a Bayesian network's order.
+
+    Tree keys are edges (i, j) with i < j, in sorted order; network keys are
+    (node, parent tuple) in placement order. Its JSON form is
+    ``{"method": "mst", "edges": [[i, j], ...]}`` or
+    ``{"method": "privbayes", "order": [[node, [parent, ...]], ...]}``.
+    """
+
+    method: str
+    keys: tuple
+
+    def __post_init__(self):
+        if self.method == METHOD_MST:
+            keys = sorted((min(i, j), max(i, j)) for i, j in self.keys)
+        elif self.method == METHOD_PRIVBAYES:
+            keys = ((node, tuple(parents)) for node, parents in self.keys)
+        else:
+            raise ConfigurationError(f"unknown method {self.method!r}")
+        object.__setattr__(self, "keys", tuple(keys))
+
+    def to_json(self):
+        if self.method == METHOD_MST:
+            return {"method": self.method, "edges": [list(e) for e in self.keys]}
+        return {"method": self.method, "order": [[node, list(parents)] for node, parents in self.keys]}
+
+    @classmethod
+    def from_json(cls, obj):
+        """Inverse of ``to_json``; ParseError on a missing or ill-typed field."""
+        method = obj.get("method") if isinstance(obj, dict) else None
+        if method == METHOD_MST:
+            items = obj.get("edges")
+            if isinstance(items, list) and all(_is_indices(e) and len(e) == 2 for e in items):
+                return cls(method, items)
+        elif method == METHOD_PRIVBAYES:
+            items = obj.get("order")
+            if isinstance(items, list) and all(
+                isinstance(k, list) and len(k) == 2 and _is_index(k[0]) and _is_indices(k[1]) for k in items
+            ):
+                return cls(method, items)
+        raise ParseError("a structure needs a 'method' and that method's 'edges' or 'order' of node indices")
+
+
 @dataclass
 class TreeModel:
     """Spanning tree over attributes with node and edge probability tables."""
 
     domain: Domain
-    edges: tuple
+    structure: Structure
     node_tables: dict
     edge_tables: dict
     ledger: BudgetLedger = None
 
     def degrees(self):
         deg = {i: 0 for i in range(len(self.domain))}
-        for i, j in self.edges:
+        for i, j in self.structure.keys:
             deg[i] += 1
             deg[j] += 1
         return deg
 
     def validate(self, tol=1e-6):
         d = len(self.domain)
-        if len(self.edges) != d - 1:
+        if len(self.structure.keys) != d - 1:
             raise ConfigurationError("a spanning tree needs exactly d - 1 edges")
         sets = DisjointSets(d)
-        if not all(sets.union(i, j) for i, j in self.edges):
+        if not all(sets.union(i, j) for i, j in self.structure.keys):
             raise ConfigurationError("edges contain a cycle")
-        for i, j in self.edges:
+        for i, j in self.structure.keys:
             pair = self.edge_tables[(i, j)].probs
             if np.abs(pair.sum(axis=1) - self.node_tables[i].probs).max() > tol:
                 raise ConfigurationError(f"edge ({i},{j}) inconsistent with node {i}")
@@ -103,10 +155,11 @@ class TreeModel:
                 raise ConfigurationError(f"edge ({i},{j}) inconsistent with node {j}")
 
     def to_json(self):
+        # the structure's own form, with the domain second
         return {
             "method": METHOD_MST,
             "domain": self.domain.to_json(),
-            "edges": [list(e) for e in self.edges],
+            **self.structure.to_json(),
             "node_tables": {str(i): t.to_json() for i, t in self.node_tables.items()},
             "edge_tables": {f"{i}-{j}": t.to_json() for (i, j), t in self.edge_tables.items()},
             "ledger": self.ledger.to_json() if self.ledger else None,
@@ -114,13 +167,12 @@ class TreeModel:
 
     @classmethod
     def from_json(cls, obj):
-        edges = tuple(tuple(e) for e in obj["edges"])
         node_tables = {int(k): marginals.MarginalTable.from_json(v) for k, v in obj["node_tables"].items()}
         edge_tables = {
             tuple(int(x) for x in k.split("-")): marginals.MarginalTable.from_json(v)
             for k, v in obj["edge_tables"].items()
         }
-        return cls(Domain.from_json(obj["domain"]), edges, node_tables, edge_tables)
+        return cls(Domain.from_json(obj["domain"]), Structure.from_json(obj), node_tables, edge_tables)
 
 
 @dataclass
@@ -128,14 +180,14 @@ class BayesNetModel:
     """Bayesian network as an ordered (node, parent set) list plus conditionals."""
 
     domain: Domain
-    order: tuple
+    structure: Structure
     cond_tables: dict
     domain_threshold: float = math.inf
     ledger: BudgetLedger = None
 
     def validate(self):
         seen = set()
-        for node, parents in self.order:
+        for node, parents in self.structure.keys:
             if node in seen:
                 raise ConfigurationError("node appears twice in the order")
             if any(p not in seen for p in parents):
@@ -148,7 +200,7 @@ class BayesNetModel:
         return {
             "method": METHOD_PRIVBAYES,
             "domain": self.domain.to_json(),
-            "order": [[node, list(parents)] for node, parents in self.order],
+            **self.structure.to_json(),
             "cond_tables": {str(node): t.to_json() for node, t in self.cond_tables.items()},
             "domain_threshold": self.domain_threshold if math.isfinite(self.domain_threshold) else None,
             "ledger": self.ledger.to_json() if self.ledger else None,
@@ -156,10 +208,9 @@ class BayesNetModel:
 
     @classmethod
     def from_json(cls, obj):
-        order = tuple((node, tuple(parents)) for node, parents in obj["order"])
         tables = {int(k): marginals.ConditionalTable.from_json(v) for k, v in obj["cond_tables"].items()}
         thr = obj.get("domain_threshold")
-        return cls(Domain.from_json(obj["domain"]), order, tables, thr if thr is not None else math.inf)
+        return cls(Domain.from_json(obj["domain"]), Structure.from_json(obj), tables, thr if thr is not None else math.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +292,7 @@ def _select_tree_edges(ds, dp, rng, ledger=None):
         i, j = candidates[k]
         sets.union(i, j)
         edges.append((i, j))
-    return tuple(sorted(edges))
+    return Structure(METHOD_MST, edges)
 
 
 def _consistent_tree_tables(node_probs, edge_probs, edges, n, floor):
@@ -272,7 +323,7 @@ def fit_mst(train, cfg):
     rng = as_generator(dp.seed)
     ledger = BudgetLedger(dp)
 
-    edges = _select_tree_edges(train, dp, rng, ledger)
+    structure = _select_tree_edges(train, dp, rng, ledger)
 
     n_tables = 2 * d - 1
     sigma = None
@@ -289,7 +340,7 @@ def fit_mst(train, cfg):
             ledger.spend(f"mst/measure/1way/{i}", BUDGET_SPLIT[1] / n_tables, 1.0 / (3 * d - 1), "gaussian")
         node_probs[i] = probs
     edge_probs = {}
-    for (i, j) in edges:
+    for (i, j) in structure.keys:
         probs = marginals.marginal(train, (i, j)).probs
         if sigma is not None:
             probs = _noisy_probs(probs, sigma, rng)
@@ -297,19 +348,18 @@ def fit_mst(train, cfg):
         edge_probs[(i, j)] = probs
 
     floor = marginals.default_floor(n)
-    node_tables, edge_tables = _consistent_tree_tables(node_probs, edge_probs, edges, n, floor)
-    return TreeModel(domain, edges, node_tables, edge_tables, ledger)
+    node_tables, edge_tables = _consistent_tree_tables(node_probs, edge_probs, structure.keys, n, floor)
+    return TreeModel(domain, structure, node_tables, edge_tables, ledger)
 
 
-def tree_model_from_data(ds, edges, floor=None):
-    """Noiseless tree model over a fixed edge set (attacker-side density estimator)."""
+def tree_model_from_data(ds, structure, floor=None):
+    """Noiseless tree model over a fixed tree (attacker-side density estimator)."""
     if floor is None:
         floor = marginals.default_floor(len(ds))
-    edges = tuple(sorted(tuple(sorted(e)) for e in edges))
     node_probs = {i: marginals.marginal(ds, (i,)).probs for i in range(len(ds.domain))}
-    edge_probs = {e: marginals.marginal(ds, e).probs for e in edges}
-    node_tables, edge_tables = _consistent_tree_tables(node_probs, edge_probs, edges, len(ds), floor)
-    return TreeModel(ds.domain, edges, node_tables, edge_tables)
+    edge_probs = {e: marginals.marginal(ds, e).probs for e in structure.keys}
+    node_tables, edge_tables = _consistent_tree_tables(node_probs, edge_probs, structure.keys, len(ds), floor)
+    return TreeModel(ds.domain, structure, node_tables, edge_tables)
 
 
 def tree_log_density(model, rows):
@@ -335,7 +385,7 @@ def sample_tree(model, n, seed):
     rng = as_generator(seed)
     d = len(model.domain)
     adj = {i: [] for i in range(d)}
-    for i, j in model.edges:
+    for i, j in model.structure.keys:
         adj[i].append(j)
         adj[j].append(i)
     root = 0
@@ -404,6 +454,14 @@ def _parent_subsets(placed, cards, limit):
     return out
 
 
+def _domain_threshold(dp, n):
+    """theta * epsilon * n: the largest (node, parents) table PrivBayes may pick."""
+    if n == 0:
+        raise EstimationError("PrivBayes needs a non-empty dataset")
+    theta = dp.theta if dp.theta is not None else DEFAULT_THETA_SCALE / n
+    return math.inf if math.isinf(dp.epsilon) else theta * dp.epsilon * n
+
+
 def _select_bayes_order(ds, dp, rng, ledger=None):
     """Greedy DP selection of an ordered (node, parent set) list."""
     d = len(ds.domain)
@@ -413,14 +471,13 @@ def _select_bayes_order(ds, dp, rng, ledger=None):
     cards = ds.domain.cardinalities
     eps = dp.epsilon
     noiseless = math.isinf(eps)
-    theta = dp.theta if dp.theta is not None else DEFAULT_THETA_SCALE / n
-    threshold = math.inf if noiseless else theta * eps * n
+    threshold = _domain_threshold(dp, n)
 
     first = int(rng.integers(d))
     order = [(first, ())]
     placed = [first]
     if d == 1:
-        return tuple(order)
+        return Structure(METHOD_PRIVBAYES, order)
     eps_step = math.inf if noiseless else BUDGET_SPLIT[0] * eps / (d - 1)
     for step in range(1, d):
         unplaced = sorted(set(range(d)) - set(placed))
@@ -438,7 +495,7 @@ def _select_bayes_order(ds, dp, rng, ledger=None):
         node, sub = candidates[k]
         order.append((node, sub))
         placed.append(node)
-    return tuple(order)
+    return Structure(METHOD_PRIVBAYES, order)
 
 
 def fit_privbayes(train, cfg):
@@ -451,10 +508,9 @@ def fit_privbayes(train, cfg):
     noiseless = math.isinf(eps)
     rng = as_generator(dp.seed)
     ledger = BudgetLedger(dp)
-    theta = dp.theta if dp.theta is not None else DEFAULT_THETA_SCALE / n
-    threshold = math.inf if noiseless else theta * eps * n
+    threshold = _domain_threshold(dp, n)
 
-    order = _select_bayes_order(train, dp, rng, ledger)
+    structure = _select_bayes_order(train, dp, rng, ledger)
 
     floor = marginals.default_floor(n)
     scale = None
@@ -463,24 +519,24 @@ def fit_privbayes(train, cfg):
         scale = _table_sensitivity(n) / eps_each
 
     cond_tables = {}
-    for node, parents in order:
+    for node, parents in structure.keys:
         joint = marginals.counts(train, parents + (node,)).astype(np.float64) / n
         if scale is not None:
             joint = joint + laplace_noise(scale, joint.size, rng).reshape(joint.shape)
             joint = np.clip(joint, 0.0, None)
             ledger.spend(f"privbayes/measure/{node}", BUDGET_SPLIT[1] / d, 0.0, "laplace")
         cond_tables[node] = marginals.conditional_from_joint(joint, node, parents, n, floor)
-    return BayesNetModel(domain, order, cond_tables, threshold, ledger)
+    return BayesNetModel(domain, structure, cond_tables, threshold, ledger)
 
 
-def bayes_model_from_data(ds, order, floor=None):
+def bayes_model_from_data(ds, structure, floor=None):
     """Noiseless Bayesian-network tables over a fixed structure."""
     if floor is None:
         floor = marginals.default_floor(len(ds))
     cond_tables = {
-        node: marginals.conditional(ds, node, parents, floor) for node, parents in order
+        node: marginals.conditional(ds, node, parents, floor) for node, parents in structure.keys
     }
-    return BayesNetModel(ds.domain, tuple((n, tuple(p)) for n, p in order), cond_tables)
+    return BayesNetModel(ds.domain, structure, cond_tables)
 
 
 def bayes_log_density(model, rows):
@@ -501,7 +557,7 @@ def sample_bayes(model, n, seed):
     rng = as_generator(seed)
     d = len(model.domain)
     rows = np.zeros((int(n), d), dtype=np.int64)
-    for node, parents in model.order:
+    for node, parents in model.structure.keys:
         table = model.cond_tables[node]
         nc = model.domain.cardinalities[node]
         if not parents:

@@ -103,7 +103,7 @@ def test_02_noiseless_mst_optimality():
                 parent[ri] = rj
             if acyclic:
                 best = max(best, sum(scores[e] for e in combo))
-        got = sum(scores[e] for e in model.edges)
+        got = sum(scores[e] for e in model.structure.keys)
         if abs(got - best) > 1e-12:
             failures += 1
     verdict(2, "noiseless MST optimality", failures == 0, f"{failures}/100 suboptimal")
@@ -124,7 +124,7 @@ def test_03_mst_recovery():
             model = sdg.fit_mst(train, cfg)
             synth = sdg.sample(model, 10000, dp.derive_seed(304, replica))
             est = recovery.recover_tree(synth)
-            metrics = evaluation.recovery_metrics(model.edges, est)
+            metrics = evaluation.recovery_metrics(model.structure, est)
             accuracies.append(metrics.choice_accuracy)
             perfects.append(metrics.perfect_match)
     elapsed = time.monotonic() - start
@@ -182,14 +182,14 @@ def test_05_score_identities():
         aux = Dataset(dom, rng.integers(0, cards, size=(300, d)))
         target = Dataset(dom, rng.integers(0, cards, size=(30, d)))
         perm = rng.permutation(d)
-        edges = tuple(sorted(tuple(sorted((int(perm[k]), int(perm[k + 1])))) for k in range(d - 1)))
-        w = recovery.ShadowWeights("mst", 1, {e: 1 for e in edges})
+        edges = sdg.Structure("mst", tuple(sorted(tuple(sorted((int(perm[k]), int(perm[k + 1])))) for k in range(d - 1))))
+        w = recovery.ShadowWeights("mst", 1, {e: 1 for e in edges.keys})
         h = attack.hybrid_mst(target, edges, synth, aux)
         m = attack.mamamia_mst(target, w, synth, aux)
         if not np.array_equal(h.log_scores, m.log_scores):
             hybrid_ok = False
-        order = tuple((int(perm[k]), (int(perm[k - 1]),) if k else ()) for k in range(d))
-        wp = recovery.ShadowWeights("privbayes", 1, {(n, p): 1 for n, p in order})
+        order = sdg.Structure("privbayes", tuple((int(perm[k]), (int(perm[k - 1]),) if k else ()) for k in range(d)))
+        wp = recovery.ShadowWeights("privbayes", 1, {(n, p): 1 for n, p in order.keys})
         hp = attack.hybrid_pb(target, order, synth, aux)
         mp = attack.mamamia_pb(target, wp, synth, aux)
         if not np.array_equal(hp.log_scores, mp.log_scores):
@@ -200,10 +200,10 @@ def test_05_score_identities():
         rng.integers(0, [3, 2, 4, 2], size=(250, 4)),
     )
     tgt = ds.subset(np.arange(40))
-    edges = ((0, 1), (1, 2), (2, 3))
-    order = ((2, ()), (0, (2,)), (1, (0,)), (3, (1, 2)))
-    w = recovery.ShadowWeights("mst", 1, {e: 1 for e in edges})
-    wp = recovery.ShadowWeights("privbayes", 1, {(n, p): 1 for n, p in order})
+    edges = sdg.Structure("mst", ((0, 1), (1, 2), (2, 3)))
+    order = sdg.Structure("privbayes", ((2, ()), (0, (2,)), (1, (0,)), (3, (1, 2))))
+    w = recovery.ShadowWeights("mst", 1, {e: 1 for e in edges.keys})
+    wp = recovery.ShadowWeights("privbayes", 1, {(n, p): 1 for n, p in order.keys})
     identity_vectors = [
         attack.tamis_mst(tgt, edges, ds, ds),
         attack.tamis_pb(tgt, order, ds, ds),
@@ -233,8 +233,8 @@ def test_06_tamis_equals_density_ratio():
         aux = Dataset(dom, rng.integers(0, cards, size=(200, d)))
         target = Dataset(dom, rng.integers(0, cards, size=(25, d)))
         perm = rng.permutation(d)
-        edges = tuple(sorted(tuple(sorted((int(perm[k]), int(perm[k + 1])))) for k in range(d - 1)))
-        order = tuple((int(perm[k]), (int(perm[k - 1]),) if k else ()) for k in range(d))
+        edges = sdg.Structure("mst", tuple(sorted(tuple(sorted((int(perm[k]), int(perm[k + 1])))) for k in range(d - 1))))
+        order = sdg.Structure("privbayes", tuple((int(perm[k]), (int(perm[k - 1]),) if k else ()) for k in range(d)))
 
         sv = attack.tamis_mst(target, edges, synth, aux)
         ms, ma = sdg.tree_model_from_data(synth, edges), sdg.tree_model_from_data(aux, edges)
@@ -246,7 +246,7 @@ def test_06_tamis_equals_density_ratio():
                 np.log(ms.node_tables[i].lookup_rows(target.rows))
                 - np.log(ma.node_tables[i].lookup_rows(target.rows))
             )
-        for e in edges:
+        for e in edges.keys:
             oracle += np.log(ms.edge_tables[e].lookup_rows(target.rows)) - np.log(
                 ma.edge_tables[e].lookup_rows(target.rows)
             )
@@ -256,7 +256,7 @@ def test_06_tamis_equals_density_ratio():
         bs = sdg.bayes_model_from_data(synth, order)
         ba = sdg.bayes_model_from_data(aux, order)
         oracle_p = np.zeros(len(target))
-        for node, _ in order:
+        for node, _ in order.keys:
             oracle_p += np.log(bs.cond_tables[node].lookup_rows(target.rows)) - np.log(
                 ba.cond_tables[node].lookup_rows(target.rows)
             )
@@ -313,7 +313,7 @@ def test_08_metric_oracles():
     for _ in range(200):
         a = {pairs[k] for k in rng.choice(len(pairs), int(rng.integers(1, 7)), replace=False)}
         b = {pairs[k] for k in rng.choice(len(pairs), int(rng.integers(1, 7)), replace=False)}
-        m = evaluation.recovery_metrics(sorted(a), sorted(b))
+        m = evaluation.recovery_metrics(sdg.Structure("mst", sorted(a)), sdg.Structure("mst", sorted(b)))
         inter, union = a & b, a | b
         exact = (
             m.choice_accuracy == len(inter) / len(a)

@@ -33,13 +33,13 @@ class TestIdentity:
     def test_all_ops_return_one(self):
         ds = random_ds(0, d=4)
         target = ds.subset(np.arange(30))
-        edges = ((0, 1), (1, 2), (2, 3))
-        order = ((0, ()), (1, (0,)), (2, (0, 1)), (3, (2,)))
+        edges = sdg.Structure("mst", ((0, 1), (1, 2), (2, 3)))
+        order = sdg.Structure("privbayes", ((0, ()), (1, (0,)), (2, (0, 1)), (3, (2,))))
         pb_w = recovery.ShadowWeights("privbayes", 1, {(1, (0,)): 2, (2, ()): 1})
         vectors = [
             attack.tamis_mst(target, edges, ds, ds),
             attack.tamis_pb(target, order, ds, ds),
-            attack.mamamia_mst(target, indicator_weights(edges), ds, ds),
+            attack.mamamia_mst(target, indicator_weights(edges.keys), ds, ds),
             attack.mamamia_pb(target, pb_w, ds, ds),
             attack.hybrid_mst(target, edges, ds, ds),
             attack.hybrid_pb(target, order, ds, ds),
@@ -61,9 +61,9 @@ class TestHybridEqualsMamamia:
         synth = random_ds(1, domain=domain)
         aux = random_ds(2, domain=domain)
         target = random_ds(3, n=50, domain=domain)
-        edges = ((0, 1), (1, 2))
+        edges = sdg.Structure("mst", ((0, 1), (1, 2)))
         h = attack.hybrid_mst(target, edges, synth, aux)
-        m = attack.mamamia_mst(target, indicator_weights(edges), synth, aux)
+        m = attack.mamamia_mst(target, indicator_weights(edges.keys), synth, aux)
         assert np.array_equal(h.log_scores, m.log_scores)
 
     def test_pb_indicator_weights_exact(self):
@@ -71,8 +71,8 @@ class TestHybridEqualsMamamia:
         synth = random_ds(4, domain=domain)
         aux = random_ds(5, domain=domain)
         target = random_ds(6, n=40, domain=domain)
-        order = ((1, ()), (0, (1,)), (2, (0, 1)))
-        w = recovery.ShadowWeights("privbayes", 1, {(n, p): 1 for n, p in order})
+        order = sdg.Structure("privbayes", ((1, ()), (0, (1,)), (2, (0, 1))))
+        w = recovery.ShadowWeights("privbayes", 1, {(n, p): 1 for n, p in order.keys})
         h = attack.hybrid_pb(target, order, synth, aux)
         m = attack.mamamia_pb(target, w, synth, aux)
         assert np.array_equal(h.log_scores, m.log_scores)
@@ -103,7 +103,7 @@ class TestHandValues:
         domain = Domain(["a", "b", "c"], [2, 3, 2])
         synth, aux = random_ds(10, domain=domain), random_ds(11, domain=domain)
         target = random_ds(12, n=15, domain=domain)
-        got = attack.hybrid_mst(target, ((0, 1), (1, 2)), synth, aux).scores
+        got = attack.hybrid_mst(target, sdg.Structure("mst", ((0, 1), (1, 2))), synth, aux).scores
         want = 0.5 * (
             self._ratio(target.rows, (0, 1), synth, aux)
             + self._ratio(target.rows, (1, 2), synth, aux)
@@ -114,7 +114,7 @@ class TestHandValues:
         domain = Domain(["a", "b"], [2, 2])
         synth, aux = random_ds(13, domain=domain), random_ds(14, domain=domain)
         target = random_ds(15, n=10, domain=domain)
-        got = attack.tamis_mst_avg(target, ((0, 1),), synth, aux).scores
+        got = attack.tamis_mst_avg(target, sdg.Structure("mst", ((0, 1),)), synth, aux).scores
         r0 = self._ratio(target.rows, (0,), synth, aux)
         r1 = self._ratio(target.rows, (1,), synth, aux)
         r01 = self._ratio(target.rows, (0, 1), synth, aux)
@@ -139,7 +139,7 @@ class TestHandValues:
         domain = Domain(["a", "b", "c"], [2, 3, 2])
         synth, aux = random_ds(19, domain=domain), random_ds(20, domain=domain)
         target = random_ds(21, n=25, domain=domain)
-        edges = ((0, 2), (1, 2))
+        edges = sdg.Structure("mst", ((0, 2), (1, 2)))
         sv = attack.tamis_mst(target, edges, synth, aux)
         ms = sdg.tree_model_from_data(synth, edges)
         ma = sdg.tree_model_from_data(aux, edges)
@@ -232,8 +232,8 @@ class TestRegistry:
         synth, aux = random_ds(28, domain=domain), random_ds(29, domain=domain)
         target = random_ds(30, n=10, domain=domain)
         inputs = {
-            ("mst", "structure"): (((0, 1), (1, 2)),),
-            ("privbayes", "structure"): (((0, ()), (1, (0,)), (2, (1,))),),
+            ("mst", "structure"): (sdg.Structure("mst", ((0, 1), (1, 2))),),
+            ("privbayes", "structure"): (sdg.Structure("privbayes", ((0, ()), (1, (0,)), (2, (1,)))),),
             ("mst", "weights"): (indicator_weights(((0, 1), (0, 2))),),
             ("privbayes", "weights"): (recovery.ShadowWeights("privbayes", 1, {(1, (0,)): 1}),),
             ("free", None): (),
@@ -260,7 +260,8 @@ def test_permuting_records_permutes_scores():
     domain = Domain(["a", "b"], [2, 3])
     synth, aux = random_ds(25, domain=domain), random_ds(26, domain=domain)
     target = random_ds(27, n=20, domain=domain)
-    base = attack.tamis_mst(target, ((0, 1),), synth, aux).log_scores
+    edge = sdg.Structure("mst", ((0, 1),))
+    base = attack.tamis_mst(target, edge, synth, aux).log_scores
     perm = np.random.default_rng(1).permutation(20)
-    shuffled = attack.tamis_mst(target.subset(perm), ((0, 1),), synth, aux).log_scores
+    shuffled = attack.tamis_mst(target.subset(perm), edge, synth, aux).log_scores
     assert np.array_equal(shuffled, base[perm])

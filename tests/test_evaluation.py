@@ -2,9 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
-from synthmia import evaluation
+from synthmia import evaluation, sdg
 from synthmia.errors import ConfigurationError, UndefinedMetric
+
+
+def tree(edges):
+    return sdg.Structure("mst", edges)
 
 
 def pairwise_auroc(scores, labels):
@@ -66,6 +71,15 @@ class TestAuroc:
             assert evaluation.auroc(f(scores), labels) == pytest.approx(base, abs=1e-12)
 
 
+@given(
+    st.lists(st.sampled_from([-2.5, -0.0, 0.0, 1.0, 1e-300, 3.75, 1e300]), max_size=60)
+    | st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=60)
+)
+@settings(max_examples=200, deadline=None)
+def test_midranks_match_scipy(values):
+    assert np.array_equal(evaluation._tie_average_ranks(values), stats.rankdata(values))
+
+
 class TestBalancedAccuracy:
     def test_perfect(self):
         assert evaluation.balanced_accuracy([1, 1, 0, 0], [1, 1, 0, 0]) == 1.0
@@ -92,18 +106,18 @@ class TestBalancedAccuracy:
 
 class TestRecoveryMetrics:
     def test_identical_structures(self):
-        m = evaluation.recovery_metrics([(0, 1), (1, 2)], [(1, 2), (0, 1)])
+        m = evaluation.recovery_metrics(tree([(0, 1), (1, 2)]), tree([(1, 2), (0, 1)]))
         assert (m.choice_accuracy, m.precision, m.recall, m.jaccard) == (1, 1, 1, 1)
         assert m.perfect_match
 
     def test_disjoint_edge_sets(self):
-        m = evaluation.recovery_metrics([(0, 1)], [(1, 2)])
+        m = evaluation.recovery_metrics(tree([(0, 1)]), tree([(1, 2)]))
         assert m.precision == m.recall == m.jaccard == 0.0
         assert not m.perfect_match
 
     def test_superset_double_size(self):
-        truth = [(0, 1), (2, 3)]
-        est = [(0, 1), (2, 3), (0, 2), (1, 3)]
+        truth = tree([(0, 1), (2, 3)])
+        est = tree([(0, 1), (2, 3), (0, 2), (1, 3)])
         m = evaluation.recovery_metrics(truth, est)
         assert m.recall == 1.0
         assert m.precision == 0.5
@@ -112,19 +126,19 @@ class TestRecoveryMetrics:
     def test_precision_recall_duality(self):
         rng = np.random.default_rng(2)
         pairs = [(i, j) for i in range(5) for j in range(i + 1, 5)]
-        a = [pairs[k] for k in rng.choice(len(pairs), 4, replace=False)]
-        b = [pairs[k] for k in rng.choice(len(pairs), 4, replace=False)]
+        a = tree([pairs[k] for k in rng.choice(len(pairs), 4, replace=False)])
+        b = tree([pairs[k] for k in rng.choice(len(pairs), 4, replace=False)])
         assert evaluation.recovery_metrics(a, b).precision == pytest.approx(
             evaluation.recovery_metrics(b, a).recall
         )
 
     def test_unordered_edges_normalized(self):
-        m = evaluation.recovery_metrics([(1, 0)], [(0, 1)])
+        m = evaluation.recovery_metrics(tree([(1, 0)]), tree([(0, 1)]))
         assert m.perfect_match
 
     def test_bayes_structure_keys(self):
-        truth = [(0, ()), (1, (0,)), (2, (0, 1))]
-        est = [(0, ()), (1, ()), (2, (0, 1))]
+        truth = sdg.Structure("privbayes", [(0, ()), (1, (0,)), (2, (0, 1))])
+        est = sdg.Structure("privbayes", [(0, ()), (1, ()), (2, (0, 1))])
         m = evaluation.recovery_metrics(truth, est)
         assert m.choice_accuracy == pytest.approx(2 / 3)
         assert not m.perfect_match
@@ -136,9 +150,13 @@ class TestRecoveryMetrics:
         pairs = [(i, j) for i in range(6) for j in range(i + 1, 6)]
         a = {pairs[k] for k in rng.choice(len(pairs), int(rng.integers(1, 6)), replace=False)}
         b = {pairs[k] for k in rng.choice(len(pairs), int(rng.integers(1, 6)), replace=False)}
-        m = evaluation.recovery_metrics(sorted(a), sorted(b))
+        m = evaluation.recovery_metrics(tree(sorted(a)), tree(sorted(b)))
         assert m.jaccard <= min(m.precision, m.recall) + 1e-12
 
     def test_empty_truth_rejected(self):
         with pytest.raises(ConfigurationError):
-            evaluation.recovery_metrics([], [(0, 1)])
+            evaluation.recovery_metrics(tree([]), tree([(0, 1)]))
+
+    def test_methods_must_match(self):
+        with pytest.raises(ConfigurationError):
+            evaluation.recovery_metrics(tree([(0, 1)]), sdg.Structure("privbayes", [(0, ()), (1, (0,))]))

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from synthmia import attack, cli, harness, recovery
+from synthmia import attack, cli, harness, recovery, sdg
 from synthmia.data import SplitSpec, generate_households, make_snake_split, write_csv
 from synthmia.dp import DpParams
 from synthmia.errors import ConfigurationError, ResumeMismatch
@@ -179,9 +179,9 @@ class TestStarredAttacks:
         aux = generate_households(3000, n_attrs=4, max_cardinality=3, seed=5)
         synth = aux.subset(np.arange(800))
         dp = DpParams(math.inf, seed=0)
-        ctx = harness._AttackContext(synth, aux, 800, dp, 11, None, method, 2)
+        ctx = harness._AttackContext(synth, aux, 800, dp, 11, None, 2)
         recovered = ctx.structure(method)
-        ctx.true_structure = next(s for s in candidates if s != recovered)
+        ctx.true_structure = next(s for s in (sdg.Structure(method, keys) for keys in candidates) if s != recovered)
         return ctx, recovered
 
     @pytest.mark.parametrize("name", ["tamis-mst", "tamis-mst-avg", "hybrid-mst"])
@@ -286,6 +286,50 @@ class TestCli:
         assert code == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConfigurationError"
+
+    @pytest.mark.parametrize(
+        "attack_name, flag, text, error",
+        [
+            ("tamis-mst", "--structure", '{"method": "privbayes", "order": [[0, []], [1, [0]]]}', "ConfigurationError"),
+            ("hybrid-pb", "--structure", '{"method": "mst", "edges": [[0, 1]]}', "ConfigurationError"),
+            ("mamamia-mst", "--weights", '{"method": "privbayes", "K": 1, "weights": {"0|": 1}}', "ConfigurationError"),
+            ("tamis-mst", "--structure", "{}", "ParseError"),
+            ("mamamia-pb", "--weights", "{}", "ParseError"),
+            ("tamis-mst", "--structure", "edges: 0-1", "ParseError"),
+        ],
+        ids=["pb-structure-mst-attack", "mst-structure-pb-attack", "pb-weights-mst-attack",
+             "empty-structure", "empty-weights", "structure-not-json"],
+    )
+    def test_bad_input_file_rejected_before_csvs_are_read(self, tmp_path, capsys, attack_name, flag, text, error):
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        missing = str(tmp_path / "missing.csv")
+        assert cli.main([
+            "attack", "--attack", attack_name, "--target", missing, "--synth", missing, "--aux", missing,
+            flag, str(path), "--out", str(tmp_path / "scores.csv"),
+        ]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == error  # an OSError would mean a CSV was opened
+
+    @pytest.mark.parametrize(
+        "command", [["generate", "--data", "empty.csv", "--out", "gen"], ["recover", "--synth", "empty.csv", "--out", "s.json"]]
+    )
+    def test_header_only_privbayes_input(self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "empty.csv").write_text("a,b,c\n")
+        assert cli.main([*command, "--method", "privbayes"]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "EstimationError"
+
+    def test_replicate_config_not_json(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text("replicas: 1")
+        assert cli.main(["replicate", "--config", str(path)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "ParseError"
 
     def test_replicate_subcommand(self, tmp_path, capsys):
         cfg = small_config(str(tmp_path / "exp"))

@@ -79,7 +79,7 @@ class TestFitMst:
     def test_two_attributes_single_edge(self):
         ds = random_ds(1, d=2)
         model = sdg.fit_mst(ds, noiseless_cfg("mst"))
-        assert model.edges == ((0, 1),)
+        assert model.structure == sdg.Structure("mst", ((0, 1),))
 
     def test_spanning_tree_invariant_random_seeds(self):
         ds = random_ds(2, d=5)
@@ -98,7 +98,7 @@ class TestFitMst:
                 for j in range(i + 1, 4)
             }
             best = max(all_spanning_trees(4), key=lambda t: sum(scores[e] for e in t))
-            assert sum(scores[e] for e in model.edges) == pytest.approx(
+            assert sum(scores[e] for e in model.structure.keys) == pytest.approx(
                 sum(scores[e] for e in best), abs=1e-12
             )
 
@@ -118,7 +118,7 @@ class TestFitMst:
 class TestTreeDensity:
     def test_two_node_tree_equals_pair_table(self):
         ds = random_ds(6, d=2)
-        model = sdg.tree_model_from_data(ds, [(0, 1)])
+        model = sdg.tree_model_from_data(ds, sdg.Structure("mst", [(0, 1)]))
         grid = enumerate_grid(ds.domain)
         dens = sdg.tree_density(model, grid)
         pair = model.edge_tables[(0, 1)]
@@ -126,7 +126,7 @@ class TestTreeDensity:
 
     def test_path_density_hand_formula(self):
         ds = random_ds(7, d=3)
-        model = sdg.tree_model_from_data(ds, [(0, 1), (1, 2)])
+        model = sdg.tree_model_from_data(ds, sdg.Structure("mst", [(0, 1), (1, 2)]))
         grid = enumerate_grid(ds.domain)
         want = (
             model.edge_tables[(0, 1)].lookup_rows(grid)
@@ -137,13 +137,13 @@ class TestTreeDensity:
 
     def test_normalization_three_binary_attributes(self):
         ds = random_ds(8, d=3, max_card=2)
-        model = sdg.tree_model_from_data(ds, [(0, 2), (1, 2)])
+        model = sdg.tree_model_from_data(ds, sdg.Structure("mst", [(0, 2), (1, 2)]))
         grid = enumerate_grid(ds.domain)
         assert abs(sdg.tree_density(model, grid).sum() - 1.0) < 1e-9
 
     def test_single_record_scalar(self):
         ds = random_ds(9, d=2)
-        model = sdg.tree_model_from_data(ds, [(0, 1)])
+        model = sdg.tree_model_from_data(ds, sdg.Structure("mst", [(0, 1)]))
         assert isinstance(sdg.tree_density(model, np.array([0, 0])), float)
 
 
@@ -151,20 +151,20 @@ class TestSampleTree:
     def test_point_mass_tables(self):
         rows = [[1, 0, 1]] * 20
         ds = make_ds([2, 2, 2], rows)
-        model = sdg.tree_model_from_data(ds, [(0, 1), (1, 2)], floor=0.0)
+        model = sdg.tree_model_from_data(ds, sdg.Structure("mst", [(0, 1), (1, 2)]), floor=0.0)
         out = sdg.sample_tree(model, 50, seed=0)
         assert (out.rows == np.array([1, 0, 1])).all()
 
     def test_determinism(self):
         ds = random_ds(10, d=3)
-        model = sdg.tree_model_from_data(ds, [(0, 1), (1, 2)])
+        model = sdg.tree_model_from_data(ds, sdg.Structure("mst", [(0, 1), (1, 2)]))
         a = sdg.sample_tree(model, 200, seed=5)
         b = sdg.sample_tree(model, 200, seed=5)
         assert np.array_equal(a.rows, b.rows)
 
     def test_sampling_consistency(self):
         ds = random_ds(11, d=3, n=2000)
-        model = sdg.tree_model_from_data(ds, [(0, 1), (1, 2)])
+        model = sdg.tree_model_from_data(ds, sdg.Structure("mst", [(0, 1), (1, 2)]))
         out = sdg.sample_tree(model, 200000, seed=1)
         for edge, table in model.edge_tables.items():
             emp = marginals.marginal(out, edge).probs
@@ -230,7 +230,7 @@ class TestFitPrivbayes:
         ds = random_ds(15, d=2).subset(np.arange(50))
         one = Dataset(Domain(["a0"], [ds.domain.cardinalities[0]]), ds.rows[:, :1])
         model = sdg.fit_privbayes(one, noiseless_cfg("privbayes"))
-        assert model.order == ((0, ()),)
+        assert model.structure == sdg.Structure("privbayes", ((0, ()),))
         assert abs(model.cond_tables[0].probs.sum() - 1.0) < 1e-12
 
     def test_acyclicity_over_seeds(self):
@@ -252,12 +252,12 @@ class TestFitPrivbayes:
         ds = make_ds([3] * d, rows)
         model = sdg.fit_privbayes(ds, noiseless_cfg("privbayes", seed=2))
         placed = set()
-        for node, parents in model.order:
+        for node, parents in model.structure.keys:
             # chain dependencies: every chosen parent must be a true ancestor
             assert set(parents) <= placed
             placed.add(node)
         # at least one non-trivial parent set must be picked
-        assert any(parents for _, parents in model.order)
+        assert any(parents for _, parents in model.structure.keys)
 
     def test_theta_constraint_respected(self):
         ds = random_ds(18, d=4, n=500)
@@ -265,7 +265,7 @@ class TestFitPrivbayes:
         cfg = sdg.GeneratorConfig("privbayes", DpParams(1.0, theta=theta, seed=0))
         model = sdg.fit_privbayes(ds, cfg)
         limit = theta * 1.0 * 500
-        for node, parents in model.order:
+        for node, parents in model.structure.keys:
             size = ds.domain.cardinalities[node]
             for p in parents:
                 size *= ds.domain.cardinalities[p]
@@ -278,13 +278,13 @@ class TestFitPrivbayes:
             for seed in range(5):
                 dp = DpParams(eps, seed=seed)
                 fitted = sdg.fit_privbayes(ds, sdg.GeneratorConfig("privbayes", dp))
-                assert recovery.recover_bayesnet(ds, dp) == fitted.order
+                assert recovery.recover_bayesnet(ds, dp) == fitted.structure
 
 
 class TestBayesDensity:
     def test_empty_parents_product_of_marginals(self):
         ds = random_ds(20, d=3)
-        order = ((0, ()), (1, ()), (2, ()))
+        order = sdg.Structure("privbayes", ((0, ()), (1, ()), (2, ())))
         model = sdg.bayes_model_from_data(ds, order)
         grid = enumerate_grid(ds.domain)
         want = np.ones(len(grid))
@@ -294,13 +294,13 @@ class TestBayesDensity:
 
     def test_normalization(self):
         ds = random_ds(21, d=3, max_card=2)
-        model = sdg.bayes_model_from_data(ds, ((2, ()), (0, (2,)), (1, (0, 2))))
+        model = sdg.bayes_model_from_data(ds, sdg.Structure("privbayes", ((2, ()), (0, (2,)), (1, (0, 2)))))
         grid = enumerate_grid(ds.domain)
         assert abs(sdg.bayes_density(model, grid).sum() - 1.0) < 1e-9
 
     def test_chain_rule_hand_value(self):
         ds = random_ds(22, d=3)
-        model = sdg.bayes_model_from_data(ds, ((0, ()), (1, (0,)), (2, (1,))))
+        model = sdg.bayes_model_from_data(ds, sdg.Structure("privbayes", ((0, ()), (1, (0,)), (2, (1,)))))
         x = ds.rows[0]
         want = (
             model.cond_tables[0].lookup(x)
@@ -313,20 +313,20 @@ class TestBayesDensity:
 class TestSampleBayes:
     def test_point_mass(self):
         ds = make_ds([2, 2], [[1, 0]] * 10)
-        model = sdg.bayes_model_from_data(ds, ((0, ()), (1, (0,))), floor=0.0)
+        model = sdg.bayes_model_from_data(ds, sdg.Structure("privbayes", ((0, ()), (1, (0,)))), floor=0.0)
         out = sdg.sample_bayes(model, 30, seed=0)
         assert (out.rows == np.array([1, 0])).all()
 
     def test_determinism(self):
         ds = random_ds(23, d=3)
-        model = sdg.bayes_model_from_data(ds, ((0, ()), (1, (0,)), (2, (1,))))
+        model = sdg.bayes_model_from_data(ds, sdg.Structure("privbayes", ((0, ()), (1, (0,)), (2, (1,)))))
         a = sdg.sample_bayes(model, 100, seed=9)
         b = sdg.sample_bayes(model, 100, seed=9)
         assert np.array_equal(a.rows, b.rows)
 
     def test_sampling_consistency(self):
         ds = random_ds(24, d=3, n=2000)
-        model = sdg.bayes_model_from_data(ds, ((0, ()), (1, (0,)), (2, (0, 1))))
+        model = sdg.bayes_model_from_data(ds, sdg.Structure("privbayes", ((0, ()), (1, (0,)), (2, (0, 1)))))
         out = sdg.sample_bayes(model, 200000, seed=2)
         emp = marginals.conditional(out, 2, (0, 1), floor=0.0).probs
         assert np.abs(emp - model.cond_tables[2].probs).max() < 0.02
@@ -339,7 +339,7 @@ class TestSerialization:
         path = str(tmp_path / "tree.json")
         sdg.model_to_file(model, path)
         back = sdg.model_from_file(path)
-        assert back.edges == model.edges
+        assert back.structure == model.structure
         for i in back.node_tables:
             assert np.allclose(back.node_tables[i].probs, model.node_tables[i].probs)
 
@@ -349,7 +349,7 @@ class TestSerialization:
         path = str(tmp_path / "bn.json")
         sdg.model_to_file(model, path)
         back = sdg.model_from_file(path)
-        assert back.order == model.order
+        assert back.structure == model.structure
         for i in back.cond_tables:
             assert np.allclose(back.cond_tables[i].probs, model.cond_tables[i].probs)
 
