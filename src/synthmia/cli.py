@@ -81,6 +81,8 @@ def cmd_attack(args):
             raise ConfigurationError(f"{args.attack} attacks {family} generators; {path} is {inputs[0].method}")
     # aux is the population superset, so its inferred domain covers the others
     aux = load_csv(args.aux)
+    if needs == "structure":
+        inputs[0].validate(len(aux.domain))
     target = load_csv(args.target, schema=aux.domain)
     synth = load_csv(args.synth, schema=aux.domain)
     sv = fn(target, *inputs, synth, aux)

@@ -70,7 +70,11 @@ class Domain:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Encoded records over a Domain, immutable after construction."""
+    """Encoded records over a Domain, immutable after construction.
+
+    The rows are read-only and owned by the Dataset (a view is copied), so
+    tables counted from them once stay valid (``marginals.counts``).
+    """
 
     domain: Domain
     rows: np.ndarray
@@ -79,13 +83,13 @@ class Dataset:
 
     def __post_init__(self):
         rows = np.ascontiguousarray(self.rows, dtype=np.int64)
+        if rows.base is not None:
+            # a view: whoever holds its base could still write the rows
+            rows = rows.copy()
         if rows.ndim != 2 or rows.shape[1] != len(self.domain):
             raise SchemaViolation("rows must be a (n, d) matrix matching the domain")
-        if rows.size:
-            lo = rows.min(axis=0)
-            hi = rows.max(axis=0)
-            if (lo < 0).any() or (hi >= np.array(self.domain.cardinalities)).any():
-                raise SchemaViolation("cell value outside its attribute domain")
+        if (rows < 0).any() or (rows >= np.array(self.domain.cardinalities)).any():
+            raise SchemaViolation("cell value outside its attribute domain")
         rows.setflags(write=False)
         object.__setattr__(self, "rows", rows)
         for field in ("household_id", "membership_label"):
@@ -169,13 +173,21 @@ def load_csv(path, schema=None):
             categories.append([label for label, _ in sorted(enc.items(), key=lambda kv: kv[1])])
         domain = Domain(names, [len(c) for c in categories], categories)
 
-    household = None
-    if hh_col is not None:
-        household = np.array([int(rec[hh_col]) for rec in records], dtype=np.int64)
-    member = None
-    if mb_col is not None:
-        member = np.array([int(rec[mb_col]) for rec in records], dtype=np.int64)
+    household = None if hh_col is None else _int_column(path, header, records, hh_col)
+    member = None if mb_col is None else _int_column(path, header, records, mb_col)
     return Dataset(domain, rows, household, member)
+
+
+def _int_column(path, header, records, col):
+    """One reserved column as integers; ParseError naming the first bad row."""
+    try:
+        return np.array([int(rec[col]) for rec in records], dtype=np.int64)
+    except (ValueError, OverflowError):
+        for r, rec in enumerate(records):
+            try:
+                np.int64(int(rec[col]))
+            except (ValueError, OverflowError):
+                raise ParseError(f"{path}: row {r + 2}: {header[col]} {rec[col]!r} is not an integer") from None
 
 
 def write_csv(ds, path):
@@ -328,7 +340,8 @@ def generate_households(
                     idx = np.flatnonzero(mask)[sub]
                     rows[idx, k] = rng.choice(cards[k], size=s, p=conds[k - 1][v])
 
-    rows = rows[:n_rows]
+    # trimmed in place: a view of the first n_rows would be copied by Dataset
+    rows.resize((n_rows, n_attrs), refcheck=False)
     household = household[:n_rows]
     domain = Domain([f"a{i}" for i in range(n_attrs)], cards.tolist())
     return Dataset(domain, rows, household_id=household)

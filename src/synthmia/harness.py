@@ -73,15 +73,32 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, obj):
-        obj = dict(obj)
+        obj = dict(_fields_of(cls, obj, "replicate config"))
         if "split" in obj:
-            obj["split"] = SplitSpec(**obj["split"])
+            obj["split"] = SplitSpec(**_fields_of(SplitSpec, obj["split"], "split"))
         if "epsilons" in obj:
             obj["epsilons"] = tuple(parse_epsilon(e) for e in obj["epsilons"])
         for key in ("methods", "attacks"):
             if key in obj:
                 obj[key] = tuple(obj[key])
         return cls(**obj)
+
+
+def _fields_of(cls, obj, what):
+    """obj, checked to be keyword arguments of dataclass cls; ConfigurationError if not."""
+    if not isinstance(obj, dict):
+        raise ConfigurationError(f"{what} must be a JSON object")
+    fields = dataclasses.fields(cls)
+    unknown = sorted(set(obj) - {f.name for f in fields})
+    if unknown:
+        raise ConfigurationError(f"{what}: unknown keys {unknown}")
+    missing = [
+        f.name for f in fields
+        if f.name not in obj and f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
+    ]
+    if missing:
+        raise ConfigurationError(f"{what}: missing keys {missing}")
+    return obj
 
 
 def format_epsilon(eps):
@@ -266,7 +283,13 @@ def _replica_path(out_dir, replica_index):
 
 
 def write_rows(rows, path):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    """Write metric rows to a temporary file beside ``path``, then move it there.
+
+    ``run_experiment`` treats an existing replica file as done, so a run cut
+    short while writing must leave no file at ``path``.
+    """
+    part = path + ".part"
+    with open(part, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
         for row in rows:
@@ -274,6 +297,7 @@ def write_rows(rows, path):
                 row["replica"], row["method"], row["epsilon"], row["setting"],
                 row["attack"], row["metric"], f"{float(row['value']):.12g}",
             ])
+    os.replace(part, path)
 
 
 def read_rows(path):

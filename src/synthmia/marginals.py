@@ -5,6 +5,7 @@ are exact and independent of row order. Zero cells can be floored to a small
 positive value and renormalized, which keeps density ratios finite downstream.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,6 +15,8 @@ from .errors import ConfigurationError, EstimationError
 # floor default: 1/(FLOOR_FACTOR * source_size)
 FLOOR_FACTOR = 10
 MAX_TABLE_CELLS = 10**8
+# the Dataset attribute holding its count tables, {attribute tuple: table}
+_CACHE_ATTR = "_counts"
 
 
 def default_floor(source_size):
@@ -115,16 +118,41 @@ def _check_attrs(ds, attrs):
         raise ConfigurationError(f"table of {cells} cells exceeds the dense-storage guard")
 
 
-def counts(ds, attrs):
-    """Integer contingency table over the given attributes."""
+def _count(ds, attrs):
+    """Uncached integer contingency table over a tuple of attributes.
+
+    The flat cell index is built by Horner's rule, row-major like
+    ``np.ravel_multi_index``; its bounds check is not needed here, since a
+    Dataset checks every cell on construction and its rows never change.
+    """
     _check_attrs(ds, attrs)
-    shape = tuple(ds.domain.cardinalities[a] for a in attrs)
+    cards = ds.domain.cardinalities
+    shape = tuple(cards[a] for a in attrs)
     if len(ds) == 0:
         return np.zeros(shape, dtype=np.int64)
-    cols = tuple(ds.rows[:, a] for a in attrs)
-    flat = np.ravel_multi_index(cols, shape)
-    size = int(np.prod(shape))
-    return np.bincount(flat, minlength=size).reshape(shape)
+    flat = ds.rows[:, attrs[0]]
+    for a in attrs[1:]:
+        flat = flat * cards[a] + ds.rows[:, a]
+    return np.bincount(flat, minlength=math.prod(shape)).reshape(shape)
+
+
+def counts(ds, attrs):
+    """Integer contingency table over the given attributes, counted once per Dataset.
+
+    Tables are kept on the Dataset, keyed by the attribute tuple, and every
+    caller asking for the same one shares it, so it is read-only.
+    """
+    key = tuple(int(a) for a in attrs)
+    cache = ds.__dict__.get(_CACHE_ATTR)
+    if cache is None:
+        cache = {}
+        object.__setattr__(ds, _CACHE_ATTR, cache)
+    table = cache.get(key)
+    if table is None:
+        table = _count(ds, key)
+        table.setflags(write=False)
+        cache[key] = table
+    return table
 
 
 def floor_probs(probs, floor):

@@ -101,6 +101,35 @@ class Structure:
             raise ConfigurationError(f"unknown method {self.method!r}")
         object.__setattr__(self, "keys", tuple(keys))
 
+    def validate(self, d):
+        """ConfigurationError unless this factorises a density over d attributes.
+
+        A tree needs d - 1 edges between attributes below d and no cycle; a
+        network places every attribute below d once, each parent before its
+        child.
+        """
+        outside = f"structure names an attribute outside 0..{d - 1}"
+        if self.method == METHOD_MST:
+            if len(self.keys) != d - 1:
+                raise ConfigurationError("a spanning tree needs exactly d - 1 edges")
+            if any(j >= d for _, j in self.keys):
+                raise ConfigurationError(outside)
+            sets = DisjointSets(d)
+            if not all(sets.union(i, j) for i, j in self.keys):
+                raise ConfigurationError("edges contain a cycle")
+            return
+        seen = set()
+        for node, parents in self.keys:
+            if node >= d:
+                raise ConfigurationError(outside)
+            if node in seen:
+                raise ConfigurationError("node appears twice in the order")
+            if any(p not in seen for p in parents):
+                raise ConfigurationError("parent does not precede its child")
+            seen.add(node)
+        if len(seen) != d:
+            raise ConfigurationError("order must cover every attribute")
+
     def to_json(self):
         if self.method == METHOD_MST:
             return {"method": self.method, "edges": [list(e) for e in self.keys]}
@@ -141,12 +170,7 @@ class TreeModel:
         return deg
 
     def validate(self, tol=1e-6):
-        d = len(self.domain)
-        if len(self.structure.keys) != d - 1:
-            raise ConfigurationError("a spanning tree needs exactly d - 1 edges")
-        sets = DisjointSets(d)
-        if not all(sets.union(i, j) for i, j in self.structure.keys):
-            raise ConfigurationError("edges contain a cycle")
+        self.structure.validate(len(self.domain))
         for i, j in self.structure.keys:
             pair = self.edge_tables[(i, j)].probs
             if np.abs(pair.sum(axis=1) - self.node_tables[i].probs).max() > tol:
@@ -186,15 +210,7 @@ class BayesNetModel:
     ledger: BudgetLedger = None
 
     def validate(self):
-        seen = set()
-        for node, parents in self.structure.keys:
-            if node in seen:
-                raise ConfigurationError("node appears twice in the order")
-            if any(p not in seen for p in parents):
-                raise ConfigurationError("parent does not precede its child")
-            seen.add(node)
-        if len(seen) != len(self.domain):
-            raise ConfigurationError("order must cover every attribute")
+        self.structure.validate(len(self.domain))
 
     def to_json(self):
         return {
@@ -430,8 +446,10 @@ def privbayes_score(ds, i, parents):
         raise ConfigurationError("node cannot be its own parent")
     if not parents:
         return 0.0
-    joint = marginals.marginal(ds, parents + (i,)).probs
     p_child = marginals.marginal(ds, (i,)).probs
+    # counted uncached: a selection run scores each candidate once, and
+    # caching these joints on every shadow subset costs memory and time
+    joint = marginals._count(ds, parents + (i,)).astype(np.float64) / len(ds)
     p_parents = joint.sum(axis=-1)
     product = p_parents[..., None] * p_child
     return float(0.5 * np.abs(joint - product).sum())
@@ -479,6 +497,8 @@ def _select_bayes_order(ds, dp, rng, ledger=None):
     if d == 1:
         return Structure(METHOD_PRIVBAYES, order)
     eps_step = math.inf if noiseless else BUDGET_SPLIT[0] * eps / (d - 1)
+    # a candidate's score does not depend on the step, so each is scored once
+    scored = {}
     for step in range(1, d):
         unplaced = sorted(set(range(d)) - set(placed))
         candidates = []
@@ -488,7 +508,10 @@ def _select_bayes_order(ds, dp, rng, ledger=None):
                 candidates.append((node, sub))
         if not candidates:
             candidates = [(node, ()) for node in unplaced]
-        scores = np.array([privbayes_score(ds, node, sub) for node, sub in candidates])
+        for key in candidates:
+            if key not in scored:
+                scored[key] = privbayes_score(ds, *key)
+        scores = np.array([scored[key] for key in candidates])
         k = exponential_mechanism(scores, eps_step, _table_sensitivity(n), rng)
         if ledger is not None and not noiseless:
             ledger.spend(f"privbayes/select/{step}", BUDGET_SPLIT[0] / (d - 1), 0.0, "exponential")

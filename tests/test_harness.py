@@ -165,6 +165,30 @@ class TestRunExperiment:
         harness.run_experiment(cfg)
         assert os.path.getmtime(path) == stamp
 
+    def test_write_cut_short_leaves_no_replica_file(self, tmp_path, monkeypatch):
+        cfg = small_config(str(tmp_path / "exp"))
+        path = os.path.join(cfg.out_dir, "replica_0000.csv")
+        run_replica = harness.run_replica
+
+        class Unwritable:
+            def __float__(self):
+                raise RuntimeError("cut short")
+
+        def cut_short(*args):
+            rows = run_replica(*args)
+            return rows[:5] + [dict(rows[5], value=Unwritable())] + rows[5:]
+
+        monkeypatch.setattr(harness, "run_replica", cut_short)
+        with pytest.raises(RuntimeError):
+            harness.run_experiment(cfg)
+        assert not os.path.exists(path)
+        monkeypatch.setattr(harness, "run_replica", run_replica)
+        harness.run_experiment(cfg)
+        clean = small_config(str(tmp_path / "clean"))
+        harness.run_experiment(clean)
+        with open(path, "rb") as a, open(os.path.join(clean.out_dir, "replica_0000.csv"), "rb") as b:
+            assert a.read() == b.read()
+
     def test_resume_rejects_config_change(self, tmp_path):
         out = str(tmp_path / "exp")
         harness.run_experiment(small_config(out))
@@ -330,6 +354,65 @@ class TestCli:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == "ParseError"
+
+    @pytest.mark.parametrize(
+        "attack_name, text",
+        [
+            ("tamis-mst", '{"method": "mst", "edges": [[0, 1], [1, 2], [0, 2]]}'),
+            ("tamis-mst", '{"method": "mst", "edges": [[0, 1], [1, 2]]}'),
+            ("hybrid-mst", '{"method": "mst", "edges": [[0, 1], [1, 2], [2, 9]]}'),
+            ("tamis-pb", '{"method": "privbayes", "order": [[0, [1]], [1, [0]]]}'),
+            ("hybrid-pb", '{"method": "privbayes", "order": [[0, []], [1, [0]], [2, [1]], [0, [2]]]}'),
+            ("tamis-pb", '{"method": "privbayes", "order": [[0, []], [1, [0]], [2, [1]]]}'),
+        ],
+        ids=["tree-cycle", "tree-too-few-edges", "tree-outside-domain",
+             "network-cycle", "network-node-twice", "network-misses-a-node"],
+    )
+    def test_structure_that_is_not_a_density(self, tmp_path, capsys, attack_name, text):
+        paths = self._prepare(tmp_path)  # 4 attributes
+        structure = tmp_path / "structure.json"
+        structure.write_text(text)
+        scores = tmp_path / "scores.csv"
+        assert cli.main([
+            "attack", "--attack", attack_name, "--target", paths["target"], "--synth", paths["train"],
+            "--aux", paths["aux"], "--structure", str(structure), "--out", str(scores),
+        ]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "ConfigurationError"
+        assert not scores.exists()
+
+    @pytest.mark.parametrize("column", ["__household__", "__member__"])
+    def test_non_integer_reserved_cell(self, tmp_path, capsys, column):
+        data = tmp_path / "train.csv"
+        data.write_text(f"a,b,{column}\nx,y,1\ny,x,1.5\nx,x,2\n")
+        assert cli.main(["generate", "--data", str(data), "--out", str(tmp_path / "gen")]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "ParseError"
+        assert "row 3" in err["message"] and column in err["message"]
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda obj: obj.update(replica=2),
+            lambda obj: obj["split"].update(train_fraction=0.5),
+            lambda obj: obj.pop("out_dir"),
+            lambda obj: obj.update(split=[15, 3, 800]),
+        ],
+        ids=["unknown-key", "unknown-split-key", "missing-out-dir", "split-not-object"],
+    )
+    def test_replicate_config_with_bad_keys(self, tmp_path, capsys, edit):
+        obj = small_config(str(tmp_path / "exp")).to_json()
+        edit(obj)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(obj))
+        assert cli.main(["replicate", "--config", str(path)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "ConfigurationError"
+        assert not (tmp_path / "exp").exists()
 
     def test_replicate_subcommand(self, tmp_path, capsys):
         cfg = small_config(str(tmp_path / "exp"))

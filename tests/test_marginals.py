@@ -1,13 +1,16 @@
+import collections
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from synthmia import marginals
+from synthmia import marginals, sdg
 from synthmia.data import Dataset, Domain
+from synthmia.dp import DpParams
 from synthmia.errors import ConfigurationError, EstimationError
 
 
@@ -187,3 +190,73 @@ def test_exhaustive_cell_count_identity():
     for cell in itertools.product(*[range(c) for c in cards]):
         want = int(((rows == np.array(cell)).all(axis=1)).sum())
         assert table[cell] == want
+
+
+def reference_counts(ds, attrs):
+    shape = tuple(ds.domain.cardinalities[a] for a in attrs)
+    out = np.zeros(shape, dtype=np.int64)
+    np.add.at(out, tuple(ds.rows[:, a] for a in attrs), 1)
+    return out
+
+
+class TestCountCache:
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_cached_tables_match_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(1, 5))
+        cards = rng.integers(1, 5, size=d)
+        base = make_ds(cards, rng.integers(0, cards, size=(int(rng.integers(1, 60)), d)))
+        kept = [base]
+        for _ in range(60):
+            if rng.random() < 0.5:
+                ds = kept[int(rng.integers(len(kept)))]
+            else:
+                # most subsets are freed after one use, so later ones may get their ids
+                size = int(rng.integers(0, len(base) + 1))
+                ds = base.subset(np.sort(rng.choice(len(base), size=size, replace=False)))
+                if rng.random() < 0.2:
+                    kept.append(ds)
+            attrs = rng.permutation(d)[: int(rng.integers(1, d + 1))].tolist()
+            table = marginals.counts(ds, attrs if rng.random() < 0.5 else tuple(attrs))
+            assert np.array_equal(table, reference_counts(ds, attrs))
+            assert table.dtype == np.int64
+
+    def test_table_is_read_only(self):
+        ds = make_ds([2, 3], [[0, 1], [1, 2], [1, 1]])
+        table = marginals.counts(ds, (0, 1))
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 5
+
+    def test_list_and_tuple_share_one_entry(self):
+        ds = make_ds([2, 3], [[0, 1], [1, 2], [1, 1]])
+        table = marginals.counts(ds, [1, 0])
+        assert marginals.counts(ds, (1, 0)) is table
+        assert marginals.counts(ds, np.array([1, 0])) is table
+        assert marginals.counts(ds, (0, 1)) is not table
+
+    def test_dataset_from_view_ignores_writes_to_its_base(self):
+        base = np.zeros((6, 2), dtype=np.int64)
+        ds = Dataset(Domain(["a", "b"], [3, 3]), base[:4])
+        before = marginals.counts(ds, (0, 1)).copy()
+        base[0, 0] = 2
+        assert ds.rows[0, 0] == 0
+        assert np.array_equal(marginals.counts(ds, (0, 1)), before)
+        assert np.array_equal(reference_counts(ds, (0, 1)), before)
+
+    @pytest.mark.parametrize("epsilon", [1.0, math.inf])
+    def test_bayes_selection_scores_each_candidate_once(self, monkeypatch, epsilon):
+        calls = collections.Counter()
+        score = sdg.privbayes_score
+
+        def counted(ds, node, parents):
+            calls[(node, parents)] += 1
+            return score(ds, node, parents)
+
+        monkeypatch.setattr(sdg, "privbayes_score", counted)
+        rng = np.random.default_rng(4)
+        cards = [2, 3, 2, 3, 2]
+        ds = make_ds(cards, rng.integers(0, cards, size=(400, 5)))
+        sdg._select_bayes_order(ds, DpParams(epsilon, seed=0), np.random.default_rng(0))
+        assert calls and set(calls.values()) == {1}

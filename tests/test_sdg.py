@@ -225,6 +225,20 @@ class TestSensitivity:
             assert diff <= 2.0 / len(ds) + 1e-12
 
 
+    @settings(max_examples=200, deadline=None)
+    @given(neighbouring_datasets(), st.sampled_from([(), (1,), (2,), (1, 2)]))
+    def test_measured_tables(self, pair, parents):
+        """The tables fit_mst measures and the joint fit_privbayes measures move by at most 2/n in L1."""
+        ds, other = pair
+        bound = sdg._table_sensitivity(len(ds)) + 1e-12
+        for attrs in [(0,), (1,), (2,), *itertools.combinations(range(3), 2)]:
+            diff = marginals.marginal(ds, attrs).probs - marginals.marginal(other, attrs).probs
+            assert np.abs(diff).sum() <= bound
+        attrs = parents + (0,)
+        diff = marginals.counts(ds, attrs) / len(ds) - marginals.counts(other, attrs) / len(other)
+        assert np.abs(diff).sum() <= bound
+
+
 class TestFitPrivbayes:
     def test_single_attribute(self):
         ds = random_ds(15, d=2).subset(np.arange(50))
