@@ -3,7 +3,7 @@
 Modules:
     data        categorical datasets, CSV ingestion, household splits
     marginals   contingency-table kernels with zero-probability flooring
-    dp          noise mechanisms, exponential mechanism, budget ledger
+    dp          noise mechanisms, exponential mechanism, privacy accountant
     sdg         tree-model and Bayesian-network synthetic data generators
     recovery    attacker-side structure estimation and shadow modeling
     attack      attack score functions, household aggregation, activations

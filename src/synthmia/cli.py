@@ -119,9 +119,13 @@ def cmd_evaluate(args):
         raise ConfigurationError(f"{args.scores}: no score rows")
     if "label" not in rows[0]:
         raise ConfigurationError(f"{args.scores}: has no 'label' column ({MEMBER_COLUMN} missing upstream)")
-    scores = np.array([float(r["raw_score"]) for r in rows])
-    preds = np.array([int(r["prediction"]) for r in rows])
-    labels = np.array([int(r["label"]) for r in rows])
+    try:
+        scores = np.array([float(r["raw_score"]) for r in rows])
+        preds = np.array([int(r["prediction"]) for r in rows], dtype=np.int64)
+        labels = np.array([int(r["label"]) for r in rows], dtype=np.int64)
+    except (KeyError, TypeError, ValueError, OverflowError):
+        # a missing column, a short row (None) or a cell that is not a number
+        raise ParseError(f"{args.scores}: needs numeric raw_score and integer prediction and label cells") from None
     out = {
         "auroc": evaluation.auroc(scores, labels),
         "balanced_accuracy": evaluation.balanced_accuracy(preds, labels),

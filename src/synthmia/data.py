@@ -295,6 +295,8 @@ def generate_households(
     """
     if n_rows < 1 or n_attrs < 1:
         raise ConfigurationError("n_rows and n_attrs must be positive")
+    if max_cardinality < 2 or not 0 <= min_size <= max_size or max_size < 1:
+        raise ConfigurationError("need max_cardinality >= 2 and 0 <= min_size <= max_size, max_size >= 1")
     rng = np.random.default_rng(seed)
     cards = rng.integers(2, max_cardinality + 1, size=n_attrs)
     first = rng.dirichlet(np.ones(cards[0]))

@@ -1,7 +1,7 @@
-"""Differential-privacy primitives: noise mechanisms, selection, budgeting.
+"""Differential-privacy primitives: noise mechanisms, selection, the accountant.
 
-``epsilon = math.inf`` is the supported noiseless sentinel: noise calls are
-skipped by callers and the exponential mechanism degenerates to argmax.
+``epsilon = math.inf`` is the supported noiseless sentinel: the accountant
+calibrates no noise and the exponential mechanism degenerates to argmax.
 """
 
 import hashlib
@@ -33,16 +33,46 @@ class DpParams:
 
 
 @dataclass
-class BudgetLedger:
-    """Audit log of budget fractions spent, per labeled mechanism call."""
+class Accountant:
+    """The (epsilon, delta) budget of one generator run, spent mechanism by mechanism.
+
+    Each call calibrates one mechanism from its share of the budget and
+    records that share. A share is a ``(fraction, count)`` pair: the
+    mechanism is one of ``count`` equal ones splitting ``fraction`` of the
+    total, so it gets ``fraction * total / count``. At ``epsilon = inf``
+    nothing is noised and nothing is recorded.
+    """
 
     total: DpParams
     spent: list = field(default_factory=list)
 
-    def spend(self, label, epsilon_fraction, delta_fraction=0.0, mechanism=""):
-        self.spent.append((label, float(epsilon_fraction), float(delta_fraction), mechanism))
+    def gaussian(self, label, sensitivity, share, delta_share):
+        """Sigma of a Gaussian measurement with this L1 sensitivity; None at epsilon = inf."""
+        if math.isinf(self.total.epsilon):
+            return None
+        if not self.total.delta > 0:
+            raise ConfigurationError("the Gaussian mechanism needs delta > 0 at finite epsilon")
+        epsilon = self._spend(label, "gaussian", share, delta_share)
+        return gaussian_sigma(epsilon, _part(self.total.delta, delta_share), sensitivity)
+
+    def laplace(self, label, sensitivity, share):
+        """Scale of a Laplace measurement with this L1 sensitivity; None at epsilon = inf."""
+        if math.isinf(self.total.epsilon):
+            return None
+        return sensitivity / self._spend(label, "laplace", share)
+
+    def exponential(self, label, share):
+        """Epsilon of one exponential-mechanism selection; inf (argmax) at epsilon = inf."""
+        if math.isinf(self.total.epsilon):
+            return math.inf
+        return self._spend(label, "exponential", share)
+
+    def _spend(self, label, mechanism, share, delta_share=(0.0, 1)):
+        (fraction, count), (delta_fraction, delta_count) = share, delta_share
+        self.spent.append((label, fraction / count, delta_fraction / delta_count, mechanism))
         if self.epsilon_spent() > 1.0 + 1e-9 or self.delta_spent() > 1.0 + 1e-9:
             raise ConfigurationError(f"privacy budget exceeded at {label!r}")
+        return _part(self.total.epsilon, share)
 
     def epsilon_spent(self):
         return sum(e for _, e, _, _ in self.spent)
@@ -59,6 +89,13 @@ class BudgetLedger:
                 for l, e, d, m in self.spent
             ],
         }
+
+
+def _part(total, share):
+    # fraction * total / count, in that order: the generators' noise depends
+    # on its last bit, and total * (fraction / count) rounds differently
+    fraction, count = share
+    return fraction * total / count
 
 
 def as_generator(seed):

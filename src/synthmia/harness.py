@@ -10,6 +10,7 @@ Everything is deterministic given the master seed.
 import csv
 import dataclasses
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -117,22 +118,32 @@ def config_hash(cfg):
 
 
 def load_aux(cfg):
-    """Materialize the auxiliary dataset described by the data config."""
+    """Materialize the auxiliary dataset described by the data config.
+
+    ``{"kind": "csv", "path": file}`` reads a CSV; ``{"kind": "generate", ...}``
+    passes its other keys to ``generate_households`` (50,000 rows unless
+    ``n_rows`` says otherwise).
+    """
     data = cfg.data
+    if not isinstance(data, dict):
+        raise ConfigurationError("data must be a JSON object")
+    args = {k: v for k, v in data.items() if k != "kind"}
     kind = data.get("kind", "generate")
     if kind == "csv":
-        return load_csv(data["path"])
-    if kind == "generate":
-        return generate_households(
-            n_rows=int(data.get("n_rows", 50000)),
-            n_attrs=int(data.get("n_attrs", 8)),
-            max_cardinality=int(data.get("max_cardinality", 8)),
-            min_size=int(data.get("min_size", 1)),
-            max_size=int(data.get("max_size", 10)),
-            resample_prob=float(data.get("resample_prob", 0.15)),
-            seed=int(data.get("seed", 0)),
-        )
-    raise ConfigurationError(f"unknown data kind {kind!r}")
+        if set(args) != {"path"} or not isinstance(args["path"], str):
+            raise ConfigurationError('csv data is {"kind": "csv", "path": file}')
+        return load_csv(args["path"])
+    if kind != "generate":
+        raise ConfigurationError(f"unknown data kind {kind!r}")
+    params = inspect.signature(generate_households).parameters
+    unknown = sorted(set(args) - set(params))
+    if unknown:
+        raise ConfigurationError(f"data: unknown keys {unknown}")
+    for name, value in args.items():
+        number = name == "resample_prob"
+        if isinstance(value, bool) or not isinstance(value, (int, float) if number else int):
+            raise ConfigurationError(f"data: {name} {value!r} is not {'a number' if number else 'an integer'}")
+    return generate_households(**{"n_rows": 50000, **args})
 
 
 class _AttackContext:
@@ -240,8 +251,7 @@ def run_replica(cfg, replica_index, aux=None):
     for m_idx, method in enumerate(cfg.methods):
         for e_idx, eps in enumerate(cfg.epsilons):
             stage = derive_seed(rseed, 1 + m_idx * len(cfg.epsilons) + e_idx)
-            delta = cfg.delta if (method == sdg.METHOD_MST and math.isfinite(eps)) else 0.0
-            dp = DpParams(eps, delta=delta, theta=cfg.theta, seed=derive_seed(stage, 0))
+            dp = DpParams(eps, delta=cfg.delta, theta=cfg.theta, seed=derive_seed(stage, 0))
             model = sdg.fit(train, sdg.GeneratorConfig(method, dp))
             synth = sdg.sample(model, n_synth, derive_seed(stage, 1))
             ctx = _AttackContext(
@@ -307,6 +317,7 @@ def read_rows(path):
 
 def run_experiment(cfg):
     """Run all replicas, resumably; returns the list of written files."""
+    aux = load_aux(cfg)  # a bad data config fails before anything is written
     os.makedirs(cfg.out_dir, exist_ok=True)
     digest = config_hash(cfg)
     meta_path = os.path.join(cfg.out_dir, "config.json")
@@ -319,7 +330,6 @@ def run_experiment(cfg):
         with open(meta_path, "w", encoding="utf-8") as fh:
             json.dump({"hash": digest, "config": cfg.to_json()}, fh, indent=2, sort_keys=True)
 
-    aux = load_aux(cfg)
     paths = [meta_path]
     all_rows = []
     for r in range(cfg.replicas):

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import sdg
-from .dp import DpParams, as_generator, derive_seed
+from .dp import Accountant, DpParams, as_generator, derive_seed
 from .errors import ConfigurationError, ParseError
 
 
@@ -92,7 +92,7 @@ def recover_tree(synth):
     """
     if len(synth) == 0 or len(synth.domain) < 2:
         raise ConfigurationError("tree recovery needs a non-empty dataset with d >= 2")
-    return sdg._select_tree_edges(synth, DpParams(math.inf), None)
+    return sdg._select_tree_edges(synth, Accountant(DpParams(math.inf)), None)
 
 
 def recover_bayesnet(synth, dp):
@@ -101,7 +101,7 @@ def recover_bayesnet(synth, dp):
     Requires the generator's hyper-parameters (epsilon, theta); returns the
     ordered (node, parent set) structure only.
     """
-    return sdg._select_bayes_order(synth, dp, as_generator(dp.seed))
+    return sdg._select_bayes_order(synth, Accountant(dp), as_generator(dp.seed))
 
 
 def recover(synth, method, dp):
@@ -119,6 +119,6 @@ def shadow_weights(aux, cfg, method=sdg.METHOD_MST):
         rng = as_generator(derive_seed(cfg.seed, k))
         idx = rng.choice(len(aux), size=cfg.subset_size, replace=False)
         subset = aux.subset(np.sort(idx))
-        for key in select(subset, cfg.dp, rng).keys:
+        for key in select(subset, Accountant(cfg.dp), rng).keys:
             weights.add(key)
     return weights

@@ -15,14 +15,7 @@ import numpy as np
 
 from . import marginals
 from .data import Dataset, Domain
-from .dp import (
-    BudgetLedger,
-    DpParams,
-    as_generator,
-    exponential_mechanism,
-    gaussian_sigma,
-    laplace_noise,
-)
+from .dp import Accountant, DpParams, as_generator, exponential_mechanism, gaussian_noise, laplace_noise
 from .errors import ConfigurationError, EstimationError, ParseError
 
 METHOD_MST = "mst"
@@ -37,6 +30,11 @@ BUDGET_SPLIT = (1.0 / 3.0, 2.0 / 3.0)
 # L1 sensitivity of a probability table under one-record change
 def _table_sensitivity(n):
     return 2.0 / n
+
+
+def _tree_delta_share(d):
+    """The tree generator's 3d - 1 Gaussian measurements split delta equally."""
+    return (1.0, 3 * d - 1)
 
 
 @dataclass(frozen=True)
@@ -160,7 +158,7 @@ class TreeModel:
     structure: Structure
     node_tables: dict
     edge_tables: dict
-    ledger: BudgetLedger = None
+    ledger: Accountant = None
 
     def degrees(self):
         deg = {i: 0 for i in range(len(self.domain))}
@@ -207,7 +205,7 @@ class BayesNetModel:
     structure: Structure
     cond_tables: dict
     domain_threshold: float = math.inf
-    ledger: BudgetLedger = None
+    ledger: Accountant = None
 
     def validate(self):
         self.structure.validate(len(self.domain))
@@ -248,8 +246,13 @@ def mst_edge_score(ds, i, j, noisy_1way=None):
 
 
 def _noisy_probs(probs, sigma, rng):
-    """Add Gaussian noise to a probability table, clip negatives, renormalize."""
-    noisy = probs + rng.normal(0.0, sigma, size=probs.shape)
+    """Add Gaussian noise to a probability table, clip negatives, renormalize.
+
+    ``sigma = None`` (no noise) returns the table unchanged.
+    """
+    if sigma is None:
+        return probs
+    noisy = probs + gaussian_noise(sigma, probs.size, rng).reshape(probs.shape)
     noisy = np.clip(noisy, 0.0, None)
     total = noisy.sum()
     if total <= 0:
@@ -270,41 +273,31 @@ def _ipf_to_margins(pair, pi, pj, tol=1e-13, max_iters=2000):
     return out
 
 
-def _select_tree_edges(ds, dp, rng, ledger=None):
+def _select_tree_edges(ds, acct, rng):
     """DP spanning-tree selection: noisy scores + d-1 exponential-mechanism steps."""
     d = len(ds.domain)
     n = len(ds)
-    eps = dp.epsilon
-    noiseless = math.isinf(eps)
+    sens = _table_sensitivity(n)
     sel_frac = BUDGET_SPLIT[0]
 
-    if noiseless:
-        one_way = None
-    else:
-        if not dp.delta > 0:
-            raise ConfigurationError("the tree generator needs delta > 0 for Gaussian noise")
-        delta_each = dp.delta / (3 * d - 1)
-        eps_each = sel_frac * eps / (2 * d)
-        sigma = gaussian_sigma(eps_each, delta_each, _table_sensitivity(n))
-        one_way = {}
-        for i in range(d):
+    one_way = {}
+    for i in range(d):
+        sigma = acct.gaussian(f"mst/select/1way/{i}", sens, (sel_frac, 2 * d), _tree_delta_share(d))
+        if sigma is not None:
             probs = marginals.marginal(ds, (i,)).probs
             one_way[i] = marginals.MarginalTable((i,), _noisy_probs(probs, sigma, rng), n)
-            if ledger is not None:
-                ledger.spend(f"mst/select/1way/{i}", sel_frac / (2 * d), 1.0 / (3 * d - 1), "gaussian")
 
     all_pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
-    scores = {p: mst_edge_score(ds, p[0], p[1], one_way) for p in all_pairs}
+    # noiseless, each pair's score takes its 1-way margins from its own table
+    scores = {p: mst_edge_score(ds, p[0], p[1], one_way or None) for p in all_pairs}
 
     sets = DisjointSets(d)
-    eps_step = math.inf if noiseless else sel_frac * eps / (2 * (d - 1))
     edges = []
     for step in range(d - 1):
         candidates = [p for p in all_pairs if sets.find(p[0]) != sets.find(p[1])]
         cand_scores = np.array([scores[p] for p in candidates])
-        k = exponential_mechanism(cand_scores, eps_step, _table_sensitivity(n), rng)
-        if ledger is not None and not noiseless:
-            ledger.spend(f"mst/select/edge/{step}", sel_frac / (2 * (d - 1)), 0.0, "exponential")
+        eps_edge = acct.exponential(f"mst/select/edge/{step}", (sel_frac, 2 * (d - 1)))
+        k = exponential_mechanism(cand_scores, eps_edge, sens, rng)
         i, j = candidates[k]
         sets.union(i, j)
         edges.append((i, j))
@@ -333,39 +326,21 @@ def fit_mst(train, cfg):
     if any(c < 1 for c in domain.cardinalities):
         raise ConfigurationError("degenerate attribute with zero cardinality")
     n = len(train)
-    dp = cfg.dp
-    eps = dp.epsilon
-    noiseless = math.isinf(eps)
-    rng = as_generator(dp.seed)
-    ledger = BudgetLedger(dp)
+    rng = as_generator(cfg.dp.seed)
+    acct = Accountant(cfg.dp)
 
-    structure = _select_tree_edges(train, dp, rng, ledger)
+    structure = _select_tree_edges(train, acct, rng)
 
-    n_tables = 2 * d - 1
-    sigma = None
-    if not noiseless:
-        eps_each = BUDGET_SPLIT[1] * eps / n_tables
-        delta_each = dp.delta / (3 * d - 1)
-        sigma = gaussian_sigma(eps_each, delta_each, _table_sensitivity(n))
+    def measure(label, attrs):
+        sigma = acct.gaussian(label, _table_sensitivity(n), (BUDGET_SPLIT[1], 2 * d - 1), _tree_delta_share(d))
+        return _noisy_probs(marginals.marginal(train, attrs).probs, sigma, rng)
 
-    node_probs = {}
-    for i in range(d):
-        probs = marginals.marginal(train, (i,)).probs
-        if sigma is not None:
-            probs = _noisy_probs(probs, sigma, rng)
-            ledger.spend(f"mst/measure/1way/{i}", BUDGET_SPLIT[1] / n_tables, 1.0 / (3 * d - 1), "gaussian")
-        node_probs[i] = probs
-    edge_probs = {}
-    for (i, j) in structure.keys:
-        probs = marginals.marginal(train, (i, j)).probs
-        if sigma is not None:
-            probs = _noisy_probs(probs, sigma, rng)
-            ledger.spend(f"mst/measure/2way/{i}-{j}", BUDGET_SPLIT[1] / n_tables, 1.0 / (3 * d - 1), "gaussian")
-        edge_probs[(i, j)] = probs
+    node_probs = {i: measure(f"mst/measure/1way/{i}", (i,)) for i in range(d)}
+    edge_probs = {(i, j): measure(f"mst/measure/2way/{i}-{j}", (i, j)) for i, j in structure.keys}
 
     floor = marginals.default_floor(n)
     node_tables, edge_tables = _consistent_tree_tables(node_probs, edge_probs, structure.keys, n, floor)
-    return TreeModel(domain, structure, node_tables, edge_tables, ledger)
+    return TreeModel(domain, structure, node_tables, edge_tables, acct)
 
 
 def tree_model_from_data(ds, structure, floor=None):
@@ -388,12 +363,6 @@ def tree_log_density(model, rows):
     for table in model.edge_tables.values():
         logp += np.log(table.lookup_rows(rows))
     return logp
-
-
-def tree_density(model, x):
-    """Joint density of one record (or a matrix of records) under a tree model."""
-    dens = np.exp(tree_log_density(model, x))
-    return float(dens[0]) if np.asarray(x).ndim == 1 else dens
 
 
 def sample_tree(model, n, seed):
@@ -480,23 +449,20 @@ def _domain_threshold(dp, n):
     return math.inf if math.isinf(dp.epsilon) else theta * dp.epsilon * n
 
 
-def _select_bayes_order(ds, dp, rng, ledger=None):
+def _select_bayes_order(ds, acct, rng):
     """Greedy DP selection of an ordered (node, parent set) list."""
     d = len(ds.domain)
     if d < 1:
         raise ConfigurationError("empty domain")
     n = len(ds)
     cards = ds.domain.cardinalities
-    eps = dp.epsilon
-    noiseless = math.isinf(eps)
-    threshold = _domain_threshold(dp, n)
+    threshold = _domain_threshold(acct.total, n)
 
     first = int(rng.integers(d))
     order = [(first, ())]
     placed = [first]
     if d == 1:
         return Structure(METHOD_PRIVBAYES, order)
-    eps_step = math.inf if noiseless else BUDGET_SPLIT[0] * eps / (d - 1)
     # a candidate's score does not depend on the step, so each is scored once
     scored = {}
     for step in range(1, d):
@@ -512,9 +478,8 @@ def _select_bayes_order(ds, dp, rng, ledger=None):
             if key not in scored:
                 scored[key] = privbayes_score(ds, *key)
         scores = np.array([scored[key] for key in candidates])
+        eps_step = acct.exponential(f"privbayes/select/{step}", (BUDGET_SPLIT[0], d - 1))
         k = exponential_mechanism(scores, eps_step, _table_sensitivity(n), rng)
-        if ledger is not None and not noiseless:
-            ledger.spend(f"privbayes/select/{step}", BUDGET_SPLIT[0] / (d - 1), 0.0, "exponential")
         node, sub = candidates[k]
         order.append((node, sub))
         placed.append(node)
@@ -526,30 +491,22 @@ def fit_privbayes(train, cfg):
     domain = train.domain
     d = len(domain)
     n = len(train)
-    dp = cfg.dp
-    eps = dp.epsilon
-    noiseless = math.isinf(eps)
-    rng = as_generator(dp.seed)
-    ledger = BudgetLedger(dp)
-    threshold = _domain_threshold(dp, n)
+    rng = as_generator(cfg.dp.seed)
+    acct = Accountant(cfg.dp)
+    threshold = _domain_threshold(cfg.dp, n)
 
-    structure = _select_bayes_order(train, dp, rng, ledger)
+    structure = _select_bayes_order(train, acct, rng)
 
     floor = marginals.default_floor(n)
-    scale = None
-    if not noiseless:
-        eps_each = BUDGET_SPLIT[1] * eps / d
-        scale = _table_sensitivity(n) / eps_each
-
     cond_tables = {}
     for node, parents in structure.keys:
         joint = marginals.counts(train, parents + (node,)).astype(np.float64) / n
+        scale = acct.laplace(f"privbayes/measure/{node}", _table_sensitivity(n), (BUDGET_SPLIT[1], d))
         if scale is not None:
             joint = joint + laplace_noise(scale, joint.size, rng).reshape(joint.shape)
             joint = np.clip(joint, 0.0, None)
-            ledger.spend(f"privbayes/measure/{node}", BUDGET_SPLIT[1] / d, 0.0, "laplace")
         cond_tables[node] = marginals.conditional_from_joint(joint, node, parents, n, floor)
-    return BayesNetModel(domain, structure, cond_tables, threshold, ledger)
+    return BayesNetModel(domain, structure, cond_tables, threshold, acct)
 
 
 def bayes_model_from_data(ds, structure, floor=None):
@@ -568,11 +525,6 @@ def bayes_log_density(model, rows):
     for table in model.cond_tables.values():
         logp += np.log(table.lookup_rows(rows))
     return logp
-
-
-def bayes_density(model, x):
-    dens = np.exp(bayes_log_density(model, x))
-    return float(dens[0]) if np.asarray(x).ndim == 1 else dens
 
 
 def sample_bayes(model, n, seed):
@@ -611,11 +563,3 @@ def sample(model, n, seed):
 def model_to_file(model, path):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(model.to_json(), fh)
-
-
-def model_from_file(path):
-    with open(path, encoding="utf-8") as fh:
-        obj = json.load(fh)
-    if obj["method"] == METHOD_MST:
-        return TreeModel.from_json(obj)
-    return BayesNetModel.from_json(obj)

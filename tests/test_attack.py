@@ -143,7 +143,7 @@ class TestHandValues:
         sv = attack.tamis_mst(target, edges, synth, aux)
         ms = sdg.tree_model_from_data(synth, edges)
         ma = sdg.tree_model_from_data(aux, edges)
-        want = sdg.tree_density(ms, target.rows) / sdg.tree_density(ma, target.rows)
+        want = np.exp(sdg.tree_log_density(ms, target.rows)) / np.exp(sdg.tree_log_density(ma, target.rows))
         assert np.allclose(sv.scores, want, rtol=1e-9)
 
 

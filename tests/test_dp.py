@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from synthmia import dp
+from synthmia import dp, sdg
 from synthmia.errors import ConfigurationError, ParameterError, SelectionError
 
 
@@ -24,19 +24,53 @@ class TestParams:
 
 class TestLedger:
     def test_overspend_raises(self):
-        ledger = dp.BudgetLedger(dp.DpParams(1.0))
-        ledger.spend("a", 0.6)
+        acct = dp.Accountant(dp.DpParams(1.0))
+        acct.exponential("a", (0.6, 1))
         with pytest.raises(ConfigurationError):
-            ledger.spend("b", 0.5)
+            acct.exponential("b", (0.5, 1))
 
     def test_shares_sum(self):
-        ledger = dp.BudgetLedger(dp.DpParams(1.0, delta=1e-9))
+        acct = dp.Accountant(dp.DpParams(1.0, delta=1e-9))
         for i in range(10):
-            ledger.spend(f"t{i}", 0.1, 0.1, "gaussian")
-        assert ledger.epsilon_spent() == pytest.approx(1.0)
-        assert ledger.delta_spent() == pytest.approx(1.0)
-        obj = ledger.to_json()
+            acct.gaussian(f"t{i}", 1.0, (1.0, 10), (1.0, 10))
+        assert acct.epsilon_spent() == pytest.approx(1.0)
+        assert acct.delta_spent() == pytest.approx(1.0)
+        obj = acct.to_json()
         assert len(obj["spent"]) == 10 and obj["spent"][0]["mechanism"] == "gaussian"
+
+
+class TestAccountant:
+    @pytest.mark.parametrize("n", [100, 10000])
+    def test_calibration_equals_the_generators_arithmetic(self, n):
+        """Each share is fraction * total / count, evaluated in that order, bit for bit."""
+        sel, meas = sdg.BUDGET_SPLIT
+        sens, delta = 2.0 / n, 1e-9
+        for d in range(2, 21):
+            delta_each = delta / (3 * d - 1)
+            for eps in (0.1, 0.5, 1.0, 2.0, 10.0, 100.0, 1000.0):
+                acct = dp.Accountant(dp.DpParams(eps, delta=delta))
+                tree_delta = (1.0, 3 * d - 1)
+                assert acct.gaussian("s", sens, (sel, 2 * d), tree_delta) == dp.gaussian_sigma(
+                    sel * eps / (2 * d), delta_each, sens)
+                assert acct.exponential("e", (sel, 2 * (d - 1))) == sel * eps / (2 * (d - 1))
+                assert acct.gaussian("m", sens, (meas, 2 * d - 1), tree_delta) == dp.gaussian_sigma(
+                    meas * eps / (2 * d - 1), delta_each, sens)
+                acct = dp.Accountant(dp.DpParams(eps))
+                assert acct.exponential("p", (sel, d - 1)) == sel * eps / (d - 1)
+                assert acct.laplace("l", sens, (meas, d)) == sens / (meas * eps / d)
+
+    def test_noiseless_records_nothing(self):
+        acct = dp.Accountant(dp.DpParams(math.inf))
+        assert acct.gaussian("g", 1.0, (1.0, 2), (1.0, 2)) is None
+        assert acct.laplace("l", 1.0, (1.0, 2)) is None
+        assert acct.exponential("e", (1.0, 2)) == math.inf
+        assert acct.spent == []
+
+    def test_gaussian_needs_delta(self):
+        acct = dp.Accountant(dp.DpParams(1.0))
+        with pytest.raises(ConfigurationError):
+            acct.gaussian("g", 1.0, (1.0, 1), (1.0, 1))
+        assert acct.laplace("l", 1.0, (1.0, 1)) == 1.0
 
 
 class TestSeeds:

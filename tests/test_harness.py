@@ -1,9 +1,12 @@
+import functools
 import json
 import math
 import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from synthmia import attack, cli, harness, recovery, sdg
 from synthmia.data import SplitSpec, generate_households, make_snake_split, write_csv
@@ -79,6 +82,30 @@ class TestConfig:
         assert harness.format_epsilon(math.inf) == "inf"
         assert harness.parse_epsilon("inf") == math.inf
         assert harness.parse_epsilon("0.1") == 0.1
+
+    def test_load_aux_passes_data_keys_through(self, tmp_path, monkeypatch):
+        seen = {}
+
+        @functools.wraps(generate_households)
+        def fake(**kwargs):
+            seen.update(kwargs)
+            return "aux"
+
+        monkeypatch.setattr(harness, "generate_households", fake)
+        cfg = small_config(str(tmp_path), data={"kind": "generate", "n_attrs": 5, "resample_prob": 0.2})
+        assert harness.load_aux(cfg) == "aux"
+        assert seen == {"n_rows": 50000, "n_attrs": 5, "resample_prob": 0.2}
+
+    @pytest.mark.parametrize(
+        "data",
+        [{"n_row": 300}, {"n_rows": 300.0}, {"n_rows": "300"}, {"n_attrs": True}, {"kind": "csv"},
+         {"kind": "sql"}, {"max_cardinality": 1}, {"min_size": 4, "max_size": 3}, ["n_rows", 300]],
+        ids=["unknown-key", "float-size", "string-size", "bool-size", "csv-without-path",
+             "unknown-kind", "one-category", "min-above-max", "not-an-object"],
+    )
+    def test_load_aux_rejects_bad_data(self, tmp_path, data):
+        with pytest.raises(ConfigurationError):
+            harness.load_aux(small_config(str(tmp_path), data=data))
 
 
 class TestRunReplica:
@@ -194,6 +221,89 @@ class TestRunExperiment:
         harness.run_experiment(small_config(out))
         with pytest.raises(ResumeMismatch):
             harness.run_experiment(small_config(out, seed=8))
+
+
+_JUNK = st.text(alphabet="xyz#-. ", max_size=3)  # never a number, with "" and "." among them
+_SCORE_COLUMNS = ("raw_score", "prediction", "label")
+_DATA_INTS = ("n_rows", "n_attrs", "max_cardinality", "min_size", "max_size", "seed")
+
+
+@st.composite
+def malformed_score_csvs(draw):
+    """Score CSV text with a label column and one fault: a missing column, a non-number or a short row."""
+    rows = draw(st.lists(st.tuples(st.floats(-5, 5), st.integers(0, 1), st.integers(0, 1)), min_size=1, max_size=6))
+    cells = [[repr(score), str(pred), str(label)] for score, pred, label in rows]
+    header = list(_SCORE_COLUMNS)
+    fault = draw(st.sampled_from(["column", "cell", "short"]))
+    r = draw(st.integers(0, len(cells) - 1))
+    if fault == "column":
+        c = draw(st.integers(0, 1))
+        header[c] = draw(st.sampled_from(["score", "pred", "", "raw_scores"]))
+    elif fault == "cell":
+        c = draw(st.integers(0, 2))
+        # a decimal is a valid score but not a valid prediction or label
+        cells[r][c] = draw(_JUNK if c == 0 else _JUNK | st.sampled_from(["1.5", "1e3"]))
+    else:
+        cells[r] = cells[r][: draw(st.integers(1, 2))]
+    return "\n".join(",".join(row) for row in [header, *cells]) + "\n"
+
+
+@st.composite
+def malformed_data_objects(draw):
+    """A replicate config's data object with one fault, found before any row is generated."""
+    data = {"kind": "generate", "n_rows": 300, "n_attrs": 3, "max_cardinality": 3}
+    fault = draw(st.sampled_from(["not-object", "unknown-key", "not-integer", "kind", "csv", "range"]))
+    if fault == "not-object":
+        return draw(st.lists(st.integers()) | st.text() | st.integers() | st.none())
+    if fault == "unknown-key":
+        data[draw(st.sampled_from(["n_row", "rows", "attrs", "cardinality", ""]))] = 300
+    elif fault == "not-integer":
+        bad = st.floats(allow_nan=False) | st.text(max_size=3) | st.booleans() | st.none() | st.lists(st.integers())
+        data[draw(st.sampled_from(_DATA_INTS))] = draw(bad)
+    elif fault == "kind":
+        data["kind"] = draw(st.text(max_size=5).filter(lambda k: k not in ("csv", "generate")))
+    elif fault == "csv":
+        data = {"kind": "csv", **draw(st.sampled_from([{}, {"path": 3}, {"path": "a.csv", "n_rows": 3}]))}
+    else:
+        data.update(draw(st.sampled_from([
+            {"n_rows": 0}, {"n_attrs": -1}, {"max_cardinality": 1}, {"min_size": 5, "max_size": 4}, {"max_size": 0},
+        ])))
+    return data
+
+
+class TestMalformedInput:
+    """Bad CLI input ends in exit code 1 and one JSON error line, never a traceback."""
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.one_of(malformed_score_csvs().map(lambda t: ("evaluate", t)),
+                     malformed_data_objects().map(lambda d: ("replicate", d))))
+    def test_one_json_error_line(self, tmp_path, capsys, case):
+        command, payload = case
+        if command == "evaluate":
+            path = tmp_path / "scores.csv"
+            path.write_text(payload)
+            argv, error = ["evaluate", "--scores", str(path)], "ParseError"
+        else:
+            obj = small_config(str(tmp_path / "exp")).to_json()
+            obj["data"] = payload
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps(obj))
+            argv, error = ["replicate", "--config", str(path)], "ConfigurationError"
+        capsys.readouterr()
+        assert cli.main(argv) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == error
+        assert not (tmp_path / "exp").exists()
+
+    @pytest.mark.parametrize("text", ["record_id,label\n0,1\n", "raw_score,prediction,label\nx,1,1\n"])
+    def test_evaluate_reproduced_cases(self, tmp_path, capsys, text):
+        path = tmp_path / "scores.csv"
+        path.write_text(text)
+        assert cli.main(["evaluate", "--scores", str(path)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "ParseError"
 
 
 class TestStarredAttacks:

@@ -1,11 +1,13 @@
-"""Source hygiene: every name a synthmia module imports is used in it."""
+"""Source hygiene: every name a synthmia module imports is used in it, and every
+public function or class it defines is used somewhere."""
 
 import ast
 import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "synthmia"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "synthmia"
 
 
 def unused_imports(source):
@@ -35,3 +37,48 @@ def test_no_unused_imports(path):
 def test_detects_an_unused_import():
     source = "import json\nimport math\nfrom os import path, sep as s\nprint(math.pi, s)\n"
     assert unused_imports(source) == [(1, "json"), (3, "path")]
+
+
+def dead_names(modules, others):
+    """Public top-level functions and classes of ``modules`` that no code refers to.
+
+    A name counts as used when a Name, an attribute or a string elsewhere in
+    ``modules`` or ``others`` (paths to their sources) spells it; uses inside
+    its own definition do not count. Strings count because the benchmark's
+    tracer looks functions up by name.
+    """
+    defined = {}
+    used = set()
+    for path in [*modules, *others]:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for stmt in tree.body:
+            own = None
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and path in modules:
+                own = stmt.name
+                if not own.startswith("_"):
+                    defined[own] = f"{path.name}:{stmt.lineno}"
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    name = node.value
+                else:
+                    continue
+                if name != own:
+                    used.add(name)
+    return sorted(loc + " " + name for name, loc in defined.items() if name not in used)
+
+
+def test_no_dead_names():
+    """Every public function or class is called or named by the package or the benchmark."""
+    assert dead_names(sorted(SRC.glob("*.py")), sorted((ROOT / "perfbench").glob("*.py"))) == []
+
+
+def test_detects_a_dead_name(tmp_path):
+    lib = tmp_path / "lib.py"
+    lib.write_text("def used():\n    return 1\n\ndef dead():\n    return dead()\n\nclass _Private:\n    pass\n")
+    user = tmp_path / "user.py"
+    user.write_text("import lib\nprint(lib.used())\n")
+    assert dead_names([lib], [user]) == ["lib.py:4 dead"]

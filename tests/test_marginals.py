@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from synthmia import marginals, sdg
 from synthmia.data import Dataset, Domain
-from synthmia.dp import DpParams
+from synthmia.dp import Accountant, DpParams
 from synthmia.errors import ConfigurationError, EstimationError
 
 
@@ -258,5 +258,5 @@ class TestCountCache:
         rng = np.random.default_rng(4)
         cards = [2, 3, 2, 3, 2]
         ds = make_ds(cards, rng.integers(0, cards, size=(400, 5)))
-        sdg._select_bayes_order(ds, DpParams(epsilon, seed=0), np.random.default_rng(0))
+        sdg._select_bayes_order(ds, Accountant(DpParams(epsilon, seed=0)), np.random.default_rng(0))
         assert calls and set(calls.values()) == {1}

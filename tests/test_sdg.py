@@ -1,5 +1,7 @@
 import itertools
+import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -115,12 +117,29 @@ class TestFitMst:
         assert model.ledger.delta_spent() == pytest.approx(1.0)
 
 
+class TestBudgetTotals:
+    @pytest.mark.parametrize("d", [2, 3, 8, 16])
+    def test_generators_spend_exactly_their_budget(self, d):
+        ds = random_ds(27, d=d, n=200)
+        mst = sdg.fit_mst(ds, sdg.GeneratorConfig("mst", DpParams(1.0, delta=1e-9))).ledger
+        assert len(mst.spent) == (3 * d - 1) + (d - 1)
+        assert abs(mst.epsilon_spent() - 1.0) <= 1e-12
+        assert abs(mst.delta_spent() - 1.0) <= 1e-12
+        pb = sdg.fit_privbayes(ds, sdg.GeneratorConfig("privbayes", DpParams(1.0, delta=1e-9))).ledger
+        assert len(pb.spent) == d + (d - 1)
+        assert abs(pb.epsilon_spent() - 1.0) <= 1e-12
+        assert pb.delta_spent() == 0.0
+        # noiseless PrivBayes scores every parent subset, 2^15 of them at d = 16
+        for method in ("mst", "privbayes") if d <= 8 else ("mst",):
+            assert sdg.fit(ds, sdg.GeneratorConfig(method, DpParams(INF, delta=1e-9))).ledger.spent == []
+
+
 class TestTreeDensity:
     def test_two_node_tree_equals_pair_table(self):
         ds = random_ds(6, d=2)
         model = sdg.tree_model_from_data(ds, sdg.Structure("mst", [(0, 1)]))
         grid = enumerate_grid(ds.domain)
-        dens = sdg.tree_density(model, grid)
+        dens = np.exp(sdg.tree_log_density(model, grid))
         pair = model.edge_tables[(0, 1)]
         assert np.allclose(dens, pair.lookup_rows(grid), atol=1e-12)
 
@@ -133,18 +152,20 @@ class TestTreeDensity:
             * model.edge_tables[(1, 2)].lookup_rows(grid)
             / model.node_tables[1].lookup_rows(grid)
         )
-        assert np.allclose(sdg.tree_density(model, grid), want, atol=1e-12)
+        assert np.allclose(np.exp(sdg.tree_log_density(model, grid)), want, atol=1e-12)
 
     def test_normalization_three_binary_attributes(self):
         ds = random_ds(8, d=3, max_card=2)
         model = sdg.tree_model_from_data(ds, sdg.Structure("mst", [(0, 2), (1, 2)]))
         grid = enumerate_grid(ds.domain)
-        assert abs(sdg.tree_density(model, grid).sum() - 1.0) < 1e-9
+        assert abs(np.exp(sdg.tree_log_density(model, grid)).sum() - 1.0) < 1e-9
 
     def test_single_record_scalar(self):
         ds = random_ds(9, d=2)
         model = sdg.tree_model_from_data(ds, sdg.Structure("mst", [(0, 1)]))
-        assert isinstance(sdg.tree_density(model, np.array([0, 0])), float)
+        grid = enumerate_grid(ds.domain)
+        one = sdg.tree_log_density(model, np.array([0, 0]))
+        assert one.shape == (1,) and one[0] == pytest.approx(sdg.tree_log_density(model, grid)[0], abs=1e-12)
 
 
 class TestSampleTree:
@@ -304,13 +325,13 @@ class TestBayesDensity:
         want = np.ones(len(grid))
         for i in range(3):
             want *= model.cond_tables[i].lookup_rows(grid)
-        assert np.allclose(sdg.bayes_density(model, grid), want, atol=1e-12)
+        assert np.allclose(np.exp(sdg.bayes_log_density(model, grid)), want, atol=1e-12)
 
     def test_normalization(self):
         ds = random_ds(21, d=3, max_card=2)
         model = sdg.bayes_model_from_data(ds, sdg.Structure("privbayes", ((2, ()), (0, (2,)), (1, (0, 2)))))
         grid = enumerate_grid(ds.domain)
-        assert abs(sdg.bayes_density(model, grid).sum() - 1.0) < 1e-9
+        assert abs(np.exp(sdg.bayes_log_density(model, grid)).sum() - 1.0) < 1e-9
 
     def test_chain_rule_hand_value(self):
         ds = random_ds(22, d=3)
@@ -321,7 +342,7 @@ class TestBayesDensity:
             * model.cond_tables[1].lookup(x)
             * model.cond_tables[2].lookup(x)
         )
-        assert sdg.bayes_density(model, x) == pytest.approx(want, abs=1e-15)
+        assert np.exp(sdg.bayes_log_density(model, x))[0] == pytest.approx(want, abs=1e-15)
 
 
 class TestSampleBayes:
@@ -352,7 +373,7 @@ class TestSerialization:
         model = sdg.fit_mst(ds, noiseless_cfg("mst"))
         path = str(tmp_path / "tree.json")
         sdg.model_to_file(model, path)
-        back = sdg.model_from_file(path)
+        back = sdg.TreeModel.from_json(json.loads(pathlib.Path(path).read_text()))
         assert back.structure == model.structure
         for i in back.node_tables:
             assert np.allclose(back.node_tables[i].probs, model.node_tables[i].probs)
@@ -362,7 +383,7 @@ class TestSerialization:
         model = sdg.fit_privbayes(ds, noiseless_cfg("privbayes"))
         path = str(tmp_path / "bn.json")
         sdg.model_to_file(model, path)
-        back = sdg.model_from_file(path)
+        back = sdg.BayesNetModel.from_json(json.loads(pathlib.Path(path).read_text()))
         assert back.structure == model.structure
         for i in back.cond_tables:
             assert np.allclose(back.cond_tables[i].probs, model.cond_tables[i].probs)
