@@ -114,7 +114,10 @@ def cmd_attack(args):
 
 def cmd_evaluate(args):
     with open(args.scores, newline="", encoding="utf-8") as fh:
-        rows = list(csv.DictReader(fh))
+        try:
+            rows = list(csv.DictReader(fh))
+        except UnicodeDecodeError:
+            raise ParseError(f"{args.scores}: not UTF-8 text") from None
     if not rows:
         raise ConfigurationError(f"{args.scores}: no score rows")
     if "label" not in rows[0]:

@@ -128,9 +128,11 @@ def load_csv(path, schema=None):
         reader = csv.reader(fh)
         try:
             header = next(reader)
+            records = list(reader)
         except StopIteration:
             raise ParseError(f"{path}: empty file, expected a header row")
-        records = list(reader)
+        except UnicodeDecodeError:
+            raise ParseError(f"{path}: not UTF-8 text") from None
 
     data_cols = [i for i, name in enumerate(header) if name not in (HOUSEHOLD_COLUMN, MEMBER_COLUMN)]
     names = [header[i] for i in data_cols]

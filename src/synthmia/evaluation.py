@@ -32,16 +32,24 @@ def _tie_average_ranks(values):
     return (np.cumsum(cnt) - 0.5 * (cnt - 1))[inv]
 
 
+def _binary_labels(labels, shape, inputs, metric):
+    """Labels as int64 with their counts of 1s and 0s; a typed error unless all 0/1, of ``shape``, both present."""
+    labels = np.asarray(labels, dtype=np.int64)
+    if labels.shape != shape:
+        raise ConfigurationError(f"{inputs} and labels must align")
+    n_pos = int((labels == 1).sum())
+    n_neg = int((labels == 0).sum())
+    if n_pos + n_neg != labels.size:
+        raise ConfigurationError(f"{metric} labels must be 0 or 1")
+    if n_pos == 0 or n_neg == 0:
+        raise UndefinedMetric(f"{metric} needs both classes present")
+    return labels, n_pos, n_neg
+
+
 def auroc(scores, labels):
     """Probability a random positive outranks a random negative, ties at 1/2."""
     scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    if scores.shape != labels.shape:
-        raise ConfigurationError("scores and labels must align")
-    n_pos = int((labels == 1).sum())
-    n_neg = int((labels == 0).sum())
-    if n_pos == 0 or n_neg == 0:
-        raise UndefinedMetric("AUROC needs both classes present")
+    labels, n_pos, n_neg = _binary_labels(labels, scores.shape, "scores", "AUROC")
     ranks = _tie_average_ranks(scores)
     rank_sum = ranks[labels == 1].sum()
     u = rank_sum - n_pos * (n_pos + 1) / 2.0
@@ -51,13 +59,7 @@ def auroc(scores, labels):
 def balanced_accuracy(predictions, labels):
     """0.5 * (true-positive rate + true-negative rate)."""
     predictions = np.asarray(predictions, dtype=np.int64)
-    labels = np.asarray(labels, dtype=np.int64)
-    if predictions.shape != labels.shape:
-        raise ConfigurationError("predictions and labels must align")
-    n_pos = int((labels == 1).sum())
-    n_neg = int((labels == 0).sum())
-    if n_pos == 0 or n_neg == 0:
-        raise UndefinedMetric("balanced accuracy needs both classes present")
+    labels, n_pos, n_neg = _binary_labels(labels, predictions.shape, "predictions", "balanced accuracy")
     tpr = float(((predictions == 1) & (labels == 1)).sum()) / n_pos
     tnr = float(((predictions == 0) & (labels == 0)).sum()) / n_neg
     return 0.5 * (tpr + tnr)

@@ -7,10 +7,12 @@ target individuals, target households) and evaluates both activations.
 Everything is deterministic given the master seed.
 """
 
+import contextlib
 import csv
 import dataclasses
 import hashlib
 import inspect
+import itertools
 import json
 import math
 import os
@@ -222,6 +224,13 @@ def run_replica(cfg, replica_index, aux=None):
     """Run one replica; returns a list of metric-row dicts."""
     if aux is None:
         aux = load_aux(cfg)
+    cells = itertools.product(range(len(cfg.methods)), range(len(cfg.epsilons)))
+    return [row for cell in cells for row in _run_cell(cfg, aux, replica_index, *cell)]
+
+
+def _run_cell(cfg, aux, replica_index, m_idx, e_idx):
+    """Metric rows of one (method, epsilon) cell of a replica; cells share nothing but ``derive_seed``."""
+    method, eps = cfg.methods[m_idx], cfg.epsilons[e_idx]
     rseed = derive_seed(cfg.seed, replica_index)
     split = replace(cfg.split, seed=derive_seed(rseed, 0))
     train_idx, target_idx, target_labels = snake_split_indices(aux, split)
@@ -234,46 +243,27 @@ def run_replica(cfg, replica_index, aux=None):
 
     rows = []
 
-    def emit(method, eps, setting, name, metrics):
-        for metric, value in metrics.items():
-            rows.append(
-                {
-                    "replica": replica_index,
-                    "method": method,
-                    "epsilon": format_epsilon(eps),
-                    "setting": setting,
-                    "attack": name,
-                    "metric": metric,
-                    "value": value,
-                }
-            )
+    def emit(setting, name, metrics):
+        cell = (replica_index, method, format_epsilon(eps), setting, name)
+        rows.extend(dict(zip(CSV_COLUMNS, (*cell, metric, value))) for metric, value in metrics.items())
 
-    for m_idx, method in enumerate(cfg.methods):
-        for e_idx, eps in enumerate(cfg.epsilons):
-            stage = derive_seed(rseed, 1 + m_idx * len(cfg.epsilons) + e_idx)
-            dp = DpParams(eps, delta=cfg.delta, theta=cfg.theta, seed=derive_seed(stage, 0))
-            model = sdg.fit(train, sdg.GeneratorConfig(method, dp))
-            synth = sdg.sample(model, n_synth, derive_seed(stage, 1))
-            ctx = _AttackContext(
-                synth, aux, split.train_size, dp, derive_seed(stage, 3), model.structure, cfg.shadow_k,
-            )
-            # the structure the attacks score with is the one whose recovery is reported
-            rec = evaluation.recovery_metrics(model.structure, ctx.structure(method))
-            emit(method, eps, "recovery", f"recover-{method}", rec.to_json())
-            for name in _attacks_for(cfg, method):
-                sv_aux = score_attack(name, aux, ctx)
-                sv_target = score_attack(name, target, ctx)
-                sv_house = attack_mod.aggregate_households(sv_target, target_households)
-                house_labels = _household_labels(target_households, target_labels)
-
-                prior_aux = float(aux_labels.mean())
-                prior_tgt = float(target_labels.mean())
-                emit(method, eps, "aux-individuals", name,
-                     _setting_metrics(sv_aux, aux_labels, prior_aux, cfg.threshold))
-                emit(method, eps, "target-individuals", name,
-                     _setting_metrics(sv_target, target_labels, prior_tgt, cfg.threshold))
-                emit(method, eps, "target-households", name,
-                     _setting_metrics(sv_house, house_labels, 0.5, cfg.threshold))
+    stage = derive_seed(rseed, 1 + m_idx * len(cfg.epsilons) + e_idx)
+    dp = DpParams(eps, delta=cfg.delta, theta=cfg.theta, seed=derive_seed(stage, 0))
+    model = sdg.fit(train, sdg.GeneratorConfig(method, dp))
+    synth = sdg.sample(model, n_synth, derive_seed(stage, 1))
+    ctx = _AttackContext(synth, aux, split.train_size, dp, derive_seed(stage, 3), model.structure, cfg.shadow_k)
+    # the structure the attacks score with is the one whose recovery is reported
+    rec = evaluation.recovery_metrics(model.structure, ctx.structure(method))
+    emit("recovery", f"recover-{method}", rec.to_json())
+    house_labels = _household_labels(target_households, target_labels)
+    prior_aux, prior_tgt = float(aux_labels.mean()), float(target_labels.mean())
+    for name in _attacks_for(cfg, method):
+        sv_aux = score_attack(name, aux, ctx)
+        sv_target = score_attack(name, target, ctx)
+        sv_house = attack_mod.aggregate_households(sv_target, target_households)
+        emit("aux-individuals", name, _setting_metrics(sv_aux, aux_labels, prior_aux, cfg.threshold))
+        emit("target-individuals", name, _setting_metrics(sv_target, target_labels, prior_tgt, cfg.threshold))
+        emit("target-households", name, _setting_metrics(sv_house, house_labels, 0.5, cfg.threshold))
     return rows
 
 
@@ -316,7 +306,7 @@ def read_rows(path):
 
 
 def run_experiment(cfg):
-    """Run all replicas, resumably; returns the list of written files."""
+    """Run all replicas, resumably, on every CPU of the affinity mask; returns the list of written files."""
     aux = load_aux(cfg)  # a bad data config fails before anything is written
     os.makedirs(cfg.out_dir, exist_ok=True)
     digest = config_hash(cfg)
@@ -330,21 +320,64 @@ def run_experiment(cfg):
         with open(meta_path, "w", encoding="utf-8") as fh:
             json.dump({"hash": digest, "config": cfg.to_json()}, fh, indent=2, sort_keys=True)
 
-    paths = [meta_path]
-    all_rows = []
-    for r in range(cfg.replicas):
-        path = _replica_path(cfg.out_dir, r)
-        if not os.path.exists(path):
-            write_rows(run_replica(cfg, r, aux), path)
-        paths.append(path)
-        all_rows.extend(read_rows(path))
+    pending = [r for r in range(cfg.replicas) if not os.path.exists(_replica_path(cfg.out_dir, r))]
+    with _replica_rows(cfg, aux, pending) as replicas:
+        for r, rows in replicas:
+            write_rows(rows, _replica_path(cfg.out_dir, r))
 
-    summary = aggregate(all_rows)
+    paths = [meta_path, *(_replica_path(cfg.out_dir, r) for r in range(cfg.replicas))]
+    summary = aggregate([row for path in paths[1:] for row in read_rows(path)])
     summary_path = os.path.join(cfg.out_dir, "summary.json")
     with open(summary_path, "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
     paths.append(summary_path)
     return paths
+
+
+@contextlib.contextmanager
+def _replica_rows(cfg, aux, pending):
+    """(replica, ``run_replica`` rows) of each pending replica, in order, each once its last cell returns.
+
+    With one CPU in the affinity mask (or no mask to read) every replica runs through ``run_replica``
+    here. Otherwise a fork pool of one process per CPU takes the (replica, method, epsilon) cells one
+    at a time, costliest first (PrivBayes, then larger epsilon), while this process runs the first,
+    so that a profiler here still records one whole cell.
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    cells = list(itertools.product(range(len(cfg.methods)), range(len(cfg.epsilons))))
+    order = sorted(cells, key=lambda c: (cfg.methods[c[0]] != sdg.METHOD_PRIVBAYES, -cfg.epsilons[c[1]]))
+    tasks = [(r, *cell) for r in pending for cell in order]
+    if min(cpus, len(tasks)) <= 1:
+        yield ((r, run_replica(cfg, r, aux)) for r in pending)
+        return
+    import multiprocessing  # runs that never fan out do not pay for the import
+    from concurrent.futures import ProcessPoolExecutor  # unlike Pool, fails rather than hangs if a worker dies
+    global _worker_inputs
+    _worker_inputs = (cfg, aux)  # fork: the workers inherit cfg and aux instead of unpickling them
+    with ProcessPoolExecutor(min(cpus, len(tasks) - 1), multiprocessing.get_context("fork")) as pool:
+        rest = pool.map(_worker_cell, tasks[1:])
+        try:
+            yield _gather(cells, tasks, itertools.chain([_run_cell(cfg, aux, *tasks[0])], rest))
+        except BaseException:
+            pool.shutdown(cancel_futures=True)  # wait for no queued cell of a failed run
+            raise
+        finally:
+            _worker_inputs = None
+
+
+def _gather(cells, tasks, results):
+    done = {}
+    for (r, *cell), rows in zip(tasks, results):
+        done[tuple(cell)] = rows
+        if len(done) == len(cells):
+            yield r, [row for c in cells for row in done.pop(c)]
+
+
+_worker_inputs = None  # (cfg, aux) while a pool runs
+
+
+def _worker_cell(task):
+    return _run_cell(*_worker_inputs, *task)
 
 
 def aggregate(rows):

@@ -104,6 +104,14 @@ class TestBalancedAccuracy:
             evaluation.balanced_accuracy([1, 0, 1], [0, 0])
 
 
+@pytest.mark.parametrize("metric", [evaluation.auroc, evaluation.balanced_accuracy])
+@pytest.mark.parametrize("bad", [2, -1])
+def test_labels_other_than_0_and_1_rejected(metric, bad):
+    # both classes are present, so only the stray label can fail the call
+    with pytest.raises(ConfigurationError, match="0 or 1"):
+        metric([5.0, 1.0, 3.0], [1, 0, bad])
+
+
 class TestRecoveryMetrics:
     def test_identical_structures(self):
         m = evaluation.recovery_metrics(tree([(0, 1), (1, 2)]), tree([(1, 2), (0, 1)]))

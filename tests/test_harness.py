@@ -2,6 +2,8 @@ import functools
 import json
 import math
 import os
+import signal
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -195,21 +197,20 @@ class TestRunExperiment:
     def test_write_cut_short_leaves_no_replica_file(self, tmp_path, monkeypatch):
         cfg = small_config(str(tmp_path / "exp"))
         path = os.path.join(cfg.out_dir, "replica_0000.csv")
-        run_replica = harness.run_replica
+        write_rows = harness.write_rows
 
         class Unwritable:
             def __float__(self):
                 raise RuntimeError("cut short")
 
-        def cut_short(*args):
-            rows = run_replica(*args)
-            return rows[:5] + [dict(rows[5], value=Unwritable())] + rows[5:]
+        def cut_short(rows, path):
+            write_rows(rows[:5] + [dict(rows[5], value=Unwritable())] + rows[5:], path)
 
-        monkeypatch.setattr(harness, "run_replica", cut_short)
+        monkeypatch.setattr(harness, "write_rows", cut_short)
         with pytest.raises(RuntimeError):
             harness.run_experiment(cfg)
         assert not os.path.exists(path)
-        monkeypatch.setattr(harness, "run_replica", run_replica)
+        monkeypatch.setattr(harness, "write_rows", write_rows)
         harness.run_experiment(cfg)
         clean = small_config(str(tmp_path / "clean"))
         harness.run_experiment(clean)
@@ -221,6 +222,119 @@ class TestRunExperiment:
         harness.run_experiment(small_config(out))
         with pytest.raises(ResumeMismatch):
             harness.run_experiment(small_config(out, seed=8))
+
+
+def grid_config(out_dir):
+    """Two replicas of a two-method, two-epsilon grid: eight cells."""
+    return small_config(
+        out_dir, replicas=2, methods=("mst", "privbayes"), epsilons=(1.0, 1000.0),
+        attacks=("tamis-mst", "mamamia-pb", "hybrid-pb*", "marginals-pi"),
+    )
+
+
+def _output_bytes(out_dir):
+    names = ["replica_0000.csv", "replica_0001.csv", "summary.json"]
+    assert sorted(os.listdir(out_dir)) == ["config.json", *names]
+    out = {}
+    for name in names:
+        with open(os.path.join(out_dir, name), "rb") as fh:
+            out[name] = fh.read()
+    return out
+
+
+def _cpus(monkeypatch, n):
+    """Make run_experiment see ``n`` CPUs in its affinity mask."""
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+class TestWorkers:
+    def test_pool_and_serial_runs_write_identical_files(self, tmp_path, monkeypatch):
+        serial = grid_config(str(tmp_path / "serial"))
+        _cpus(monkeypatch, 1)
+        harness.run_experiment(serial)
+        for cpus in (2, 3):  # three workers and the caller: more processes than a 2-CPU machine has
+            pooled = grid_config(str(tmp_path / f"pooled{cpus}"))
+            _cpus(monkeypatch, cpus)
+            harness.run_experiment(pooled)
+            assert _output_bytes(pooled.out_dir) == _output_bytes(serial.out_dir)
+        rows = harness.read_rows(os.path.join(serial.out_dir, "replica_0001.csv"))
+        assert [r["value"] for r in rows] == [f"{float(r['value']):.12g}" for r in harness.run_replica(serial, 1)]
+
+    def test_no_affinity_mask_runs_serially(self, tmp_path, monkeypatch):
+        clean = grid_config(str(tmp_path / "clean"))
+        _cpus(monkeypatch, 1)
+        harness.run_experiment(clean)
+        monkeypatch.delattr(harness.os, "sched_getaffinity")  # as on platforms without one
+        cfg = grid_config(str(tmp_path / "exp"))
+        harness.run_experiment(cfg)
+        assert _output_bytes(cfg.out_dir) == _output_bytes(clean.out_dir)
+
+    def test_caller_runs_the_costliest_cell_and_the_pool_the_rest(self, tmp_path, monkeypatch):
+        calls = []  # appended to in this process only
+        run_cell = harness._run_cell
+
+        def recorded(cfg, aux, *task):
+            calls.append(task)
+            return run_cell(cfg, aux, *task)
+
+        monkeypatch.setattr(harness, "_run_cell", recorded)
+        _cpus(monkeypatch, 1)
+        harness.run_experiment(grid_config(str(tmp_path / "serial")))
+        # one CPU: run_replica, cell by cell in grid order
+        assert calls == [(r, m, e) for r in (0, 1) for m in (0, 1) for e in (0, 1)]
+        calls.clear()
+        _cpus(monkeypatch, 2)
+        harness.run_experiment(grid_config(str(tmp_path / "pooled")))
+        # PrivBayes (method 1) before MST, epsilon 1000 (index 1) before 1: the caller runs the first
+        assert calls == [(0, 1, 1)]
+
+    def test_worker_error_reaches_the_caller_typed(self, tmp_path, monkeypatch):
+        caller = os.getpid()
+        run_cell = harness._run_cell
+
+        def failing(cfg, aux, replica, *cell):
+            if replica == 1 and os.getpid() != caller:
+                raise ConfigurationError("raised in a worker")
+            return run_cell(cfg, aux, replica, *cell)
+
+        monkeypatch.setattr(harness, "_run_cell", failing)
+        _cpus(monkeypatch, 2)
+        cfg = grid_config(str(tmp_path / "exp"))
+        with pytest.raises(ConfigurationError, match="raised in a worker"):
+            harness.run_experiment(cfg)
+        # replica 0 finished first and was written; the failing replica left no file, not even a .part
+        assert sorted(os.listdir(cfg.out_dir)) == ["config.json", "replica_0000.csv"]
+        monkeypatch.setattr(harness, "_run_cell", run_cell)
+        harness.run_experiment(cfg)
+        clean = grid_config(str(tmp_path / "clean"))
+        _cpus(monkeypatch, 1)
+        harness.run_experiment(clean)
+        assert _output_bytes(cfg.out_dir) == _output_bytes(clean.out_dir)
+
+    def test_a_worker_that_dies_fails_the_run(self, tmp_path, monkeypatch):
+        caller = os.getpid()
+        run_cell = harness._run_cell
+
+        def dying(cfg, aux, replica, *cell):
+            if replica == 1 and os.getpid() != caller:
+                os._exit(3)  # as when the kernel kills a worker that runs out of memory
+            return run_cell(cfg, aux, replica, *cell)
+
+        def hung(signum, frame):
+            raise TimeoutError("run_experiment still waiting on a dead worker")
+
+        monkeypatch.setattr(harness, "_run_cell", dying)
+        _cpus(monkeypatch, 2)
+        cfg = grid_config(str(tmp_path / "exp"))
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(60)
+        try:
+            with pytest.raises(BrokenProcessPool):
+                harness.run_experiment(cfg)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert "replica_0001.csv" not in os.listdir(cfg.out_dir)
 
 
 _JUNK = st.text(alphabet="xyz#-. ", max_size=3)  # never a number, with "" and "." among them
@@ -271,6 +385,120 @@ def malformed_data_objects(draw):
     return data
 
 
+_NOT_UTF8 = st.sampled_from([b"\xff", b"\xc3(", b"\x80", b"\xe2\x82"])
+_NOT_JSON = st.sampled_from([b"", b"{", b'{"method": "mst",', b"method: mst", b"\xff{}", b"nul"])
+_NOT_OBJECT = st.lists(st.integers(), max_size=2) | st.text(max_size=3) | st.integers() | st.none()
+_NOT_INDEX = st.sampled_from([-1, 1.5, "1", True, None, [0]])
+
+
+@st.composite
+def malformed_data_csvs(draw):
+    """("--data", None, CSV bytes, error): one ragged row, non-UTF-8 bytes or non-integer reserved cell."""
+    header = ["a", "b", "__household__", "__member__"]
+    n = draw(st.integers(1, 5))
+    cells = [[draw(st.sampled_from("xyz")), draw(st.sampled_from("pq")), str(r // 2), str(r % 2)] for r in range(n)]
+    fault = draw(st.sampled_from(["ragged", "bytes", "reserved"]))
+    r = draw(st.integers(0, n - 1))
+    if fault == "ragged":
+        cells[r] = cells[r][: draw(st.integers(1, 3))] if draw(st.booleans()) else cells[r] + ["x"]
+    elif fault == "reserved":
+        cells[r][draw(st.integers(2, 3))] = draw(_JUNK | st.sampled_from(["1.5", "1e3", "0x1", "2.0"]))
+    text = "\n".join(",".join(row) for row in [header, *cells]).encode() + b"\n"
+    if fault == "bytes":
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(_NOT_UTF8) + text[at:]
+    return "--data", None, text, "ParseError"
+
+
+@st.composite
+def malformed_structures(draw):
+    """("--structure", attack, file bytes, error) for three attributes, with one fault."""
+    tree = draw(st.booleans())
+    if tree:
+        attack_name, field = "tamis-mst", "edges"
+        obj = {"method": "mst", "edges": draw(st.permutations([[0, 1], [1, 2]]))}
+    else:
+        attack_name, field = "tamis-pb", "order"
+        obj = {"method": "privbayes", "order": [[0, []], [1, [0]], [2, [0, 1]]]}
+    items = obj[field]
+    r = draw(st.integers(0, len(items) - 1))
+    fault = draw(st.sampled_from(
+        ["not-json", "not-object", "method", "field", "item", "index", "other-method", "outside", "not-a-density"]
+    ))
+    error = "ConfigurationError" if fault in ("other-method", "outside", "not-a-density") else "ParseError"
+    if fault == "not-json":
+        return "--structure", attack_name, draw(_NOT_JSON), error
+    if fault == "not-object":
+        obj = draw(_NOT_OBJECT)
+    elif fault == "method":
+        obj["method"] = draw(st.sampled_from(["", "tree", None, 1]))
+    elif fault == "field":
+        obj[field] = draw(st.sampled_from([None, "0-1", {"0": 1}, 0]))
+    elif fault == "item":  # an edge that is not a pair, an entry that is not [node, parents]
+        items[r] = draw(st.sampled_from([[0], [0, 1, 2], "0-1", {}] if tree else [[0], [0, [], 1], [0, 0], {}]))
+    elif fault == "index":
+        if tree or draw(st.booleans()):
+            items[r][0] = draw(_NOT_INDEX)
+        else:
+            items[r][1] = [draw(_NOT_INDEX)]
+    elif fault == "other-method":
+        obj = {"method": "privbayes", "order": [[0, []]]} if tree else {"method": "mst", "edges": []}
+    elif fault == "outside":
+        items[r][1 if tree else 0] = draw(st.integers(3, 9))
+    elif tree:  # a cycle, a self-loop or a missing edge
+        edit = draw(st.sampled_from(["cycle", "loop", "drop"]))
+        if edit == "cycle":
+            items.append([0, 2])
+        elif edit == "loop":
+            items[r] = [items[r][0]] * 2
+        else:
+            items.pop(r)
+    else:  # a parent placed after its child, a node placed twice, a node missing
+        edit = draw(st.sampled_from(["late", "twice", "drop"]))
+        if edit == "late":
+            items[0][1] = [draw(st.sampled_from([1, 2]))]
+        elif edit == "twice":
+            items[2][0] = draw(st.sampled_from([0, 1]))
+        else:
+            items.pop(r)
+    return "--structure", attack_name, json.dumps(obj).encode(), error
+
+
+@st.composite
+def malformed_weights(draw):
+    """("--weights", attack, file bytes, error) for three attributes, with one fault."""
+    tree = draw(st.booleans())
+    if tree:
+        attack_name, obj = "mamamia-mst", {"method": "mst", "K": 2, "weights": {"0-1": 2, "1-2": 1}}
+        bad_names, outside = ["0_1", "a-b", "0-1-2", "", "-1-2", "0|1"], ["0-3", "1-1", "5-9"]
+    else:
+        attack_name, obj = "mamamia-pb", {"method": "privbayes", "K": 2, "weights": {"0|": 2, "1|0": 2}}
+        bad_names, outside = ["0", "a|", "0|a", "0|1,", "|0", "0-1"], ["3|", "0|0", "2|0,0", "1|7"]
+    key = draw(st.sampled_from(sorted(obj["weights"])))
+    fault = draw(st.sampled_from(
+        ["not-json", "not-object", "missing", "K", "count", "key", "other-method", "outside", "no-weight"]
+    ))
+    error = "ConfigurationError" if fault in ("other-method", "outside", "no-weight") else "ParseError"
+    if fault == "not-json":
+        return "--weights", attack_name, draw(_NOT_JSON), error
+    if fault == "not-object":
+        obj = draw(_NOT_OBJECT)
+    elif fault == "missing":
+        del obj[draw(st.sampled_from(["method", "K", "weights"]))]
+    elif fault == "K":
+        obj["K"] = draw(_NOT_INDEX)
+    elif fault == "count":
+        obj["weights"][key] = draw(_NOT_INDEX)
+    elif fault in ("key", "outside"):
+        obj["weights"][draw(st.sampled_from(bad_names if fault == "key" else outside))] = obj["weights"].pop(key)
+    elif fault == "other-method":
+        other = ("privbayes", "0|") if tree else ("mst", "0-1")
+        obj = {"method": other[0], "K": 1, "weights": {other[1]: 1}}
+    else:
+        obj["weights"] = {k: 0 for k in obj["weights"]} if draw(st.booleans()) else {}
+    return "--weights", attack_name, json.dumps(obj).encode(), error
+
+
 class TestMalformedInput:
     """Bad CLI input ends in exit code 1 and one JSON error line, never a traceback."""
 
@@ -304,6 +532,47 @@ class TestMalformedInput:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == "ParseError"
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.one_of(malformed_data_csvs(), malformed_structures(), malformed_weights()))
+    def test_bad_input_file(self, tmp_path, capsys, case):
+        flag, attack_name, contents, error = case
+        path = tmp_path / "input"
+        path.write_bytes(contents)
+        out = tmp_path / "out"
+        if flag == "--data":
+            argv = ["generate", "--data", str(path), "--out", str(out)]
+        else:
+            aux = tmp_path / "aux.csv"  # three attributes, read as target, synth and aux
+            if not aux.exists():
+                write_csv(generate_households(300, n_attrs=3, max_cardinality=3, seed=0), str(aux))
+            argv = ["attack", "--attack", attack_name, "--target", str(aux), "--synth", str(aux), "--aux", str(aux),
+                    flag, str(path), "--out", str(out)]
+        capsys.readouterr()
+        assert cli.main(argv) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == error
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, contents, error",
+        [
+            ("generate", b"a,b\n\xff,1\n", "ParseError"),
+            ("evaluate", b"raw_score,prediction,label\n5,1,1\n\xff,0,0\n", "ParseError"),
+            ("evaluate", b"raw_score,prediction,label\n5,1,1\n1,0,0\n3,1,2\n", "ConfigurationError"),
+        ],
+        ids=["data-not-utf8", "scores-not-utf8", "label-not-binary"],
+    )
+    def test_reproduced_file_cases(self, tmp_path, capsys, command, contents, error):
+        path = tmp_path / "input.csv"
+        path.write_bytes(contents)
+        flag = "--data" if command == "generate" else "--scores"
+        assert cli.main([command, flag, str(path), "--out", str(tmp_path / "out")]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == error
+        assert not (tmp_path / "out").exists()
 
 
 class TestStarredAttacks:
