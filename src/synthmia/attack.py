@@ -35,6 +35,8 @@ def lookup(name):
     valid on structure attacks. The score function is this module's
     attribute named like the attack, read at call time.
     """
+    if not isinstance(name, str):
+        raise ConfigurationError(f"attack name {name!r} is not a string")
     base = name[:-1] if name.endswith("*") else name
     if base not in ATTACKS:
         raise ConfigurationError(f"unknown attack {name!r}")
@@ -92,22 +94,21 @@ def _log_conditional_ratio(rows, key, synth, aux):
     return np.log(ts.lookup_rows(rows)) - np.log(ta.lookup_rows(rows))
 
 
+def _log_density_ratio(name, target, model_from_data, structure, synth, aux):
+    """log of the ratio of the densities ``model_from_data`` fits on synth and on aux."""
+    rows = _rows(target)
+    model_s, model_a = model_from_data(synth, structure), model_from_data(aux, structure)
+    return ScoreVector(name, sdg.log_density(model_s, rows) - sdg.log_density(model_a, rows))
+
+
 def tamis_mst(target, structure, synth, aux):
     """Ratio of tree-factorized densities fitted on synth and on aux."""
-    rows = _rows(target)
-    model_s = sdg.tree_model_from_data(synth, structure)
-    model_a = sdg.tree_model_from_data(aux, structure)
-    logs = sdg.tree_log_density(model_s, rows) - sdg.tree_log_density(model_a, rows)
-    return ScoreVector("tamis-mst", logs)
+    return _log_density_ratio("tamis-mst", target, sdg.tree_model_from_data, structure, synth, aux)
 
 
 def tamis_pb(target, structure, synth, aux):
     """Ratio of Bayesian-network densities fitted on synth and on aux."""
-    rows = _rows(target)
-    model_s = sdg.bayes_model_from_data(synth, structure)
-    model_a = sdg.bayes_model_from_data(aux, structure)
-    logs = sdg.bayes_log_density(model_s, rows) - sdg.bayes_log_density(model_a, rows)
-    return ScoreVector("tamis-pb", logs)
+    return _log_density_ratio("tamis-pb", target, sdg.bayes_model_from_data, structure, synth, aux)
 
 
 def _weighted_mean_ratio(name, target, terms, log_ratio, synth, aux):

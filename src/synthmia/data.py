@@ -61,12 +61,6 @@ class Domain:
             for i, n in enumerate(self.names)
         ]
 
-    @classmethod
-    def from_json(cls, obj):
-        names = [a["name"] for a in obj]
-        cats = [list(a["categories"]) for a in obj]
-        return cls(names, [len(c) for c in cats], cats)
-
 
 @dataclass(frozen=True)
 class Dataset:

@@ -10,11 +10,13 @@ Everything is deterministic given the master seed.
 import contextlib
 import csv
 import dataclasses
+import functools
 import hashlib
 import inspect
 import itertools
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass, field, replace
 
@@ -53,15 +55,12 @@ class ExperimentConfig:
     threshold: float = 0.5
 
     def __post_init__(self):
-        if self.replicas < 1:
-            raise ConfigurationError("need at least one replica")
-        if not self.epsilons:
-            raise ConfigurationError("epsilon grid must be non-empty")
+        for name, (ok, must) in _FIELD_CHECKS.items():
+            value = functools.reduce(getattr, name.split("."), self)
+            if not ok(value):
+                raise ConfigurationError(f"{name} {value!r} is not {must}")
         for name in self.attacks:
             attack_mod.lookup(name)
-        for method in self.methods:
-            if method not in (sdg.METHOD_MST, sdg.METHOD_PRIVBAYES):
-                raise ConfigurationError(f"unknown method {method!r}")
         object.__setattr__(self, "epsilons", tuple(float(e) for e in self.epsilons))
         object.__setattr__(self, "methods", tuple(self.methods))
         object.__setattr__(self, "attacks", tuple(self.attacks))
@@ -79,12 +78,40 @@ class ExperimentConfig:
         obj = dict(_fields_of(cls, obj, "replicate config"))
         if "split" in obj:
             obj["split"] = SplitSpec(**_fields_of(SplitSpec, obj["split"], "split"))
-        if "epsilons" in obj:
-            obj["epsilons"] = tuple(parse_epsilon(e) for e in obj["epsilons"])
-        for key in ("methods", "attacks"):
-            if key in obj:
-                obj[key] = tuple(obj[key])
+        if isinstance(obj.get("epsilons"), list):
+            obj["epsilons"] = [parse_epsilon(e) for e in obj["epsilons"]]
         return cls(**obj)
+
+
+def _is(kind, test=lambda v: True):
+    """A check that a value is a ``kind``, not a bool, and passes ``test``."""
+    return lambda v: isinstance(v, kind) and not isinstance(v, bool) and test(v)
+
+
+_INT, _NUMBER = _is(numbers.Integral), _is(numbers.Real)
+_COUNT = (_is(numbers.Integral, lambda v: v >= 1), "an integer >= 1")
+# config field (a split field as "split.<field>") -> (test, what it must be)
+_FIELD_CHECKS = {
+    "out_dir": (_is(str), "a path"),
+    "replicas": _COUNT,
+    "epsilons": (_is((list, tuple), lambda v: len(v) > 0 and all(_NUMBER(e) and e > 0 for e in v)),
+                 "a list of positive numbers"),
+    "methods": (_is((list, tuple), lambda v: all(m in (sdg.METHOD_MST, sdg.METHOD_PRIVBAYES) for m in v)),
+                f"a list of {sdg.METHOD_MST!r} and {sdg.METHOD_PRIVBAYES!r}"),
+    "attacks": (_is((list, tuple)), "a list of attack names"),
+    "cross_targeted": (lambda v: isinstance(v, bool), "true or false"),
+    "shadow_k": _COUNT,
+    "delta": (_is(numbers.Real, lambda v: 0 <= v < 1), "a number in [0, 1)"),
+    "theta": (lambda v: v is None or _NUMBER(v) and v > 0, "null or a positive number"),
+    "n_synth": (lambda v: v is None or _INT(v) and v >= 0, "null or an integer >= 0"),
+    "seed": (_INT, "an integer"),
+    "threshold": (_NUMBER, "a number"),
+    "split.n_target_households": _COUNT,
+    "split.min_household_size": _COUNT,
+    "split.train_size": _COUNT,
+    "split.member_fraction_of_households": (_is(numbers.Real, lambda v: 0 <= v <= 1), "a number in [0, 1]"),
+    "split.seed": (_INT, "an integer"),
+}
 
 
 def _fields_of(cls, obj, what):
@@ -109,9 +136,13 @@ def format_epsilon(eps):
 
 
 def parse_epsilon(value):
-    if isinstance(value, str) and value.strip().lower() in ("inf", "infinity"):
-        return math.inf
-    return float(value)
+    """An epsilon from its text form ("0.1", "inf"); any other value is returned as it is."""
+    if not isinstance(value, str):
+        return value
+    try:
+        return float(value)
+    except ValueError:
+        raise ConfigurationError(f"epsilon {value!r} is not a number") from None
 
 
 def config_hash(cfg):

@@ -51,20 +51,6 @@ class MarginalTable(_Table):
         probs.setflags(write=False)
         object.__setattr__(self, "probs", probs)
 
-    def to_json(self):
-        return {
-            "kind": "marginal",
-            "attrs": list(self.attrs),
-            "shape": list(self.probs.shape),
-            "probs": self.probs.ravel().tolist(),
-            "source_size": int(self.source_size),
-        }
-
-    @classmethod
-    def from_json(cls, obj):
-        probs = np.array(obj["probs"], dtype=np.float64).reshape(obj["shape"])
-        return cls(tuple(obj["attrs"]), probs, obj["source_size"])
-
 
 @dataclass(frozen=True)
 class ConditionalTable(_Table):
@@ -98,11 +84,6 @@ class ConditionalTable(_Table):
             "probs": self.probs.ravel().tolist(),
             "source_size": int(self.source_size),
         }
-
-    @classmethod
-    def from_json(cls, obj):
-        probs = np.array(obj["probs"], dtype=np.float64).reshape(obj["shape"])
-        return cls(obj["child"], tuple(obj["parents"]), probs, obj["source_size"])
 
 
 def _check_attrs(ds, attrs):

@@ -151,80 +151,55 @@ class Structure:
 
 
 @dataclass
-class TreeModel:
-    """Spanning tree over attributes with node and edge probability tables."""
+class Model:
+    """A fitted generator: a Bayesian network over its structure.
+
+    ``factors`` are ``marginals.ConditionalTable``s P(child | parents) in
+    sampling order. A tree is the network rooted at attribute 0 whose other
+    nodes each have one parent, visited breadth first over sorted neighbours.
+    """
 
     domain: Domain
     structure: Structure
-    node_tables: dict
-    edge_tables: dict
+    factors: tuple
     ledger: Accountant = None
-
-    def degrees(self):
-        deg = {i: 0 for i in range(len(self.domain))}
-        for i, j in self.structure.keys:
-            deg[i] += 1
-            deg[j] += 1
-        return deg
-
-    def validate(self, tol=1e-6):
-        self.structure.validate(len(self.domain))
-        for i, j in self.structure.keys:
-            pair = self.edge_tables[(i, j)].probs
-            if np.abs(pair.sum(axis=1) - self.node_tables[i].probs).max() > tol:
-                raise ConfigurationError(f"edge ({i},{j}) inconsistent with node {i}")
-            if np.abs(pair.sum(axis=0) - self.node_tables[j].probs).max() > tol:
-                raise ConfigurationError(f"edge ({i},{j}) inconsistent with node {j}")
 
     def to_json(self):
         # the structure's own form, with the domain second
         return {
-            "method": METHOD_MST,
+            "method": self.structure.method,
             "domain": self.domain.to_json(),
             **self.structure.to_json(),
-            "node_tables": {str(i): t.to_json() for i, t in self.node_tables.items()},
-            "edge_tables": {f"{i}-{j}": t.to_json() for (i, j), t in self.edge_tables.items()},
+            "factors": [t.to_json() for t in self.factors],
             "ledger": self.ledger.to_json() if self.ledger else None,
         }
 
-    @classmethod
-    def from_json(cls, obj):
-        node_tables = {int(k): marginals.MarginalTable.from_json(v) for k, v in obj["node_tables"].items()}
-        edge_tables = {
-            tuple(int(x) for x in k.split("-")): marginals.MarginalTable.from_json(v)
-            for k, v in obj["edge_tables"].items()
-        }
-        return cls(Domain.from_json(obj["domain"]), Structure.from_json(obj), node_tables, edge_tables)
+
+def log_density(model, rows):
+    """Log of the factorised joint density, vectorised over records."""
+    rows = np.atleast_2d(np.asarray(rows, dtype=np.int64))
+    logp = np.zeros(rows.shape[0])
+    for table in model.factors:
+        logp += np.log(table.lookup_rows(rows))
+    return logp
 
 
-@dataclass
-class BayesNetModel:
-    """Bayesian network as an ordered (node, parent set) list plus conditionals."""
-
-    domain: Domain
-    structure: Structure
-    cond_tables: dict
-    domain_threshold: float = math.inf
-    ledger: Accountant = None
-
-    def validate(self):
-        self.structure.validate(len(self.domain))
-
-    def to_json(self):
-        return {
-            "method": METHOD_PRIVBAYES,
-            "domain": self.domain.to_json(),
-            **self.structure.to_json(),
-            "cond_tables": {str(node): t.to_json() for node, t in self.cond_tables.items()},
-            "domain_threshold": self.domain_threshold if math.isfinite(self.domain_threshold) else None,
-            "ledger": self.ledger.to_json() if self.ledger else None,
-        }
-
-    @classmethod
-    def from_json(cls, obj):
-        tables = {int(k): marginals.ConditionalTable.from_json(v) for k, v in obj["cond_tables"].items()}
-        thr = obj.get("domain_threshold")
-        return cls(Domain.from_json(obj["domain"]), Structure.from_json(obj), tables, thr if thr is not None else math.inf)
+def sample(model, n, seed):
+    """Ancestral sampling: each factor draws its child given the parents drawn before it."""
+    if n < 0:
+        raise ConfigurationError(f"sample size must be >= 0, got {n}")
+    rng = as_generator(seed)
+    rows = np.zeros((int(n), len(model.domain)), dtype=np.int64)
+    for table in model.factors:
+        nc = table.probs.shape[-1]
+        flat_cfg = np.zeros(int(n), dtype=np.int64)  # row-major parent configuration, as in the table
+        for p, card in zip(table.parents, table.probs.shape):
+            flat_cfg = flat_cfg * card + rows[:, p]
+        blocks = table.probs.reshape(-1, nc)
+        for cfg_idx in np.unique(flat_cfg):
+            mask = flat_cfg == cfg_idx
+            rows[mask, table.child] = rng.choice(nc, size=int(mask.sum()), p=blocks[cfg_idx])
+    return Dataset(model.domain, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -317,14 +292,36 @@ def _consistent_tree_tables(node_probs, edge_probs, edges, n, floor):
     return node_tables, edge_tables
 
 
+def _tree_model(domain, structure, node_tables, edge_tables, ledger=None):
+    """The tree's tables as factors: breadth first from attribute 0 over sorted neighbours."""
+    adj = {i: [] for i in range(len(domain))}
+    for i, j in structure.keys:
+        adj[i].append(j)
+        adj[j].append(i)
+    root = node_tables[0]
+    factors = [marginals.ConditionalTable(0, (), root.probs, root.source_size)]
+    placed = {0}
+    for factor in factors:  # the queue: each node reached is appended
+        parent = factor.child
+        for child in sorted(adj[parent]):
+            if child in placed:
+                continue
+            placed.add(child)
+            pair = edge_tables[(min(parent, child), max(parent, child))]
+            probs = pair.probs if parent < child else pair.probs.T
+            mass = probs.sum(axis=1, keepdims=True)
+            # zero-mass parent values are never sampled; uniform placeholder
+            cond = np.where(mass > 0, probs / np.where(mass > 0, mass, 1.0), 1.0 / probs.shape[1])
+            factors.append(marginals.ConditionalTable(child, (parent,), cond, pair.source_size))
+    return Model(domain, structure, tuple(factors), ledger)
+
+
 def fit_mst(train, cfg):
     """Fit a DP tree model: select edges, measure noisy marginals, make consistent."""
     domain = train.domain
     d = len(domain)
     if d < 2:
         raise ConfigurationError("tree model needs at least two attributes")
-    if any(c < 1 for c in domain.cardinalities):
-        raise ConfigurationError("degenerate attribute with zero cardinality")
     n = len(train)
     rng = as_generator(cfg.dp.seed)
     acct = Accountant(cfg.dp)
@@ -339,8 +336,8 @@ def fit_mst(train, cfg):
     edge_probs = {(i, j): measure(f"mst/measure/2way/{i}-{j}", (i, j)) for i, j in structure.keys}
 
     floor = marginals.default_floor(n)
-    node_tables, edge_tables = _consistent_tree_tables(node_probs, edge_probs, structure.keys, n, floor)
-    return TreeModel(domain, structure, node_tables, edge_tables, acct)
+    tables = _consistent_tree_tables(node_probs, edge_probs, structure.keys, n, floor)
+    return _tree_model(domain, structure, *tables, acct)
 
 
 def tree_model_from_data(ds, structure, floor=None):
@@ -349,55 +346,8 @@ def tree_model_from_data(ds, structure, floor=None):
         floor = marginals.default_floor(len(ds))
     node_probs = {i: marginals.marginal(ds, (i,)).probs for i in range(len(ds.domain))}
     edge_probs = {e: marginals.marginal(ds, e).probs for e in structure.keys}
-    node_tables, edge_tables = _consistent_tree_tables(node_probs, edge_probs, structure.keys, len(ds), floor)
-    return TreeModel(ds.domain, structure, node_tables, edge_tables)
-
-
-def tree_log_density(model, rows):
-    """Log of the tree-factorized joint density, vectorized over records."""
-    rows = np.atleast_2d(np.asarray(rows, dtype=np.int64))
-    deg = model.degrees()
-    logp = np.zeros(rows.shape[0])
-    for i, table in model.node_tables.items():
-        logp += (1 - deg[i]) * np.log(table.lookup_rows(rows))
-    for table in model.edge_tables.values():
-        logp += np.log(table.lookup_rows(rows))
-    return logp
-
-
-def sample_tree(model, n, seed):
-    """Ancestral sampling: root at the lowest-index node, BFS over sorted neighbors."""
-    rng = as_generator(seed)
-    d = len(model.domain)
-    adj = {i: [] for i in range(d)}
-    for i, j in model.structure.keys:
-        adj[i].append(j)
-        adj[j].append(i)
-    root = 0
-    rows = np.zeros((int(n), d), dtype=np.int64)
-    rows[:, root] = rng.choice(model.domain.cardinalities[root], size=int(n), p=model.node_tables[root].probs)
-    visited = {root}
-    queue = [root]
-    while queue:
-        parent_node = queue.pop(0)
-        for child in sorted(adj[parent_node]):
-            if child in visited:
-                continue
-            visited.add(child)
-            queue.append(child)
-            key = (parent_node, child) if parent_node < child else (child, parent_node)
-            pair = model.edge_tables[key].probs
-            if parent_node > child:
-                pair = pair.T
-            mass = pair.sum(axis=1, keepdims=True)
-            # zero-mass parent values are never sampled; uniform placeholder
-            cond = np.where(mass > 0, pair / np.where(mass > 0, mass, 1.0), 1.0 / pair.shape[1])
-            for v in range(cond.shape[0]):
-                mask = rows[:, parent_node] == v
-                m = int(mask.sum())
-                if m:
-                    rows[mask, child] = rng.choice(cond.shape[1], size=m, p=cond[v])
-    return Dataset(model.domain, rows)
+    tables = _consistent_tree_tables(node_probs, edge_probs, structure.keys, len(ds), floor)
+    return _tree_model(ds.domain, structure, *tables)
 
 
 # ---------------------------------------------------------------------------
@@ -488,63 +438,31 @@ def _select_bayes_order(ds, acct, rng):
 
 def fit_privbayes(train, cfg):
     """Fit a DP Bayesian network; Laplace noise on measured conditionals."""
-    domain = train.domain
-    d = len(domain)
+    d = len(train.domain)
     n = len(train)
     rng = as_generator(cfg.dp.seed)
     acct = Accountant(cfg.dp)
-    threshold = _domain_threshold(cfg.dp, n)
 
     structure = _select_bayes_order(train, acct, rng)
 
     floor = marginals.default_floor(n)
-    cond_tables = {}
+    factors = []
     for node, parents in structure.keys:
         joint = marginals.counts(train, parents + (node,)).astype(np.float64) / n
         scale = acct.laplace(f"privbayes/measure/{node}", _table_sensitivity(n), (BUDGET_SPLIT[1], d))
         if scale is not None:
             joint = joint + laplace_noise(scale, joint.size, rng).reshape(joint.shape)
             joint = np.clip(joint, 0.0, None)
-        cond_tables[node] = marginals.conditional_from_joint(joint, node, parents, n, floor)
-    return BayesNetModel(domain, structure, cond_tables, threshold, acct)
+        factors.append(marginals.conditional_from_joint(joint, node, parents, n, floor))
+    return Model(train.domain, structure, tuple(factors), acct)
 
 
 def bayes_model_from_data(ds, structure, floor=None):
     """Noiseless Bayesian-network tables over a fixed structure."""
     if floor is None:
         floor = marginals.default_floor(len(ds))
-    cond_tables = {
-        node: marginals.conditional(ds, node, parents, floor) for node, parents in structure.keys
-    }
-    return BayesNetModel(ds.domain, structure, cond_tables)
-
-
-def bayes_log_density(model, rows):
-    rows = np.atleast_2d(np.asarray(rows, dtype=np.int64))
-    logp = np.zeros(rows.shape[0])
-    for table in model.cond_tables.values():
-        logp += np.log(table.lookup_rows(rows))
-    return logp
-
-
-def sample_bayes(model, n, seed):
-    """Ancestral sampling in topological order."""
-    rng = as_generator(seed)
-    d = len(model.domain)
-    rows = np.zeros((int(n), d), dtype=np.int64)
-    for node, parents in model.structure.keys:
-        table = model.cond_tables[node]
-        nc = model.domain.cardinalities[node]
-        if not parents:
-            rows[:, node] = rng.choice(nc, size=int(n), p=table.probs.ravel())
-            continue
-        shape = tuple(model.domain.cardinalities[p] for p in parents)
-        flat_cfg = np.ravel_multi_index(tuple(rows[:, p] for p in parents), shape)
-        blocks = table.probs.reshape(-1, nc)
-        for cfg_idx in np.unique(flat_cfg):
-            mask = flat_cfg == cfg_idx
-            rows[mask, node] = rng.choice(nc, size=int(mask.sum()), p=blocks[cfg_idx])
-    return Dataset(model.domain, rows)
+    factors = tuple(marginals.conditional(ds, node, parents, floor) for node, parents in structure.keys)
+    return Model(ds.domain, structure, factors)
 
 
 def fit(train, cfg):
@@ -552,12 +470,6 @@ def fit(train, cfg):
     if cfg.method == METHOD_MST:
         return fit_mst(train, cfg)
     return fit_privbayes(train, cfg)
-
-
-def sample(model, n, seed):
-    if isinstance(model, TreeModel):
-        return sample_tree(model, n, seed)
-    return sample_bayes(model, n, seed)
 
 
 def model_to_file(model, path):

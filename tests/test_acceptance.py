@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from synthmia import attack, dp, evaluation, harness, recovery, sdg
+from synthmia import attack, dp, evaluation, harness, marginals, recovery, sdg
 from synthmia.data import Dataset, Domain, SplitSpec, generate_households, snake_split_indices
 from synthmia.dp import DpParams
 
@@ -38,6 +38,14 @@ def random_ds(rng, d, max_card, n):
     return make_ds(cards, rng.integers(0, cards, size=(n, d)))
 
 
+def tree_tables(ds, structure):
+    """Floored node and edge tables of ds, made consistent over the tree."""
+    node_probs = {i: marginals.marginal(ds, (i,)).probs for i in range(len(ds.domain))}
+    edge_probs = {e: marginals.marginal(ds, e).probs for e in structure.keys}
+    floor = marginals.default_floor(len(ds))
+    return sdg._consistent_tree_tables(node_probs, edge_probs, structure.keys, len(ds), floor)
+
+
 def grid_of(domain):
     return np.array(list(itertools.product(*[range(c) for c in domain.cardinalities])))
 
@@ -58,11 +66,10 @@ def test_01_density_normalization():
         if trial % 2 == 0:
             cfg = sdg.GeneratorConfig("mst", DpParams(eps, delta=1e-9, seed=trial))
             model = sdg.fit_mst(ds, cfg)
-            total = np.exp(sdg.tree_log_density(model, grid_of(ds.domain))).sum()
         else:
             cfg = sdg.GeneratorConfig("privbayes", DpParams(eps, seed=trial))
             model = sdg.fit_privbayes(ds, cfg)
-            total = np.exp(sdg.bayes_log_density(model, grid_of(ds.domain))).sum()
+        total = np.exp(sdg.log_density(model, grid_of(ds.domain))).sum()
         worst = max(worst, abs(total - 1.0))
     elapsed = time.monotonic() - start
     ok = worst < 1e-9 and elapsed < 30.0
@@ -237,28 +244,24 @@ def test_06_tamis_equals_density_ratio():
         order = sdg.Structure("privbayes", tuple((int(perm[k]), (int(perm[k - 1]),) if k else ()) for k in range(d)))
 
         sv = attack.tamis_mst(target, edges, synth, aux)
-        ms, ma = sdg.tree_model_from_data(synth, edges), sdg.tree_model_from_data(aux, edges)
-        # independent route: explicit per-record table products
-        deg = ms.degrees()
+        ns, es = tree_tables(synth, edges)
+        na, ea = tree_tables(aux, edges)
+        # independent route: explicit per-record node and edge table products
+        deg = np.bincount(np.ravel(edges.keys), minlength=d)
         oracle = np.zeros(len(target))
         for i in range(d):
             oracle += (1 - deg[i]) * (
-                np.log(ms.node_tables[i].lookup_rows(target.rows))
-                - np.log(ma.node_tables[i].lookup_rows(target.rows))
+                np.log(ns[i].lookup_rows(target.rows)) - np.log(na[i].lookup_rows(target.rows))
             )
         for e in edges.keys:
-            oracle += np.log(ms.edge_tables[e].lookup_rows(target.rows)) - np.log(
-                ma.edge_tables[e].lookup_rows(target.rows)
-            )
+            oracle += np.log(es[e].lookup_rows(target.rows)) - np.log(ea[e].lookup_rows(target.rows))
         worst = max(worst, float(np.abs(np.exp(sv.log_scores) - np.exp(oracle)).max()))
 
         svp = attack.tamis_pb(target, order, synth, aux)
-        bs = sdg.bayes_model_from_data(synth, order)
-        ba = sdg.bayes_model_from_data(aux, order)
         oracle_p = np.zeros(len(target))
-        for node, _ in order.keys:
-            oracle_p += np.log(bs.cond_tables[node].lookup_rows(target.rows)) - np.log(
-                ba.cond_tables[node].lookup_rows(target.rows)
+        for key in order.keys:
+            oracle_p += np.log(marginals.conditional(synth, *key).lookup_rows(target.rows)) - np.log(
+                marginals.conditional(aux, *key).lookup_rows(target.rows)
             )
         worst = max(worst, float(np.abs(np.exp(svp.log_scores) - np.exp(oracle_p)).max()))
     verdict(6, "TAMIS equals density ratio", worst < 1e-9, f"max err {worst:.2e}")

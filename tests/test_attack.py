@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from synthmia import attack, recovery, sdg
+from synthmia import attack, marginals, recovery, sdg
 from synthmia.data import Dataset, Domain
 from synthmia.errors import ConfigurationError
 
@@ -141,10 +141,17 @@ class TestHandValues:
         target = random_ds(21, n=25, domain=domain)
         edges = sdg.Structure("mst", ((0, 2), (1, 2)))
         sv = attack.tamis_mst(target, edges, synth, aux)
-        ms = sdg.tree_model_from_data(synth, edges)
-        ma = sdg.tree_model_from_data(aux, edges)
-        want = np.exp(sdg.tree_log_density(ms, target.rows)) / np.exp(sdg.tree_log_density(ma, target.rows))
-        assert np.allclose(sv.scores, want, rtol=1e-9)
+
+        def density(ds):
+            """The tree's density in degree form: edge tables over the centre node's table."""
+            floor = marginals.default_floor(len(ds))
+            node_probs = {i: marginals.marginal(ds, (i,)).probs for i in range(3)}
+            edge_probs = {e: marginals.marginal(ds, e).probs for e in edges.keys}
+            nodes, pairs = sdg._consistent_tree_tables(node_probs, edge_probs, edges.keys, len(ds), floor)
+            rows = target.rows
+            return pairs[(0, 2)].lookup_rows(rows) * pairs[(1, 2)].lookup_rows(rows) / nodes[2].lookup_rows(rows)
+
+        assert np.allclose(sv.scores, density(synth) / density(aux), rtol=1e-9)
 
 
 class TestPermutationInvariance:

@@ -1,7 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from synthmia import data
 from synthmia.errors import ConfigurationError, ParseError, SchemaViolation
@@ -70,17 +68,6 @@ class TestDomainDataset:
         ds = data.Dataset(data.Domain(["a"], [2]), np.array([[0], [1]]))
         with pytest.raises(ValueError):
             ds.rows[0, 0] = 1
-
-    @given(st.integers(0, 2**63 - 1))
-    @settings(max_examples=20, deadline=None)
-    def test_domain_json_round_trip(self, seed):
-        rng = np.random.default_rng(seed)
-        d = int(rng.integers(1, 5))
-        dom = data.Domain(
-            [f"c{i}" for i in range(d)],
-            [int(rng.integers(1, 6)) for _ in range(d)],
-        )
-        assert data.Domain.from_json(dom.to_json()).names == dom.names
 
 
 class TestSnakeSplit:

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import json
 import math
 import os
@@ -385,6 +386,41 @@ def malformed_data_objects(draw):
     return data
 
 
+_BAD_FIELDS = {
+    "out_dir": [1, None, ["exp"]],
+    "replicas": ["2", 0, -1, 1.5, True, None],
+    "epsilons": [[1, "x"], [], [0], [-1], ["nan"], [True], [None], "1", 1, None],
+    "methods": ["privbayes", ["nope"], [1], 5],
+    "attacks": [[1], ["nope"], [["tamis-mst"]], 5],
+    "cross_targeted": [1, "true", None],
+    "shadow_k": ["5", 0, 2.0, False, None],
+    "delta": ["a", -0.1, 1.0, True, None],
+    "theta": ["a", 0, -1, True],
+    "n_synth": [-3, "10", 1.5, True],
+    "seed": ["1", 1.5, True, None],
+    "threshold": ["a", [0.5], True, None],
+    "split.n_target_households": ["15", 0, 1.5, None],
+    "split.min_household_size": ["3", 0, True],
+    "split.train_size": ["800", -1, 800.0],
+    "split.member_fraction_of_households": ["0.5", -0.1, 1.5, None],
+    "split.seed": ["0", 0.5, False],
+}
+
+
+@st.composite
+def malformed_config_fields(draw):
+    """(field, value): a replicate config field, a split field as "split.<field>", and a value it rejects."""
+    name = draw(st.sampled_from(sorted(_BAD_FIELDS)))
+    return name, draw(st.sampled_from(_BAD_FIELDS[name]))
+
+
+def _set_field(obj, name, value):
+    *outer, key = name.split(".")
+    for part in outer:
+        obj = obj[part]
+    obj[key] = value
+
+
 _NOT_UTF8 = st.sampled_from([b"\xff", b"\xc3(", b"\x80", b"\xe2\x82"])
 _NOT_JSON = st.sampled_from([b"", b"{", b'{"method": "mst",', b"method: mst", b"\xff{}", b"nul"])
 _NOT_OBJECT = st.lists(st.integers(), max_size=2) | st.text(max_size=3) | st.integers() | st.none()
@@ -504,7 +540,8 @@ class TestMalformedInput:
 
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(st.one_of(malformed_score_csvs().map(lambda t: ("evaluate", t)),
-                     malformed_data_objects().map(lambda d: ("replicate", d))))
+                     malformed_data_objects().map(lambda d: ("replicate", ("data", d))),
+                     malformed_config_fields().map(lambda f: ("replicate", f))))
     def test_one_json_error_line(self, tmp_path, capsys, case):
         command, payload = case
         if command == "evaluate":
@@ -513,7 +550,7 @@ class TestMalformedInput:
             argv, error = ["evaluate", "--scores", str(path)], "ParseError"
         else:
             obj = small_config(str(tmp_path / "exp")).to_json()
-            obj["data"] = payload
+            _set_field(obj, *payload)
             path = tmp_path / "config.json"
             path.write_text(json.dumps(obj))
             argv, error = ["replicate", "--config", str(path)], "ConfigurationError"
@@ -575,6 +612,16 @@ class TestMalformedInput:
         assert not (tmp_path / "out").exists()
 
 
+    def test_negative_sample_size(self, tmp_path, capsys):
+        data = tmp_path / "train.csv"
+        write_csv(generate_households(300, n_attrs=3, max_cardinality=3, seed=0), str(data))
+        out = tmp_path / "gen"
+        assert cli.main(["generate", "--data", str(data), "--n-synth", "-2", "--out", str(out)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert json.loads(lines[0]) == {"error": "ConfigurationError", "message": "sample size must be >= 0, got -2"}
+        assert len(lines) == 1 and not out.exists()
+
+
 class TestStarredAttacks:
     """A starred structure attack scores with the generator's true structure."""
 
@@ -615,6 +662,48 @@ class TestStarredAttacks:
         ctx, _ = self._context("mst", [((0, 1), (0, 2), (0, 3)), ((0, 1), (1, 2), (2, 3))])
         with pytest.raises(ConfigurationError):
             harness.score_attack("tamis-pb*", ctx.aux.subset(np.arange(5)), ctx)
+
+
+def _sha256(path):
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+class TestGoldenBytes:
+    """SHA-256 of outputs recorded from a known-good commit.
+
+    A change that alters these outputs on purpose updates the hashes and says
+    so; any other change must leave them as they are.
+    """
+
+    REPLICATE = {
+        "replica_0000.csv": "769443efa64ac7967a0d78c341e2528edd0141506895a8f0fdb8591c8403490d",
+        "summary.json": "bf80f4dd8ea39bd6ca4081d4cd25efe780c398aa7f6cd064a84f06045343e63a",
+    }
+    GENERATE = {
+        "mst": "e470fdee01afe2f9ad74dbb51504e4bfa1cbca3048ca494a839cc858aeab0cf0",
+        "privbayes": "b6b3b56c10ea1d9c9b4364a5ddeb49c74cd3e9c23f4d66fad1d46abd20b0d4c5",
+    }
+
+    def test_run_experiment(self, tmp_path, monkeypatch):
+        _cpus(monkeypatch, 1)
+        cfg = small_config(
+            str(tmp_path / "exp"), methods=("mst", "privbayes"), epsilons=(1.0, 1000.0), attacks=harness.ALL_ATTACKS,
+            data={"kind": "generate", "n_rows": 2000, "n_attrs": 5, "max_cardinality": 4},
+        )
+        harness.run_experiment(cfg)
+        assert {name: _sha256(os.path.join(cfg.out_dir, name)) for name in self.REPLICATE} == self.REPLICATE
+
+    @pytest.mark.parametrize("method", ["mst", "privbayes"])
+    def test_generate(self, tmp_path, method):
+        data = str(tmp_path / "train.csv")
+        write_csv(generate_households(2000, n_attrs=5, max_cardinality=4, seed=3), data)
+        gen = tmp_path / "gen"
+        assert cli.main([
+            "generate", "--data", data, "--method", method, "--epsilon", "10", "--delta", "1e-9",
+            "--n-synth", "1000", "--seed", "4", "--out", str(gen),
+        ]) == 0
+        assert _sha256(gen / "synth.csv") == self.GENERATE[method]
 
 
 class TestHouseholdLabels:
@@ -779,8 +868,14 @@ class TestCli:
             lambda obj: obj["split"].update(train_fraction=0.5),
             lambda obj: obj.pop("out_dir"),
             lambda obj: obj.update(split=[15, 3, 800]),
+            lambda obj: obj.update(replicas="2"),
+            lambda obj: obj.update(epsilons=[1, "x"]),
+            lambda obj: obj.update(shadow_k="5"),
+            lambda obj: obj.update(threshold="a"),
+            lambda obj: obj.update(n_synth=-3),
         ],
-        ids=["unknown-key", "unknown-split-key", "missing-out-dir", "split-not-object"],
+        ids=["unknown-key", "unknown-split-key", "missing-out-dir", "split-not-object",
+             "replicas-text", "epsilon-not-a-number", "shadow-k-text", "threshold-text", "n-synth-negative"],
     )
     def test_replicate_config_with_bad_keys(self, tmp_path, capsys, edit):
         obj = small_config(str(tmp_path / "exp")).to_json()

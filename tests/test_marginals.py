@@ -1,6 +1,5 @@
 import collections
 import itertools
-import json
 import math
 
 import numpy as np
@@ -135,22 +134,6 @@ class TestLookup:
         got = table.lookup_rows(ds.rows)
         want = [table.lookup(row) for row in ds.rows]
         assert np.allclose(got, want, atol=0)
-
-
-class TestSerialization:
-    def test_marginal_round_trip(self):
-        ds = make_ds([2, 2], [[0, 1], [1, 0], [1, 1]])
-        table = marginals.marginal(ds, (0, 1))
-        back = marginals.MarginalTable.from_json(json.loads(json.dumps(table.to_json())))
-        assert back.attrs == table.attrs
-        assert np.array_equal(back.probs, table.probs)
-
-    def test_conditional_round_trip(self):
-        ds = make_ds([2, 3], [[0, 0], [1, 1], [0, 2], [1, 0]])
-        table = marginals.conditional(ds, 0, (1,))
-        back = marginals.ConditionalTable.from_json(json.loads(json.dumps(table.to_json())))
-        assert back.child == 0 and back.parents == (1,)
-        assert np.array_equal(back.probs, table.probs)
 
 
 def test_table_cell_guard():

@@ -1,7 +1,6 @@
 import itertools
 import json
 import math
-import pathlib
 
 import numpy as np
 import pytest
@@ -58,6 +57,84 @@ def all_spanning_trees(d):
             yield combo
 
 
+def tree_tables(ds, structure, floor=None):
+    """Node and edge tables of a tree fitted to ds, as ``sdg.tree_model_from_data`` makes them."""
+    if floor is None:
+        floor = marginals.default_floor(len(ds))
+    node_probs = {i: marginals.marginal(ds, (i,)).probs for i in range(len(ds.domain))}
+    edge_probs = {e: marginals.marginal(ds, e).probs for e in structure.keys}
+    return sdg._consistent_tree_tables(node_probs, edge_probs, structure.keys, len(ds), floor)
+
+
+def reference_tree_log_density(structure, node_tables, edge_tables, rows):
+    """A tree's log density in degree form: its edge tables over its node tables to the power deg - 1."""
+    rows = np.atleast_2d(np.asarray(rows, dtype=np.int64))
+    deg = {i: 0 for i in node_tables}
+    for i, j in structure.keys:
+        deg[i] += 1
+        deg[j] += 1
+    logp = np.zeros(rows.shape[0])
+    for i, table in node_tables.items():
+        logp += (1 - deg[i]) * np.log(table.lookup_rows(rows))
+    for table in edge_tables.values():
+        logp += np.log(table.lookup_rows(rows))
+    return logp
+
+
+def reference_sample_tree(domain, structure, node_tables, edge_tables, n, seed):
+    """Ancestral sampling from node and edge tables: root 0, breadth first over sorted neighbours."""
+    rng = np.random.default_rng(seed)
+    d = len(domain)
+    adj = {i: [] for i in range(d)}
+    for i, j in structure.keys:
+        adj[i].append(j)
+        adj[j].append(i)
+    rows = np.zeros((n, d), dtype=np.int64)
+    rows[:, 0] = rng.choice(domain.cardinalities[0], size=n, p=node_tables[0].probs)
+    visited = {0}
+    queue = [0]
+    while queue:
+        parent = queue.pop(0)
+        for child in sorted(adj[parent]):
+            if child in visited:
+                continue
+            visited.add(child)
+            queue.append(child)
+            pair = edge_tables[(min(parent, child), max(parent, child))].probs
+            if parent > child:
+                pair = pair.T
+            mass = pair.sum(axis=1, keepdims=True)
+            cond = np.where(mass > 0, pair / np.where(mass > 0, mass, 1.0), 1.0 / pair.shape[1])
+            for v in range(cond.shape[0]):
+                mask = rows[:, parent] == v
+                if mask.any():
+                    rows[mask, child] = rng.choice(cond.shape[1], size=int(mask.sum()), p=cond[v])
+    return rows
+
+
+def check_factors(model):
+    """The model is a density over its structure: conditionals, each parent drawn before its child."""
+    d = len(model.domain)
+    model.structure.validate(d)
+    placed = []
+    for table in model.factors:
+        assert set(table.parents) <= set(placed) and table.child not in placed
+        placed.append(table.child)
+        assert table.probs.shape == tuple(model.domain.cardinalities[a] for a in table.attrs)
+        assert np.abs(table.probs.sum(axis=-1) - 1.0).max() < 1e-12
+    assert sorted(placed) == list(range(d))
+    if model.structure.method == "mst":
+        assert placed[0] == 0 and all(len(t.parents) == 1 for t in model.factors[1:])
+        edges = sorted(tuple(sorted((t.parents[0], t.child))) for t in model.factors[1:])
+        assert edges == list(model.structure.keys)
+    else:
+        assert [(t.child, t.parents) for t in model.factors] == list(model.structure.keys)
+
+
+def factor_of(model, node):
+    return next(t for t in model.factors if t.child == node)
+
+
 class TestEdgeScore:
     def test_independent_population_zero(self):
         rows = [[i, j] for i in range(2) for j in range(2)]
@@ -88,7 +165,7 @@ class TestFitMst:
         for seed in range(40):
             cfg = sdg.GeneratorConfig("mst", DpParams(1.0, delta=1e-9, seed=seed))
             model = sdg.fit_mst(ds, cfg)
-            model.validate()  # spanning tree + table consistency
+            check_factors(model)  # spanning tree + proper conditionals in sampling order
 
     def test_noiseless_matches_brute_force(self):
         for seed in range(10):
@@ -137,35 +214,38 @@ class TestBudgetTotals:
 class TestTreeDensity:
     def test_two_node_tree_equals_pair_table(self):
         ds = random_ds(6, d=2)
-        model = sdg.tree_model_from_data(ds, sdg.Structure("mst", [(0, 1)]))
+        tree = sdg.Structure("mst", [(0, 1)])
+        model = sdg.tree_model_from_data(ds, tree)
         grid = enumerate_grid(ds.domain)
-        dens = np.exp(sdg.tree_log_density(model, grid))
-        pair = model.edge_tables[(0, 1)]
+        dens = np.exp(sdg.log_density(model, grid))
+        pair = tree_tables(ds, tree)[1][(0, 1)]
         assert np.allclose(dens, pair.lookup_rows(grid), atol=1e-12)
 
     def test_path_density_hand_formula(self):
         ds = random_ds(7, d=3)
-        model = sdg.tree_model_from_data(ds, sdg.Structure("mst", [(0, 1), (1, 2)]))
+        tree = sdg.Structure("mst", [(0, 1), (1, 2)])
+        model = sdg.tree_model_from_data(ds, tree)
+        node_tables, edge_tables = tree_tables(ds, tree)
         grid = enumerate_grid(ds.domain)
         want = (
-            model.edge_tables[(0, 1)].lookup_rows(grid)
-            * model.edge_tables[(1, 2)].lookup_rows(grid)
-            / model.node_tables[1].lookup_rows(grid)
+            edge_tables[(0, 1)].lookup_rows(grid)
+            * edge_tables[(1, 2)].lookup_rows(grid)
+            / node_tables[1].lookup_rows(grid)
         )
-        assert np.allclose(np.exp(sdg.tree_log_density(model, grid)), want, atol=1e-12)
+        assert np.allclose(np.exp(sdg.log_density(model, grid)), want, atol=1e-12)
 
     def test_normalization_three_binary_attributes(self):
         ds = random_ds(8, d=3, max_card=2)
         model = sdg.tree_model_from_data(ds, sdg.Structure("mst", [(0, 2), (1, 2)]))
         grid = enumerate_grid(ds.domain)
-        assert abs(np.exp(sdg.tree_log_density(model, grid)).sum() - 1.0) < 1e-9
+        assert abs(np.exp(sdg.log_density(model, grid)).sum() - 1.0) < 1e-9
 
     def test_single_record_scalar(self):
         ds = random_ds(9, d=2)
         model = sdg.tree_model_from_data(ds, sdg.Structure("mst", [(0, 1)]))
         grid = enumerate_grid(ds.domain)
-        one = sdg.tree_log_density(model, np.array([0, 0]))
-        assert one.shape == (1,) and one[0] == pytest.approx(sdg.tree_log_density(model, grid)[0], abs=1e-12)
+        one = sdg.log_density(model, np.array([0, 0]))
+        assert one.shape == (1,) and one[0] == pytest.approx(sdg.log_density(model, grid)[0], abs=1e-12)
 
 
 class TestSampleTree:
@@ -173,23 +253,69 @@ class TestSampleTree:
         rows = [[1, 0, 1]] * 20
         ds = make_ds([2, 2, 2], rows)
         model = sdg.tree_model_from_data(ds, sdg.Structure("mst", [(0, 1), (1, 2)]), floor=0.0)
-        out = sdg.sample_tree(model, 50, seed=0)
+        out = sdg.sample(model, 50, seed=0)
         assert (out.rows == np.array([1, 0, 1])).all()
 
     def test_determinism(self):
         ds = random_ds(10, d=3)
         model = sdg.tree_model_from_data(ds, sdg.Structure("mst", [(0, 1), (1, 2)]))
-        a = sdg.sample_tree(model, 200, seed=5)
-        b = sdg.sample_tree(model, 200, seed=5)
+        a = sdg.sample(model, 200, seed=5)
+        b = sdg.sample(model, 200, seed=5)
         assert np.array_equal(a.rows, b.rows)
 
     def test_sampling_consistency(self):
         ds = random_ds(11, d=3, n=2000)
-        model = sdg.tree_model_from_data(ds, sdg.Structure("mst", [(0, 1), (1, 2)]))
-        out = sdg.sample_tree(model, 200000, seed=1)
-        for edge, table in model.edge_tables.items():
+        tree = sdg.Structure("mst", [(0, 1), (1, 2)])
+        model = sdg.tree_model_from_data(ds, tree)
+        out = sdg.sample(model, 200000, seed=1)
+        for edge, table in tree_tables(ds, tree)[1].items():
             emp = marginals.marginal(out, edge).probs
             assert np.abs(emp - table.probs).sum() < 0.02
+
+
+@st.composite
+def tree_datasets(draw):
+    """(dataset, tree, floor): a random tree over 2-5 attributes of 1-4 values, fitted to few rows.
+
+    With floor 0.0 and so few rows, some parent values have no mass.
+    """
+    d = draw(st.integers(2, 5))
+    cards = draw(st.lists(st.integers(1, 4), min_size=d, max_size=d))
+    perm = draw(st.permutations(range(d)))
+    edges = [(perm[k], perm[draw(st.integers(0, k - 1))]) for k in range(1, d)]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ds = make_ds(cards, rng.integers(0, cards, size=(draw(st.integers(1, 12)), d)))
+    return ds, sdg.Structure("mst", edges), draw(st.sampled_from([None, 0.0]))
+
+
+class TestTreeAgainstReference:
+    """A tree ``Model`` samples and scores as the node and edge tables it was made from."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(tree_datasets(), st.integers(0, 2**32 - 1))
+    def test_sample_is_the_breadth_first_sampler(self, case, seed):
+        ds, tree, floor = case
+        model = sdg.tree_model_from_data(ds, tree, floor)
+        want = reference_sample_tree(ds.domain, tree, *tree_tables(ds, tree, floor), 300, seed)
+        assert sdg.sample(model, 300, seed).rows.tobytes() == want.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(tree_datasets())
+    def test_log_density_is_the_degree_formula(self, case):
+        ds, tree, floor = case
+        model = sdg.tree_model_from_data(ds, tree, floor)
+        node_tables, edge_tables = tree_tables(ds, tree, floor)
+        grid = enumerate_grid(ds.domain)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            got = sdg.log_density(model, grid)
+            want = reference_tree_log_density(tree, node_tables, edge_tables, grid)
+        # the degree formula is 0 / 0 where a node value has no mass; the density there is 0
+        tables = [*node_tables.values(), *edge_tables.values()]
+        supported = np.all([t.lookup_rows(grid) > 0 for t in tables], axis=0)
+        assert (got[~supported] == -np.inf).all()
+        # a factor divides by its edge table's parent margin, which fitting leaves within 1e-13
+        # of the node table: equal densities to about 1e-13 per edge (in log, a small margin magnifies it)
+        assert np.abs(np.exp(got[supported]) - np.exp(want[supported])).max(initial=0.0) <= 1e-12
 
 
 class TestPrivbayesScore:
@@ -266,14 +392,14 @@ class TestFitPrivbayes:
         one = Dataset(Domain(["a0"], [ds.domain.cardinalities[0]]), ds.rows[:, :1])
         model = sdg.fit_privbayes(one, noiseless_cfg("privbayes"))
         assert model.structure == sdg.Structure("privbayes", ((0, ()),))
-        assert abs(model.cond_tables[0].probs.sum() - 1.0) < 1e-12
+        assert abs(model.factors[0].probs.sum() - 1.0) < 1e-12
 
     def test_acyclicity_over_seeds(self):
         ds = random_ds(16, d=5)
         for seed in range(40):
             cfg = sdg.GeneratorConfig("privbayes", DpParams(1.0, seed=seed))
             model = sdg.fit_privbayes(ds, cfg)
-            model.validate()
+            check_factors(model)
 
     def test_chain_structure_recovered_noiseless(self):
         # strong markov chain: each attribute nearly copies its predecessor
@@ -324,69 +450,80 @@ class TestBayesDensity:
         grid = enumerate_grid(ds.domain)
         want = np.ones(len(grid))
         for i in range(3):
-            want *= model.cond_tables[i].lookup_rows(grid)
-        assert np.allclose(np.exp(sdg.bayes_log_density(model, grid)), want, atol=1e-12)
+            want *= factor_of(model, i).lookup_rows(grid)
+        assert np.allclose(np.exp(sdg.log_density(model, grid)), want, atol=1e-12)
 
     def test_normalization(self):
         ds = random_ds(21, d=3, max_card=2)
         model = sdg.bayes_model_from_data(ds, sdg.Structure("privbayes", ((2, ()), (0, (2,)), (1, (0, 2)))))
         grid = enumerate_grid(ds.domain)
-        assert abs(np.exp(sdg.bayes_log_density(model, grid)).sum() - 1.0) < 1e-9
+        assert abs(np.exp(sdg.log_density(model, grid)).sum() - 1.0) < 1e-9
 
     def test_chain_rule_hand_value(self):
         ds = random_ds(22, d=3)
         model = sdg.bayes_model_from_data(ds, sdg.Structure("privbayes", ((0, ()), (1, (0,)), (2, (1,)))))
         x = ds.rows[0]
         want = (
-            model.cond_tables[0].lookup(x)
-            * model.cond_tables[1].lookup(x)
-            * model.cond_tables[2].lookup(x)
+            factor_of(model, 0).lookup(x)
+            * factor_of(model, 1).lookup(x)
+            * factor_of(model, 2).lookup(x)
         )
-        assert np.exp(sdg.bayes_log_density(model, x))[0] == pytest.approx(want, abs=1e-15)
+        assert np.exp(sdg.log_density(model, x))[0] == pytest.approx(want, abs=1e-15)
 
 
 class TestSampleBayes:
     def test_point_mass(self):
         ds = make_ds([2, 2], [[1, 0]] * 10)
         model = sdg.bayes_model_from_data(ds, sdg.Structure("privbayes", ((0, ()), (1, (0,)))), floor=0.0)
-        out = sdg.sample_bayes(model, 30, seed=0)
+        out = sdg.sample(model, 30, seed=0)
         assert (out.rows == np.array([1, 0])).all()
 
     def test_determinism(self):
         ds = random_ds(23, d=3)
         model = sdg.bayes_model_from_data(ds, sdg.Structure("privbayes", ((0, ()), (1, (0,)), (2, (1,)))))
-        a = sdg.sample_bayes(model, 100, seed=9)
-        b = sdg.sample_bayes(model, 100, seed=9)
+        a = sdg.sample(model, 100, seed=9)
+        b = sdg.sample(model, 100, seed=9)
         assert np.array_equal(a.rows, b.rows)
 
     def test_sampling_consistency(self):
         ds = random_ds(24, d=3, n=2000)
         model = sdg.bayes_model_from_data(ds, sdg.Structure("privbayes", ((0, ()), (1, (0,)), (2, (0, 1)))))
-        out = sdg.sample_bayes(model, 200000, seed=2)
+        out = sdg.sample(model, 200000, seed=2)
         emp = marginals.conditional(out, 2, (0, 1), floor=0.0).probs
-        assert np.abs(emp - model.cond_tables[2].probs).max() < 0.02
+        assert np.abs(emp - factor_of(model, 2).probs).max() < 0.02
+
+
+@pytest.mark.parametrize("method", ["mst", "privbayes"])
+def test_negative_sample_size(method):
+    model = sdg.fit(random_ds(28, d=3), noiseless_cfg(method))
+    with pytest.raises(ConfigurationError, match="sample size must be >= 0"):
+        sdg.sample(model, -1, seed=0)
+    assert sdg.sample(model, 0, seed=0).rows.shape == (0, 3)
 
 
 class TestSerialization:
+    """model.json holds the structure and every factor, in sampling order."""
+
+    def _check(self, model, tmp_path):
+        path = tmp_path / "model.json"
+        sdg.model_to_file(model, str(path))
+        obj = json.loads(path.read_text())
+        assert list(obj) == ["method", "domain", "edges" if model.structure.method == "mst" else "order",
+                             "factors", "ledger"]
+        assert obj["domain"] == model.domain.to_json()
+        assert sdg.Structure.from_json(obj) == model.structure
+        assert len(obj["factors"]) == len(model.factors)
+        for factor, table in zip(obj["factors"], model.factors):
+            assert (factor["child"], tuple(factor["parents"])) == (table.child, table.parents)
+            assert np.array_equal(np.array(factor["probs"]).reshape(factor["shape"]), table.probs)
+
     def test_tree_round_trip(self, tmp_path):
-        ds = random_ds(25, d=3)
-        model = sdg.fit_mst(ds, noiseless_cfg("mst"))
-        path = str(tmp_path / "tree.json")
-        sdg.model_to_file(model, path)
-        back = sdg.TreeModel.from_json(json.loads(pathlib.Path(path).read_text()))
-        assert back.structure == model.structure
-        for i in back.node_tables:
-            assert np.allclose(back.node_tables[i].probs, model.node_tables[i].probs)
+        model = sdg.fit_mst(random_ds(25, d=3), noiseless_cfg("mst"))
+        self._check(model, tmp_path)
 
     def test_bayes_round_trip(self, tmp_path):
-        ds = random_ds(26, d=3)
-        model = sdg.fit_privbayes(ds, noiseless_cfg("privbayes"))
-        path = str(tmp_path / "bn.json")
-        sdg.model_to_file(model, path)
-        back = sdg.BayesNetModel.from_json(json.loads(pathlib.Path(path).read_text()))
-        assert back.structure == model.structure
-        for i in back.cond_tables:
-            assert np.allclose(back.cond_tables[i].probs, model.cond_tables[i].probs)
+        model = sdg.fit_privbayes(random_ds(26, d=3), noiseless_cfg("privbayes"))
+        self._check(model, tmp_path)
 
 
 def test_generator_config_validation():
