@@ -103,7 +103,7 @@ _FIELD_CHECKS = {
     "shadow_k": _COUNT,
     "delta": (_is(numbers.Real, lambda v: 0 <= v < 1), "a number in [0, 1)"),
     "theta": (lambda v: v is None or _NUMBER(v) and v > 0, "null or a positive number"),
-    "n_synth": (lambda v: v is None or _INT(v) and v >= 0, "null or an integer >= 0"),
+    "n_synth": (lambda v: v is None or _INT(v) and v >= 1, "null or an integer >= 1"),
     "seed": (_INT, "an integer"),
     "threshold": (_NUMBER, "a number"),
     "split.n_target_households": _COUNT,

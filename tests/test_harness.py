@@ -396,7 +396,7 @@ _BAD_FIELDS = {
     "shadow_k": ["5", 0, 2.0, False, None],
     "delta": ["a", -0.1, 1.0, True, None],
     "theta": ["a", 0, -1, True],
-    "n_synth": [-3, "10", 1.5, True],
+    "n_synth": [-3, 0, "10", 1.5, True],
     "seed": ["1", 1.5, True, None],
     "threshold": ["a", [0.5], True, None],
     "split.n_target_households": ["15", 0, 1.5, None],

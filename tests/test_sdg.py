@@ -160,12 +160,27 @@ class TestFitMst:
         model = sdg.fit_mst(ds, noiseless_cfg("mst"))
         assert model.structure == sdg.Structure("mst", ((0, 1),))
 
-    def test_spanning_tree_invariant_random_seeds(self):
+    def test_spanning_tree_invariant_random_seeds(self, monkeypatch):
+        made = []
+
+        def recorded(*args):
+            made.append(consistent(*args))
+            return made[-1]
+
+        consistent = sdg._consistent_tree_tables
+        monkeypatch.setattr(sdg, "_consistent_tree_tables", recorded)
         ds = random_ds(2, d=5)
         for seed in range(40):
             cfg = sdg.GeneratorConfig("mst", DpParams(1.0, delta=1e-9, seed=seed))
             model = sdg.fit_mst(ds, cfg)
             check_factors(model)  # spanning tree + proper conditionals in sampling order
+            # the noisy, clipped edge tables IPF projected agree with their node tables
+            node, edge = made[-1]
+            for i, j in model.structure.keys:
+                pair = edge[(i, j)].probs
+                assert np.abs(pair.sum(axis=1) - node[i].probs).max() < 1e-6
+                assert np.abs(pair.sum(axis=0) - node[j].probs).max() < 1e-6
+        assert len(made) == 40
 
     def test_noiseless_matches_brute_force(self):
         for seed in range(10):
