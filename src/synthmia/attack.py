@@ -76,6 +76,13 @@ class ScoreVector:
         return np.exp(self.log_scores)
 
 
+def score_records(fn, target, *inputs):
+    """``fn(target, *inputs)``, scoring each distinct record of the target Dataset once (scores are per record)."""
+    columns, _, inverse = marginals.distinct(target)
+    sv = fn(columns.T, *inputs)
+    return ScoreVector(sv.attack_name, sv.log_scores[inverse])
+
+
 def _rows(target):
     return np.atleast_2d(np.asarray(getattr(target, "rows", target), dtype=np.int64))
 

@@ -85,7 +85,7 @@ def cmd_attack(args):
         inputs[0].validate(len(aux.domain))
     target = load_csv(args.target, schema=aux.domain)
     synth = load_csv(args.synth, schema=aux.domain)
-    sv = fn(target, *inputs, synth, aux)
+    sv = attack_mod.score_records(fn, target, *inputs, synth, aux)
 
     if args.prior is not None:
         probs, preds = attack_mod.activate_calibrated(sv, args.prior, args.threshold)

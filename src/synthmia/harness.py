@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import attack as attack_mod
-from . import evaluation, recovery, sdg
+from . import evaluation, marginals, recovery, sdg
 from .data import SplitSpec, generate_households, load_csv, snake_split_indices
 from .dp import DpParams, derive_seed
 from .errors import ConfigurationError, ResumeMismatch
@@ -224,7 +224,7 @@ def score_attack(name, target, ctx):
         inputs = (ctx.weights(family),)
     else:
         inputs = ()
-    return fn(target, *inputs, ctx.synth, ctx.aux)
+    return attack_mod.score_records(fn, target, *inputs, ctx.synth, ctx.aux)
 
 
 def _setting_metrics(score_vector, labels, prior, threshold):
@@ -384,6 +384,7 @@ def _replica_rows(cfg, aux, pending):
     import multiprocessing  # runs that never fan out do not pay for the import
     from concurrent.futures import ProcessPoolExecutor  # unlike Pool, fails rather than hangs if a worker dies
     global _worker_inputs
+    marginals.distinct(aux)  # computed once here, for every worker to inherit
     _worker_inputs = (cfg, aux)  # fork: the workers inherit cfg and aux instead of unpickling them
     with ProcessPoolExecutor(min(cpus, len(tasks) - 1), multiprocessing.get_context("fork")) as pool:
         rest = pool.map(_worker_cell, tasks[1:])

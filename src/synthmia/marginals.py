@@ -1,8 +1,9 @@
 """Contingency-table kernels: empirical marginals and conditionals.
 
-Tables are dense numpy arrays. Counting uses integer accumulation so results
-are exact and independent of row order. Zero cells can be floored to a small
-positive value and renormalized, which keeps density ratios finite downstream.
+Tables are dense numpy arrays. Each distinct record is counted once, weighted
+by its multiplicity, so counts are exact integers independent of row order.
+Zero cells can be floored to a small positive value and renormalized, which
+keeps density ratios finite downstream.
 """
 
 import math
@@ -15,7 +16,8 @@ from .errors import ConfigurationError, EstimationError
 # floor default: 1/(FLOOR_FACTOR * source_size)
 FLOOR_FACTOR = 10
 MAX_TABLE_CELLS = 10**8
-# the Dataset attribute holding its count tables, {attribute tuple: table}
+# the Dataset attribute holding its count tables, {attribute tuple: table},
+# and its distinct form under "distinct"
 _CACHE_ATTR = "_counts"
 
 
@@ -99,22 +101,58 @@ def _check_attrs(ds, attrs):
         raise ConfigurationError(f"table of {cells} cells exceeds the dense-storage guard")
 
 
-def _count(ds, attrs):
-    """Uncached integer contingency table over a tuple of attributes.
+def _cached(ds, key, compute):
+    """``compute()``, kept on the Dataset under ``key`` and made read-only; one cache per Dataset."""
+    cache = ds.__dict__.setdefault(_CACHE_ATTR, {})  # the instance dict, since a Dataset is frozen
+    value = cache.get(key)
+    if value is None:
+        value = compute()
+        for arr in value if isinstance(value, tuple) else (value,):
+            arr.setflags(write=False)
+        cache[key] = value
+    return value
 
-    The flat cell index is built by Horner's rule, row-major like
-    ``np.ravel_multi_index``; its bounds check is not needed here, since a
-    Dataset checks every cell on construction and its rows never change.
+
+def distinct(ds):
+    """(columns, multiplicities, inverse) of the Dataset's distinct rows, kept like its tables.
+
+    ``columns[a]`` is attribute a of each distinct row (smallest unsigned dtype),
+    distinct row k occurs ``multiplicities[k]`` times, and row r is distinct row
+    ``inverse[r]``. Derived from the read-only rows, it never goes stale.
+    """
+    def compute():
+        cards = ds.domain.cardinalities
+        if math.prod(cards) <= 2**63:  # the largest code, cells - 1, fits in int64
+            keys, axis = np.zeros(len(ds), dtype=np.int64), None
+            for a, card in enumerate(cards):
+                keys = keys * card + ds.rows[:, a]
+        else:
+            keys, axis = ds.rows, 0
+        _, inverse, mult = np.unique(keys, return_inverse=True, return_counts=True, axis=axis)
+        inverse = inverse.reshape(-1)
+        first = np.empty(mult.size, dtype=np.intp)
+        first[inverse] = np.arange(len(ds))  # some row of each; finding the first needs a slower, stable sort
+        dtype = np.min_scalar_type(max(cards, default=1) - 1)
+        return np.ascontiguousarray(ds.rows[first].T, dtype=dtype), mult, inverse
+
+    return _cached(ds, "distinct", compute)
+
+
+def uncached_counts(ds, attrs):
+    """The table ``counts`` keeps, counted afresh: for a table asked for once, not worth keeping.
+
+    Each distinct row's flat cell index is built by Horner's rule, row-major like ``np.ravel_multi_index``
+    but unchecked (a Dataset checks its cells), and counted with its multiplicity.
     """
     _check_attrs(ds, attrs)
     cards = ds.domain.cardinalities
     shape = tuple(cards[a] for a in attrs)
-    if len(ds) == 0:
-        return np.zeros(shape, dtype=np.int64)
-    flat = ds.rows[:, attrs[0]]
+    cols, mult, _ = distinct(ds)
+    flat = cols[attrs[0]].astype(np.int64)
     for a in attrs[1:]:
-        flat = flat * cards[a] + ds.rows[:, a]
-    return np.bincount(flat, minlength=math.prod(shape)).reshape(shape)
+        flat = flat * cards[a] + cols[a]
+    table = np.bincount(flat, weights=mult, minlength=math.prod(shape))  # float64: exact below 2**53 rows
+    return table.astype(np.int64).reshape(shape)
 
 
 def counts(ds, attrs):
@@ -124,16 +162,7 @@ def counts(ds, attrs):
     caller asking for the same one shares it, so it is read-only.
     """
     key = tuple(int(a) for a in attrs)
-    cache = ds.__dict__.get(_CACHE_ATTR)
-    if cache is None:
-        cache = {}
-        object.__setattr__(ds, _CACHE_ATTR, cache)
-    table = cache.get(key)
-    if table is None:
-        table = _count(ds, key)
-        table.setflags(write=False)
-        cache[key] = table
-    return table
+    return _cached(ds, key, lambda: uncached_counts(ds, key))
 
 
 def floor_probs(probs, floor):

@@ -365,10 +365,12 @@ def privbayes_score(ds, i, parents):
         raise ConfigurationError("node cannot be its own parent")
     if not parents:
         return 0.0
-    p_child = marginals.marginal(ds, (i,)).probs
+    if len(ds) == 0:
+        raise EstimationError("cannot score a candidate on an empty dataset")
+    p_child = marginals.counts(ds, (i,)) / len(ds)
     # counted uncached: a selection run scores each candidate once, and
     # caching these joints on every shadow subset costs memory and time
-    joint = marginals._count(ds, parents + (i,)).astype(np.float64) / len(ds)
+    joint = marginals.uncached_counts(ds, parents + (i,)) / len(ds)
     p_parents = joint.sum(axis=-1)
     product = p_parents[..., None] * p_child
     return float(0.5 * np.abs(joint - product).sum())

@@ -272,3 +272,61 @@ def test_permuting_records_permutes_scores():
     perm = np.random.default_rng(1).permutation(20)
     shuffled = attack.tamis_mst(target.subset(perm), edge, synth, aux).log_scores
     assert np.array_equal(shuffled, base[perm])
+
+
+class TestDistinctRecords:
+    """``score_records`` scores each distinct record once; every record must get its full-row score."""
+
+    domain = Domain(["a", "b", "c", "d"], [3, 2, 4, 2])
+
+    def target(self):
+        # 300 records drawn from 25 in random order: duplicates, shuffled
+        pool = random_ds(34, n=25, domain=self.domain).rows
+        return Dataset(self.domain, pool[np.random.default_rng(35).integers(0, 25, size=300)])
+
+    def test_every_attack_matches_full_rows_bitwise(self):
+        synth, aux = random_ds(31, n=500, domain=self.domain), random_ds(32, n=500, domain=self.domain)
+        target = self.target()
+        recovered = {
+            "mst": sdg.Structure("mst", ((0, 1), (1, 2), (2, 3))),
+            "privbayes": sdg.Structure("privbayes", ((2, ()), (0, (2,)), (1, (0, 2)), (3, (1,)))),
+        }
+        true = {
+            "mst": sdg.Structure("mst", ((0, 3), (1, 3), (2, 3))),
+            "privbayes": sdg.Structure("privbayes", ((0, ()), (1, (0,)), (3, (0, 1)), (2, (3,)))),
+        }
+        weights = {
+            "mst": recovery.ShadowWeights("mst", 3, {(0, 1): 3, (0, 2): 1, (2, 3): 2}),
+            "privbayes": recovery.ShadowWeights("privbayes", 2, {(0, (2,)): 2, (3, ()): 1, (1, (0, 2)): 1}),
+        }
+        names = [*attack.ATTACKS, *(n + "*" for n, (_, needs) in attack.ATTACKS.items() if needs == "structure")]
+        assert len(names) == len(attack.ATTACKS) + 5
+        for name in names:
+            family, needs, starred, fn = attack.lookup(name)
+            if needs is None:
+                inputs = ()
+            else:
+                inputs = ({"structure": true if starred else recovered, "weights": weights}[needs][family],)
+            full = fn(target, *inputs, synth, aux)
+            got = attack.score_records(fn, target, *inputs, synth, aux)
+            assert got.attack_name == full.attack_name
+            assert np.array_equal(got.log_scores, full.log_scores), name
+            assert np.array_equal(got.target_ids, np.arange(len(target)))
+
+    def test_exact_equalities_hold_on_distinct_records(self):
+        synth, aux = random_ds(36, n=500, domain=self.domain), random_ds(37, n=500, domain=self.domain)
+        target = self.target()
+        edges = sdg.Structure("mst", ((0, 2), (1, 2), (2, 3)))
+        hybrid = attack.score_records(attack.hybrid_mst, target, edges, synth, aux)
+        mamamia = attack.score_records(attack.mamamia_mst, target, indicator_weights(edges.keys), synth, aux)
+        assert np.array_equal(hybrid.log_scores, mamamia.log_scores)
+        order = sdg.Structure("privbayes", ((1, ()), (0, (1,)), (2, (0, 1)), (3, (2,))))
+        w = recovery.ShadowWeights("privbayes", 1, {key: 1 for key in order.keys})
+        hybrid = attack.score_records(attack.hybrid_pb, target, order, synth, aux)
+        mamamia = attack.score_records(attack.mamamia_pb, target, w, synth, aux)
+        assert np.array_equal(hybrid.log_scores, mamamia.log_scores)
+        for structure, fit in ((edges, sdg.tree_model_from_data), (order, sdg.bayes_model_from_data)):
+            fn = attack.tamis_mst if structure.method == "mst" else attack.tamis_pb
+            rows = target.rows
+            ratio = sdg.log_density(fit(synth, structure), rows) - sdg.log_density(fit(aux, structure), rows)
+            assert np.array_equal(attack.score_records(fn, target, structure, synth, aux).log_scores, ratio)

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from synthmia import marginals, sdg
@@ -204,6 +204,49 @@ class TestCountCache:
             table = marginals.counts(ds, attrs if rng.random() < 0.5 else tuple(attrs))
             assert np.array_equal(table, reference_counts(ds, attrs))
             assert table.dtype == np.int64
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(0, 120), st.integers(1, 6))
+    @example(0, 1, 0, 1)  # zero rows, one attribute
+    @example(1, 1, 90, 2)  # one attribute, two distinct records
+    @example(2, 3, 0, 1)  # zero rows
+    @settings(max_examples=40, deadline=None)
+    def test_duplicated_and_shuffled_rows_match_reference(self, seed, d, n, n_distinct):
+        rng = np.random.default_rng(seed)
+        cards = rng.integers(1, 5, size=d)
+        # n rows drawn from at most n_distinct records: heavy duplication
+        rows = rng.integers(0, cards, size=(n_distinct, d))[rng.integers(0, n_distinct, size=n)]
+        ds, shuffled = make_ds(cards, rows), make_ds(cards, rng.permutation(rows))
+        for r in range(1, d + 1):
+            for attrs in itertools.permutations(range(d), r):
+                want = reference_counts(ds, attrs)
+                assert np.array_equal(marginals.counts(ds, attrs), want)
+                assert np.array_equal(marginals.counts(shuffled, attrs), want)
+        columns, mult, inverse = marginals.distinct(ds)
+        assert columns.dtype == np.uint8 and columns.shape == (d, mult.size)
+        assert mult.sum() == n and (mult >= 1).all()
+        assert np.array_equal(columns.T[inverse], ds.rows)
+
+    def test_rows_beyond_an_int64_code_match_reference(self):
+        # 10**20 cells: the full-domain code overflows int64, so rows are deduplicated row-wise
+        rng = np.random.default_rng(5)
+        cards = [10] * 20
+        rows = rng.integers(0, 10, size=(40, 20))[rng.integers(0, 40, size=300)]
+        ds = make_ds(cards, rows)
+        assert math.prod(cards) > 2**63
+        columns, mult, inverse = marginals.distinct(ds)
+        assert mult.size == len(np.unique(rows, axis=0)) and mult.sum() == 300
+        assert np.array_equal(columns.T[inverse], ds.rows)
+        for attrs in [(0,), (19, 3), (4, 7, 11), (1, 2, 3, 5, 8)]:
+            assert np.array_equal(marginals.counts(ds, attrs), reference_counts(ds, attrs))
+
+    def test_distinct_form_is_read_only_and_kept(self):
+        ds = make_ds([2, 3], [[0, 1], [1, 2], [0, 1]])
+        form = marginals.distinct(ds)
+        assert marginals.distinct(ds) is form
+        for arr in form:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1
 
     def test_table_is_read_only(self):
         ds = make_ds([2, 3], [[0, 1], [1, 2], [1, 1]])
