@@ -3,10 +3,9 @@
 Every attack compares the synthetic data against the auxiliary data through
 ratios of floored probability tables; a record with a high ratio looks more
 typical of the synthetic data than of the population, suggesting membership
-in the training set. Scores are kept in log-space internally.
+in the training set. Each attack returns one log score per record, a 1-D
+float64 array.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,40 +46,10 @@ def lookup(name):
     return family, needs, starred, globals()[base.replace("-", "_")]
 
 
-@dataclass(frozen=True)
-class ScoreVector:
-    """Per-record raw attack scores, stored as logs."""
-
-    attack_name: str
-    log_scores: np.ndarray
-    target_ids: np.ndarray = None
-
-    def __post_init__(self):
-        logs = np.ascontiguousarray(self.log_scores, dtype=np.float64)
-        logs.setflags(write=False)
-        object.__setattr__(self, "log_scores", logs)
-        if self.target_ids is None:
-            ids = np.arange(logs.size, dtype=np.int64)
-        else:
-            ids = np.ascontiguousarray(self.target_ids, dtype=np.int64)
-            if ids.shape != logs.shape:
-                raise ConfigurationError("target_ids must align with scores")
-        ids.setflags(write=False)
-        object.__setattr__(self, "target_ids", ids)
-
-    def __len__(self):
-        return self.log_scores.size
-
-    @property
-    def scores(self):
-        return np.exp(self.log_scores)
-
-
 def score_records(fn, target, *inputs):
     """``fn(target, *inputs)``, scoring each distinct record of the target Dataset once (scores are per record)."""
     columns, _, inverse = marginals.distinct(target)
-    sv = fn(columns.T, *inputs)
-    return ScoreVector(sv.attack_name, sv.log_scores[inverse])
+    return fn(columns.T, *inputs)[inverse]
 
 
 def _rows(target):
@@ -101,24 +70,24 @@ def _log_conditional_ratio(rows, key, synth, aux):
     return np.log(ts.lookup_rows(rows)) - np.log(ta.lookup_rows(rows))
 
 
-def _log_density_ratio(name, target, model_from_data, structure, synth, aux):
+def _log_density_ratio(target, model_from_data, structure, synth, aux):
     """log of the ratio of the densities ``model_from_data`` fits on synth and on aux."""
     rows = _rows(target)
     model_s, model_a = model_from_data(synth, structure), model_from_data(aux, structure)
-    return ScoreVector(name, sdg.log_density(model_s, rows) - sdg.log_density(model_a, rows))
+    return sdg.log_density(model_s, rows) - sdg.log_density(model_a, rows)
 
 
 def tamis_mst(target, structure, synth, aux):
     """Ratio of tree-factorized densities fitted on synth and on aux."""
-    return _log_density_ratio("tamis-mst", target, sdg.tree_model_from_data, structure, synth, aux)
+    return _log_density_ratio(target, sdg.tree_model_from_data, structure, synth, aux)
 
 
 def tamis_pb(target, structure, synth, aux):
     """Ratio of Bayesian-network densities fitted on synth and on aux."""
-    return _log_density_ratio("tamis-pb", target, sdg.bayes_model_from_data, structure, synth, aux)
+    return _log_density_ratio(target, sdg.bayes_model_from_data, structure, synth, aux)
 
 
-def _weighted_mean_ratio(name, target, terms, log_ratio, synth, aux):
+def _weighted_mean_ratio(target, terms, log_ratio, synth, aux):
     """log of the weighted mean of per-factor ratios, summed in ``terms`` order.
 
     ``terms`` is a sequence of (key, weight); ``log_ratio`` is
@@ -127,41 +96,41 @@ def _weighted_mean_ratio(name, target, terms, log_ratio, synth, aux):
     rows = _rows(target)
     total = sum(w for _, w in terms)
     if total <= 0:
-        raise ConfigurationError(f"{name}: no structure element has positive weight")
+        raise ConfigurationError("no structure element has positive weight")
     acc = np.zeros(rows.shape[0])
     for key, w in terms:
         if w:
             acc += w * np.exp(log_ratio(rows, key, synth, aux))
-    return ScoreVector(name, np.log(acc / total))
+    return np.log(acc / total)
 
 
 def mamamia_mst(target, weights, synth, aux):
     """Weight-normalized average of 2-way marginal ratios (1-ways excluded)."""
     terms = sorted(weights.weights.items())
-    return _weighted_mean_ratio("mamamia-mst", target, terms, _log_marginal_ratio, synth, aux)
+    return _weighted_mean_ratio(target, terms, _log_marginal_ratio, synth, aux)
 
 
 def mamamia_pb(target, weights, synth, aux):
     """Weight-normalized average of conditional-table ratios."""
     terms = sorted(weights.weights.items())
-    return _weighted_mean_ratio("mamamia-pb", target, terms, _log_conditional_ratio, synth, aux)
+    return _weighted_mean_ratio(target, terms, _log_conditional_ratio, synth, aux)
 
 
 def hybrid_mst(target, structure, synth, aux):
     """Uniform average of 2-way ratios over the recovered tree's edges."""
     # unit weights in sorted key order: exactly mamamia's sum under indicator weights
     terms = [(e, 1) for e in structure.keys]
-    return _weighted_mean_ratio("hybrid-mst", target, terms, _log_marginal_ratio, synth, aux)
+    return _weighted_mean_ratio(target, terms, _log_marginal_ratio, synth, aux)
 
 
 def hybrid_pb(target, structure, synth, aux):
     """Uniform average of conditional ratios over the recovered network."""
     # unit weights in sorted key order: exactly mamamia's sum under indicator weights
     terms = [(key, 1) for key in sorted(structure.keys)]
-    return _weighted_mean_ratio("hybrid-pb", target, terms, _log_conditional_ratio, synth, aux)
+    return _weighted_mean_ratio(target, terms, _log_conditional_ratio, synth, aux)
 
 
-def _node_pair_mean(name, target, pairs, synth, aux):
+def _node_pair_mean(target, pairs, synth, aux):
     """log of the mean of the d node ratios and each pair's ratio over its nodes'."""
     rows = _rows(target)
     d = len(synth.domain)
@@ -172,19 +141,19 @@ def _node_pair_mean(name, target, pairs, synth, aux):
     for i, j in pairs:
         pair = _log_marginal_ratio(rows, (i, j), synth, aux)
         acc += np.exp(pair - node_ratio[i] - node_ratio[j])
-    return ScoreVector(name, np.log(acc / (d + len(pairs))))
+    return np.log(acc / (d + len(pairs)))
 
 
 def tamis_mst_avg(target, structure, synth, aux):
     """Average (rather than product) of node and edge ratio terms."""
-    return _node_pair_mean("tamis-mst-avg", target, structure.keys, synth, aux)
+    return _node_pair_mean(target, structure.keys, synth, aux)
 
 
 def marginals_sigma(target, synth, aux):
     """Structure-free baseline: average over all 1- and 2-way ratio terms."""
     d = len(synth.domain)
     pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
-    return _node_pair_mean("marginals-sigma", target, pairs, synth, aux)
+    return _node_pair_mean(target, pairs, synth, aux)
 
 
 def marginals_pi(target, synth, aux):
@@ -198,40 +167,37 @@ def marginals_pi(target, synth, aux):
         for j in range(i + 1, d):
             logs += _log_marginal_ratio(rows, (i, j), synth, aux)
     n_terms = d + d * (d - 1) // 2
-    return ScoreVector("marginals-pi", logs - np.log(n_terms))
+    return logs - np.log(n_terms)
 
 
-def aggregate_households(score_vector, household_id):
-    """Mean of raw (linear-space) scores within each household."""
+def aggregate_households(log_scores, household_id):
+    """log of the mean raw (linear-space) score of each household, in ascending household-id order."""
     household_id = np.asarray(household_id, dtype=np.int64)
-    if household_id.shape != score_vector.log_scores.shape:
+    if household_id.shape != np.shape(log_scores):
         raise ConfigurationError("household ids must align with scores")
-    ids, inverse = np.unique(household_id, return_inverse=True)
-    sums = np.bincount(inverse, weights=score_vector.scores)
-    counts = np.bincount(inverse)
-    means = sums / counts
-    return ScoreVector(score_vector.attack_name, np.log(means), ids)
+    _, inverse = np.unique(household_id, return_inverse=True)
+    return np.log(np.bincount(inverse, weights=np.exp(log_scores)) / np.bincount(inverse))
 
 
-def activate_simple(score_vector, threshold=0.5):
+def activate_simple(log_scores, threshold=0.5):
     """Map raw scores through 2*sigmoid(score) - 1, then threshold."""
-    lam = score_vector.scores
+    lam = np.exp(log_scores)
     probs = 2.0 / (1.0 + np.exp(-lam)) - 1.0
     preds = (probs >= threshold).astype(np.int64)
     return probs, preds
 
 
-def activate_calibrated(score_vector, prior, threshold=0.5):
+def activate_calibrated(log_scores, prior, threshold=0.5):
     """Quantile-centered activation enforcing a predicted-positive rate.
 
     Scores are standardized with the population standard deviation, centered
     on their (1 - prior) linearly-interpolated quantile, passed through a
-    sigmoid, and thresholded. Degenerate (constant) score vectors give all
+    sigmoid, and thresholded. Degenerate (constant) scores give all
     negative predictions.
     """
     if not 0.0 < prior < 1.0:
         raise ConfigurationError("prior must lie in (0, 1)")
-    lam = score_vector.scores
+    lam = np.exp(log_scores)
     std = lam.std()
     if lam.size < 2 or std == 0.0:
         return np.zeros(lam.size), np.zeros(lam.size, dtype=np.int64)

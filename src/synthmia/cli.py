@@ -85,12 +85,13 @@ def cmd_attack(args):
         inputs[0].validate(len(aux.domain))
     target = load_csv(args.target, schema=aux.domain)
     synth = load_csv(args.synth, schema=aux.domain)
-    sv = attack_mod.score_records(fn, target, *inputs, synth, aux)
+    log_scores = attack_mod.score_records(fn, target, *inputs, synth, aux)
 
     if args.prior is not None:
-        probs, preds = attack_mod.activate_calibrated(sv, args.prior, args.threshold)
+        probs, preds = attack_mod.activate_calibrated(log_scores, args.prior, args.threshold)
     else:
-        probs, preds = attack_mod.activate_simple(sv, args.threshold)
+        probs, preds = attack_mod.activate_simple(log_scores, args.threshold)
+    scores = np.exp(log_scores)
 
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -98,18 +99,18 @@ def cmd_attack(args):
         if target.membership_label is not None:
             header.append("label")
         writer.writerow(header)
-        for r in range(len(sv)):
+        for r in range(len(scores)):
             row = [
                 r,
                 int(target.household_id[r]) if target.household_id is not None else -1,
-                f"{float(sv.scores[r]):.12g}",
+                f"{float(scores[r]):.12g}",
                 f"{float(probs[r]):.12g}",
                 int(preds[r]),
             ]
             if target.membership_label is not None:
                 row.append(int(target.membership_label[r]))
             writer.writerow(row)
-    print(json.dumps({"scores": args.out, "records": len(sv)}))
+    print(json.dumps({"scores": args.out, "records": len(scores)}))
 
 
 def cmd_evaluate(args):
@@ -143,10 +144,11 @@ def cmd_evaluate(args):
 
 def cmd_replicate(args):
     obj = _read_json(args.config)
-    if args.out:
-        obj["out_dir"] = args.out
-    if args.seed is not None:
-        obj["seed"] = args.seed
+    if isinstance(obj, dict):  # from_json rejects any other value
+        if args.out:
+            obj["out_dir"] = args.out
+        if args.seed is not None:
+            obj["seed"] = args.seed
     cfg = harness.ExperimentConfig.from_json(obj)
     paths = harness.run_experiment(cfg)
     print(json.dumps({"files": paths}))

@@ -214,7 +214,7 @@ class _AttackContext:
 
 
 def score_attack(name, target, ctx):
-    """Score one attack by name against a record set."""
+    """Log scores of one attack, by name, for each record of a Dataset."""
     family, needs, starred, fn = attack_mod.lookup(name)
     if starred and ctx.true_structure.method != family:
         raise ConfigurationError(f"{name!r} needs the true structure of a {family} generator")
@@ -227,14 +227,12 @@ def score_attack(name, target, ctx):
     return attack_mod.score_records(fn, target, *inputs, ctx.synth, ctx.aux)
 
 
-def _setting_metrics(score_vector, labels, prior, threshold):
+def _setting_metrics(log_scores, labels, prior, threshold):
     """AUROC plus balanced accuracy under both activation regimes."""
-    raw = score_vector.log_scores
-    auc = evaluation.auroc(raw, labels)
-    _, preds_simple = attack_mod.activate_simple(score_vector, threshold)
-    _, preds_cal = attack_mod.activate_calibrated(score_vector, prior, threshold)
+    _, preds_simple = attack_mod.activate_simple(log_scores, threshold)
+    _, preds_cal = attack_mod.activate_calibrated(log_scores, prior, threshold)
     return {
-        "auroc": auc,
+        "auroc": evaluation.auroc(log_scores, labels),
         "balanced_accuracy_simple": evaluation.balanced_accuracy(preds_simple, labels),
         "balanced_accuracy_calibrated": evaluation.balanced_accuracy(preds_cal, labels),
     }
@@ -266,7 +264,6 @@ def _run_cell(cfg, aux, replica_index, m_idx, e_idx):
     split = replace(cfg.split, seed=derive_seed(rseed, 0))
     train_idx, target_idx, target_labels = snake_split_indices(aux, split)
     train = aux.subset(train_idx)
-    target = aux.subset(target_idx)
     target_households = aux.household_id[target_idx]
     aux_labels = np.zeros(len(aux), dtype=np.int64)
     aux_labels[train_idx] = 1
@@ -289,12 +286,13 @@ def _run_cell(cfg, aux, replica_index, m_idx, e_idx):
     house_labels = _household_labels(target_households, target_labels)
     prior_aux, prior_tgt = float(aux_labels.mean()), float(target_labels.mean())
     for name in _attacks_for(cfg, method):
-        sv_aux = score_attack(name, aux, ctx)
-        sv_target = score_attack(name, target, ctx)
-        sv_house = attack_mod.aggregate_households(sv_target, target_households)
-        emit("aux-individuals", name, _setting_metrics(sv_aux, aux_labels, prior_aux, cfg.threshold))
-        emit("target-individuals", name, _setting_metrics(sv_target, target_labels, prior_tgt, cfg.threshold))
-        emit("target-households", name, _setting_metrics(sv_house, house_labels, 0.5, cfg.threshold))
+        # a record's score depends on the record alone, so the targets' scores are a slice of aux's
+        aux_logs = score_attack(name, aux, ctx)
+        target_logs = aux_logs[target_idx]
+        house_logs = attack_mod.aggregate_households(target_logs, target_households)
+        emit("aux-individuals", name, _setting_metrics(aux_logs, aux_labels, prior_aux, cfg.threshold))
+        emit("target-individuals", name, _setting_metrics(target_logs, target_labels, prior_tgt, cfg.threshold))
+        emit("target-households", name, _setting_metrics(house_logs, house_labels, 0.5, cfg.threshold))
     return rows
 
 

@@ -26,17 +26,13 @@ def default_floor(source_size):
 
 
 class _Table:
-    """Lookups shared by the table types; the axes of ``probs`` follow ``attrs``."""
+    """The lookup shared by the table types; the axes of ``probs`` follow ``attrs``."""
 
     def lookup_rows(self, rows):
         """Vectorized probability lookup for a (n, d) matrix of records."""
         cols = tuple(rows[:, a] for a in self.attrs)
         flat = np.ravel_multi_index(cols, self.probs.shape)
         return self.probs.ravel()[flat]
-
-    def lookup(self, x):
-        x = np.asarray(x, dtype=np.int64)
-        return float(self.lookup_rows(x[None, :])[0])
 
 
 @dataclass(frozen=True)

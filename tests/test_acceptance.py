@@ -164,9 +164,9 @@ def test_04_attack_power_vs_privacy():
             model = sdg.fit_mst(train, cfg)
             synth = sdg.sample(model, 10000, dp.derive_seed(rseed, 2))
             edges = recovery.recover_tree(synth)
-            sv = attack.tamis_mst(target, edges, synth, aux)
-            hh = attack.aggregate_households(sv, target_hh)
-            aurocs[eps].append(evaluation.auroc(hh.log_scores, hh_labels))
+            logs = attack.tamis_mst(target, edges, synth, aux)
+            hh = attack.aggregate_households(logs, target_hh)
+            aurocs[eps].append(evaluation.auroc(hh, hh_labels))
     elapsed = time.monotonic() - start
     low = float(np.mean(aurocs[0.1]))
     high = float(np.mean(aurocs[1000.0]))
@@ -193,13 +193,13 @@ def test_05_score_identities():
         w = recovery.ShadowWeights("mst", 1, {e: 1 for e in edges.keys})
         h = attack.hybrid_mst(target, edges, synth, aux)
         m = attack.mamamia_mst(target, w, synth, aux)
-        if not np.array_equal(h.log_scores, m.log_scores):
+        if not np.array_equal(h, m):
             hybrid_ok = False
         order = sdg.Structure("privbayes", tuple((int(perm[k]), (int(perm[k - 1]),) if k else ()) for k in range(d)))
         wp = recovery.ShadowWeights("privbayes", 1, {(n, p): 1 for n, p in order.keys})
         hp = attack.hybrid_pb(target, order, synth, aux)
         mp = attack.mamamia_pb(target, wp, synth, aux)
-        if not np.array_equal(hp.log_scores, mp.log_scores):
+        if not np.array_equal(hp, mp):
             hybrid_ok = False
 
     ds = Dataset(
@@ -221,10 +221,10 @@ def test_05_score_identities():
         attack.tamis_mst_avg(tgt, edges, ds, ds),
         attack.marginals_sigma(tgt, ds, ds),
     ]
-    identity_ok = all(np.abs(sv.log_scores).max() < 1e-12 for sv in identity_vectors)
+    identity_ok = all(np.abs(logs).max() < 1e-12 for logs in identity_vectors)
     pi = attack.marginals_pi(tgt, ds, ds)
     prefactor = 1.0 / (4 + 4 * 3 // 2)
-    identity_ok &= bool(np.abs(pi.log_scores - np.log(prefactor)).max() < 1e-12)
+    identity_ok &= bool(np.abs(pi - np.log(prefactor)).max() < 1e-12)
     verdict(5, "score identities", hybrid_ok and identity_ok)
 
 
@@ -243,7 +243,7 @@ def test_06_tamis_equals_density_ratio():
         edges = sdg.Structure("mst", tuple(sorted(tuple(sorted((int(perm[k]), int(perm[k + 1])))) for k in range(d - 1))))
         order = sdg.Structure("privbayes", tuple((int(perm[k]), (int(perm[k - 1]),) if k else ()) for k in range(d)))
 
-        sv = attack.tamis_mst(target, edges, synth, aux)
+        logs = attack.tamis_mst(target, edges, synth, aux)
         ns, es = tree_tables(synth, edges)
         na, ea = tree_tables(aux, edges)
         # independent route: explicit per-record node and edge table products
@@ -255,15 +255,15 @@ def test_06_tamis_equals_density_ratio():
             )
         for e in edges.keys:
             oracle += np.log(es[e].lookup_rows(target.rows)) - np.log(ea[e].lookup_rows(target.rows))
-        worst = max(worst, float(np.abs(np.exp(sv.log_scores) - np.exp(oracle)).max()))
+        worst = max(worst, float(np.abs(np.exp(logs) - np.exp(oracle)).max()))
 
-        svp = attack.tamis_pb(target, order, synth, aux)
+        logs_p = attack.tamis_pb(target, order, synth, aux)
         oracle_p = np.zeros(len(target))
         for key in order.keys:
             oracle_p += np.log(marginals.conditional(synth, *key).lookup_rows(target.rows)) - np.log(
                 marginals.conditional(aux, *key).lookup_rows(target.rows)
             )
-        worst = max(worst, float(np.abs(np.exp(svp.log_scores) - np.exp(oracle_p)).max()))
+        worst = max(worst, float(np.abs(np.exp(logs_p) - np.exp(oracle_p)).max()))
     verdict(6, "TAMIS equals density ratio", worst < 1e-9, f"max err {worst:.2e}")
 
 
@@ -274,8 +274,7 @@ def test_07_calibration_exactness():
     for _ in range(1000):
         n = int(rng.integers(5, 200))
         prior = float(rng.uniform(0.05, 0.95))
-        sv = attack.ScoreVector("x", rng.normal(size=n) * rng.uniform(0.1, 5.0))
-        _, preds = attack.activate_calibrated(sv, prior)
+        _, preds = attack.activate_calibrated(rng.normal(size=n) * rng.uniform(0.1, 5.0), prior)
         worst = max(worst, abs(preds.mean() - prior) - 1.0 / n)
     verdict(7, "calibrated activation exactness", worst <= 0.0, f"max excess {worst:.2e}")
 

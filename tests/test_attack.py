@@ -36,23 +36,23 @@ class TestIdentity:
         edges = sdg.Structure("mst", ((0, 1), (1, 2), (2, 3)))
         order = sdg.Structure("privbayes", ((0, ()), (1, (0,)), (2, (0, 1)), (3, (2,))))
         pb_w = recovery.ShadowWeights("privbayes", 1, {(1, (0,)): 2, (2, ()): 1})
-        vectors = [
-            attack.tamis_mst(target, edges, ds, ds),
-            attack.tamis_pb(target, order, ds, ds),
-            attack.mamamia_mst(target, indicator_weights(edges.keys), ds, ds),
-            attack.mamamia_pb(target, pb_w, ds, ds),
-            attack.hybrid_mst(target, edges, ds, ds),
-            attack.hybrid_pb(target, order, ds, ds),
-            attack.tamis_mst_avg(target, edges, ds, ds),
-            attack.marginals_sigma(target, ds, ds),
-        ]
-        for sv in vectors:
-            assert np.abs(sv.log_scores).max() < 1e-12, sv.attack_name
+        log_scores = {
+            "tamis-mst": attack.tamis_mst(target, edges, ds, ds),
+            "tamis-pb": attack.tamis_pb(target, order, ds, ds),
+            "mamamia-mst": attack.mamamia_mst(target, indicator_weights(edges.keys), ds, ds),
+            "mamamia-pb": attack.mamamia_pb(target, pb_w, ds, ds),
+            "hybrid-mst": attack.hybrid_mst(target, edges, ds, ds),
+            "hybrid-pb": attack.hybrid_pb(target, order, ds, ds),
+            "tamis-mst-avg": attack.tamis_mst_avg(target, edges, ds, ds),
+            "marginals-sigma": attack.marginals_sigma(target, ds, ds),
+        }
+        for name, logs in log_scores.items():
+            assert np.abs(logs).max() < 1e-12, name
         # the product baseline returns its prefactor at identity
         pi = attack.marginals_pi(target, ds, ds)
         d = 4
         prefactor = 1.0 / (d + d * (d - 1) // 2)
-        assert np.abs(pi.log_scores - np.log(prefactor)).max() < 1e-12
+        assert np.abs(pi - np.log(prefactor)).max() < 1e-12
 
 
 class TestHybridEqualsMamamia:
@@ -64,7 +64,7 @@ class TestHybridEqualsMamamia:
         edges = sdg.Structure("mst", ((0, 1), (1, 2)))
         h = attack.hybrid_mst(target, edges, synth, aux)
         m = attack.mamamia_mst(target, indicator_weights(edges.keys), synth, aux)
-        assert np.array_equal(h.log_scores, m.log_scores)
+        assert np.array_equal(h, m)
 
     def test_pb_indicator_weights_exact(self):
         domain = Domain(["a", "b", "c"], [2, 3, 2])
@@ -75,7 +75,7 @@ class TestHybridEqualsMamamia:
         w = recovery.ShadowWeights("privbayes", 1, {(n, p): 1 for n, p in order.keys})
         h = attack.hybrid_pb(target, order, synth, aux)
         m = attack.mamamia_pb(target, w, synth, aux)
-        assert np.array_equal(h.log_scores, m.log_scores)
+        assert np.array_equal(h, m)
 
 
 class TestHandValues:
@@ -91,7 +91,7 @@ class TestHandValues:
         synth, aux = random_ds(7, domain=domain), random_ds(8, domain=domain)
         target = random_ds(9, n=20, domain=domain)
         w = recovery.ShadowWeights("mst", 2, {(0, 1): 2, (1, 2): 1, (2, 3): 1})
-        got = attack.mamamia_mst(target, w, synth, aux).scores
+        got = np.exp(attack.mamamia_mst(target, w, synth, aux))
         want = (
             2 * self._ratio(target.rows, (0, 1), synth, aux)
             + self._ratio(target.rows, (1, 2), synth, aux)
@@ -103,7 +103,7 @@ class TestHandValues:
         domain = Domain(["a", "b", "c"], [2, 3, 2])
         synth, aux = random_ds(10, domain=domain), random_ds(11, domain=domain)
         target = random_ds(12, n=15, domain=domain)
-        got = attack.hybrid_mst(target, sdg.Structure("mst", ((0, 1), (1, 2))), synth, aux).scores
+        got = np.exp(attack.hybrid_mst(target, sdg.Structure("mst", ((0, 1), (1, 2))), synth, aux))
         want = 0.5 * (
             self._ratio(target.rows, (0, 1), synth, aux)
             + self._ratio(target.rows, (1, 2), synth, aux)
@@ -114,7 +114,7 @@ class TestHandValues:
         domain = Domain(["a", "b"], [2, 2])
         synth, aux = random_ds(13, domain=domain), random_ds(14, domain=domain)
         target = random_ds(15, n=10, domain=domain)
-        got = attack.tamis_mst_avg(target, sdg.Structure("mst", ((0, 1),)), synth, aux).scores
+        got = np.exp(attack.tamis_mst_avg(target, sdg.Structure("mst", ((0, 1),)), synth, aux))
         r0 = self._ratio(target.rows, (0,), synth, aux)
         r1 = self._ratio(target.rows, (1,), synth, aux)
         r01 = self._ratio(target.rows, (0, 1), synth, aux)
@@ -125,7 +125,7 @@ class TestHandValues:
         domain = Domain(["a", "b", "c"], [2, 2, 3])
         synth, aux = random_ds(16, domain=domain), random_ds(17, domain=domain)
         target = random_ds(18, n=10, domain=domain)
-        got = attack.marginals_pi(target, synth, aux).scores
+        got = np.exp(attack.marginals_pi(target, synth, aux))
         d = 3
         want = np.ones(10) / (d + d * (d - 1) // 2)
         for i in range(d):
@@ -140,7 +140,7 @@ class TestHandValues:
         synth, aux = random_ds(19, domain=domain), random_ds(20, domain=domain)
         target = random_ds(21, n=25, domain=domain)
         edges = sdg.Structure("mst", ((0, 2), (1, 2)))
-        sv = attack.tamis_mst(target, edges, synth, aux)
+        logs = attack.tamis_mst(target, edges, synth, aux)
 
         def density(ds):
             """The tree's density in degree form: edge tables over the centre node's table."""
@@ -151,7 +151,7 @@ class TestHandValues:
             rows = target.rows
             return pairs[(0, 2)].lookup_rows(rows) * pairs[(1, 2)].lookup_rows(rows) / nodes[2].lookup_rows(rows)
 
-        assert np.allclose(sv.scores, density(synth) / density(aux), rtol=1e-9)
+        assert np.allclose(np.exp(logs), density(synth) / density(aux), rtol=1e-9)
 
 
 class TestPermutationInvariance:
@@ -159,77 +159,70 @@ class TestPermutationInvariance:
         domain = Domain(["a", "b", "c"], [2, 3, 2])
         synth, aux = random_ds(22, domain=domain), random_ds(23, domain=domain)
         target = random_ds(24, n=12, domain=domain)
-        base = attack.marginals_sigma(target, synth, aux).log_scores
+        base = attack.marginals_sigma(target, synth, aux)
         perm = [2, 0, 1]
         pdom = Domain([domain.names[p] for p in perm], [domain.cardinalities[p] for p in perm])
 
         def permute(ds):
             return Dataset(pdom, ds.rows[:, perm])
 
-        got = attack.marginals_sigma(permute(target), permute(synth), permute(aux)).log_scores
+        got = attack.marginals_sigma(permute(target), permute(synth), permute(aux))
         assert np.allclose(got, base, atol=1e-12)
 
 
 class TestAggregation:
     def test_household_mean(self):
-        sv = attack.ScoreVector("x", np.log(np.array([0.2, 0.4, 5.0])))
-        out = attack.aggregate_households(sv, np.array([7, 7, 9]))
-        assert np.allclose(out.scores, [0.3, 5.0])
-        assert out.target_ids.tolist() == [7, 9]
+        # one mean per household, in ascending household-id order (the order of harness._household_labels)
+        out = attack.aggregate_households(np.log(np.array([5.0, 0.2, 0.4])), np.array([9, 7, 7]))
+        assert np.allclose(np.exp(out), [0.3, 5.0])
 
     def test_singleton_households_unchanged(self):
-        sv = attack.ScoreVector("x", np.array([0.1, -0.4]))
-        out = attack.aggregate_households(sv, np.array([1, 2]))
-        assert np.allclose(out.log_scores, sv.log_scores)
+        logs = np.array([0.1, -0.4])
+        out = attack.aggregate_households(logs, np.array([1, 2]))
+        assert np.allclose(out, logs)
 
     def test_hand_grouping_three_households(self):
-        sv = attack.ScoreVector("x", np.log(np.array([1.0, 3.0, 2.0, 2.0, 8.0])))
-        out = attack.aggregate_households(sv, np.array([0, 0, 1, 1, 2]))
-        assert np.allclose(out.scores, [2.0, 2.0, 8.0])
+        logs = np.log(np.array([1.0, 3.0, 2.0, 2.0, 8.0]))
+        out = attack.aggregate_households(logs, np.array([0, 0, 1, 1, 2]))
+        assert np.allclose(np.exp(out), [2.0, 2.0, 8.0])
 
     def test_misaligned_ids_rejected(self):
-        sv = attack.ScoreVector("x", np.zeros(3))
         with pytest.raises(ConfigurationError):
-            attack.aggregate_households(sv, np.array([1, 2]))
+            attack.aggregate_households(np.zeros(3), np.array([1, 2]))
 
 
 class TestActivations:
     def test_simple_zero_log_score(self):
-        sv = attack.ScoreVector("x", np.array([np.log(1.0)]))
-        probs, preds = attack.activate_simple(sv)
+        probs, preds = attack.activate_simple(np.array([np.log(1.0)]))
         assert probs[0] == pytest.approx(2.0 / (1 + np.exp(-1.0)) - 1.0)
 
     def test_simple_threshold_at_ln3(self):
-        sv = attack.ScoreVector("x", np.log(np.array([1e-9, np.log(3.0), 50.0])))
-        probs, preds = attack.activate_simple(sv)
+        probs, preds = attack.activate_simple(np.log(np.array([1e-9, np.log(3.0), 50.0])))
         assert preds.tolist() == [0, 1, 1]
         assert probs[1] == pytest.approx(0.5)
         assert probs[2] == pytest.approx(1.0)
 
     def test_calibrated_half_prior_four_scores(self):
-        sv = attack.ScoreVector("x", np.log(np.array([1.0, 2.0, 3.0, 4.0])))
-        probs, preds = attack.activate_calibrated(sv, prior=0.5)
+        probs, preds = attack.activate_calibrated(np.log(np.array([1.0, 2.0, 3.0, 4.0])), prior=0.5)
         assert preds.sum() == 2
         assert preds.tolist() == [0, 0, 1, 1]
 
     def test_calibrated_small_prior_bound(self):
-        rng = np.random.default_rng(0)
-        sv = attack.ScoreVector("x", rng.normal(size=100))
+        logs = np.random.default_rng(0).normal(size=100)
         for prior in (0.01, 0.05):
-            _, preds = attack.activate_calibrated(sv, prior)
+            _, preds = attack.activate_calibrated(logs, prior)
             assert preds.sum() <= int(np.ceil(prior * 100)) + 1
 
     def test_calibrated_degenerate_scores(self):
-        sv = attack.ScoreVector("x", np.zeros(5))
-        probs, preds = attack.activate_calibrated(sv, prior=0.5)
+        probs, preds = attack.activate_calibrated(np.zeros(5), prior=0.5)
         assert preds.sum() == 0
 
     def test_calibrated_prior_validation(self):
-        sv = attack.ScoreVector("x", np.arange(10.0))
+        logs = np.arange(10.0)
         for prior in (0.0, 1.0, 1.5):
             with pytest.raises(ConfigurationError):
-                attack.activate_calibrated(sv, prior)
-        probs, preds = attack.activate_calibrated(sv, 0.3)
+                attack.activate_calibrated(logs, prior)
+        probs, preds = attack.activate_calibrated(logs, 0.3)
         assert preds.sum() == 3
 
 
@@ -250,9 +243,8 @@ class TestRegistry:
             assert (got_family, got_needs, starred) == (family, needs, False)
             assert fn is getattr(attack, name.replace("-", "_"))
             assert not fn.__name__.startswith("_")
-            sv = fn(target, *inputs[(family, needs)], synth, aux)
-            assert sv.attack_name == name
-            assert len(sv) == len(target)
+            logs = fn(target, *inputs[(family, needs)], synth, aux)
+            assert logs.dtype == np.float64 and logs.shape == (len(target),), name
 
     def test_star_only_on_structure_attacks(self):
         for name, (_, needs) in attack.ATTACKS.items():
@@ -268,14 +260,18 @@ def test_permuting_records_permutes_scores():
     synth, aux = random_ds(25, domain=domain), random_ds(26, domain=domain)
     target = random_ds(27, n=20, domain=domain)
     edge = sdg.Structure("mst", ((0, 1),))
-    base = attack.tamis_mst(target, edge, synth, aux).log_scores
+    base = attack.tamis_mst(target, edge, synth, aux)
     perm = np.random.default_rng(1).permutation(20)
-    shuffled = attack.tamis_mst(target.subset(perm), edge, synth, aux).log_scores
+    shuffled = attack.tamis_mst(target.subset(perm), edge, synth, aux)
     assert np.array_equal(shuffled, base[perm])
 
 
 class TestDistinctRecords:
-    """``score_records`` scores each distinct record once; every record must get its full-row score."""
+    """``score_records`` scores each distinct record once; every record must get its full-row score.
+
+    A replica cell scores aux once and takes the target settings as a slice of
+    those scores, so scoring a subset must also give the slice, bit for bit.
+    """
 
     domain = Domain(["a", "b", "c", "d"], [3, 2, 4, 2])
 
@@ -287,6 +283,7 @@ class TestDistinctRecords:
     def test_every_attack_matches_full_rows_bitwise(self):
         synth, aux = random_ds(31, n=500, domain=self.domain), random_ds(32, n=500, domain=self.domain)
         target = self.target()
+        idx = np.random.default_rng(38).integers(0, len(target), size=120)  # shuffled, with repeats
         recovered = {
             "mst": sdg.Structure("mst", ((0, 1), (1, 2), (2, 3))),
             "privbayes": sdg.Structure("privbayes", ((2, ()), (0, (2,)), (1, (0, 2)), (3, (1,)))),
@@ -309,9 +306,9 @@ class TestDistinctRecords:
                 inputs = ({"structure": true if starred else recovered, "weights": weights}[needs][family],)
             full = fn(target, *inputs, synth, aux)
             got = attack.score_records(fn, target, *inputs, synth, aux)
-            assert got.attack_name == full.attack_name
-            assert np.array_equal(got.log_scores, full.log_scores), name
-            assert np.array_equal(got.target_ids, np.arange(len(target)))
+            assert got.dtype == np.float64 and got.shape == (len(target),), name
+            assert np.array_equal(got, full), name
+            assert np.array_equal(got[idx], attack.score_records(fn, target.subset(idx), *inputs, synth, aux)), name
 
     def test_exact_equalities_hold_on_distinct_records(self):
         synth, aux = random_ds(36, n=500, domain=self.domain), random_ds(37, n=500, domain=self.domain)
@@ -319,14 +316,14 @@ class TestDistinctRecords:
         edges = sdg.Structure("mst", ((0, 2), (1, 2), (2, 3)))
         hybrid = attack.score_records(attack.hybrid_mst, target, edges, synth, aux)
         mamamia = attack.score_records(attack.mamamia_mst, target, indicator_weights(edges.keys), synth, aux)
-        assert np.array_equal(hybrid.log_scores, mamamia.log_scores)
+        assert np.array_equal(hybrid, mamamia)
         order = sdg.Structure("privbayes", ((1, ()), (0, (1,)), (2, (0, 1)), (3, (2,))))
         w = recovery.ShadowWeights("privbayes", 1, {key: 1 for key in order.keys})
         hybrid = attack.score_records(attack.hybrid_pb, target, order, synth, aux)
         mamamia = attack.score_records(attack.mamamia_pb, target, w, synth, aux)
-        assert np.array_equal(hybrid.log_scores, mamamia.log_scores)
+        assert np.array_equal(hybrid, mamamia)
         for structure, fit in ((edges, sdg.tree_model_from_data), (order, sdg.bayes_model_from_data)):
             fn = attack.tamis_mst if structure.method == "mst" else attack.tamis_pb
             rows = target.rows
             ratio = sdg.log_density(fit(synth, structure), rows) - sdg.log_density(fit(aux, structure), rows)
-            assert np.array_equal(attack.score_records(fn, target, structure, synth, aux).log_scores, ratio)
+            assert np.array_equal(attack.score_records(fn, target, structure, synth, aux), ratio)

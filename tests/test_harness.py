@@ -611,6 +611,16 @@ class TestMalformedInput:
         assert json.loads(lines[0])["error"] == error
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("override", [["--out", "exp"], ["--seed", "3"]], ids=["out", "seed"])
+    @pytest.mark.parametrize("config", [[1, 2], "exp", 3, None], ids=["array", "string", "number", "null"])
+    def test_replicate_config_not_an_object(self, tmp_path, capsys, monkeypatch, config, override):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        assert cli.main(["replicate", "--config", "config.json", *override]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "ConfigurationError"
+        assert os.listdir(tmp_path) == ["config.json"]
 
     def test_negative_sample_size(self, tmp_path, capsys):
         data = tmp_path / "train.csv"
@@ -654,9 +664,9 @@ class TestStarredAttacks:
         plain = harness.score_attack(name, target, ctx)
         want_star = fn(target, ctx.true_structure, ctx.synth, ctx.aux)
         want_plain = fn(target, recovered, ctx.synth, ctx.aux)
-        assert np.array_equal(starred.log_scores, want_star.log_scores)
-        assert np.array_equal(plain.log_scores, want_plain.log_scores)
-        assert not np.array_equal(starred.log_scores, plain.log_scores)
+        assert np.array_equal(starred, want_star)
+        assert np.array_equal(plain, want_plain)
+        assert not np.array_equal(starred, plain)
 
     def test_star_needs_matching_generator(self):
         ctx, _ = self._context("mst", [((0, 1), (0, 2), (0, 3)), ((0, 1), (1, 2), (2, 3))])
@@ -815,6 +825,32 @@ class TestCli:
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == "EstimationError"
 
+    @pytest.mark.parametrize("name", sorted(attack.ATTACKS))
+    def test_header_only_synth(self, tmp_path, capsys, name):
+        paths = self._prepare(tmp_path)  # 4 attributes
+        inputs = {
+            ("mst", "structure"): {"method": "mst", "edges": [[0, 1], [1, 2], [2, 3]]},
+            ("privbayes", "structure"): {"method": "privbayes", "order": [[0, []], [1, [0]], [2, [1]], [3, [2]]]},
+            ("mst", "weights"): {"method": "mst", "K": 1, "weights": {"0-1": 1}},
+            ("privbayes", "weights"): {"method": "privbayes", "K": 1, "weights": {"0|": 1, "1|0": 1}},
+        }
+        family, needs = attack.ATTACKS[name]
+        extra = []
+        if needs is not None:
+            (tmp_path / "input.json").write_text(json.dumps(inputs[(family, needs)]))
+            extra = [f"--{needs}", str(tmp_path / "input.json")]
+        with open(paths["train"], encoding="utf-8") as fh:
+            (tmp_path / "empty.csv").write_text(fh.readline())
+        scores = tmp_path / "scores.csv"
+        assert cli.main([
+            "attack", "--attack", name, "--target", paths["target"], "--synth", str(tmp_path / "empty.csv"),
+            "--aux", paths["aux"], *extra, "--out", str(scores),
+        ]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "EstimationError"
+        assert not scores.exists()
+
     def test_replicate_config_not_json(self, tmp_path, capsys):
         path = tmp_path / "config.json"
         path.write_text("replicas: 1")
@@ -895,3 +931,15 @@ class TestCli:
             json.dump(cfg.to_json(), fh)
         assert cli.main(["replicate", "--config", cfg_path]) == 0
         assert os.path.exists(os.path.join(cfg.out_dir, "summary.json"))
+
+    def test_replicate_options_override_the_config(self, tmp_path, capsys):
+        obj = small_config(str(tmp_path / "unused")).to_json()
+        del obj["out_dir"]
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(obj))
+        out = tmp_path / "exp"
+        assert cli.main(["replicate", "--config", str(cfg_path), "--out", str(out), "--seed", "3"]) == 0
+        with open(out / "config.json", encoding="utf-8") as fh:
+            written = json.load(fh)["config"]
+        assert (written["out_dir"], written["seed"]) == (str(out), 3)
+        assert (out / "summary.json").exists() and not (tmp_path / "unused").exists()

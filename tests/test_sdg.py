@@ -479,9 +479,9 @@ class TestBayesDensity:
         model = sdg.bayes_model_from_data(ds, sdg.Structure("privbayes", ((0, ()), (1, (0,)), (2, (1,)))))
         x = ds.rows[0]
         want = (
-            factor_of(model, 0).lookup(x)
-            * factor_of(model, 1).lookup(x)
-            * factor_of(model, 2).lookup(x)
+            factor_of(model, 0).lookup_rows(x[None, :])[0]
+            * factor_of(model, 1).lookup_rows(x[None, :])[0]
+            * factor_of(model, 2).lookup_rows(x[None, :])[0]
         )
         assert np.exp(sdg.log_density(model, x))[0] == pytest.approx(want, abs=1e-15)
 
