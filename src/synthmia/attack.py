@@ -70,21 +70,21 @@ def _log_conditional_ratio(rows, key, synth, aux):
     return np.log(ts.lookup_rows(rows)) - np.log(ta.lookup_rows(rows))
 
 
-def _log_density_ratio(target, model_from_data, structure, synth, aux):
-    """log of the ratio of the densities ``model_from_data`` fits on synth and on aux."""
+def _log_density_ratio(target, structure, synth, aux):
+    """log of the ratio of the densities the generator's noiseless measurement fits on synth and on aux."""
     rows = _rows(target)
-    model_s, model_a = model_from_data(synth, structure), model_from_data(aux, structure)
+    model_s, model_a = sdg.model_from_data(synth, structure), sdg.model_from_data(aux, structure)
     return sdg.log_density(model_s, rows) - sdg.log_density(model_a, rows)
 
 
 def tamis_mst(target, structure, synth, aux):
     """Ratio of tree-factorized densities fitted on synth and on aux."""
-    return _log_density_ratio(target, sdg.tree_model_from_data, structure, synth, aux)
+    return _log_density_ratio(target, structure, synth, aux)
 
 
 def tamis_pb(target, structure, synth, aux):
     """Ratio of Bayesian-network densities fitted on synth and on aux."""
-    return _log_density_ratio(target, sdg.bayes_model_from_data, structure, synth, aux)
+    return _log_density_ratio(target, structure, synth, aux)
 
 
 def _weighted_mean_ratio(target, terms, log_ratio, synth, aux):

@@ -3,7 +3,9 @@
 Both follow the same pipeline: privately select a graph structure, measure
 the associated statistics with calibrated noise, then sample i.i.d. records
 from the factorized joint density. ``BUDGET_SPLIT`` gives 1/3 of epsilon to
-structure selection and 2/3 to statistics measurement.
+structure selection and 2/3 to statistics measurement. Each generator has one
+measurement function; ``model_from_data`` runs it at epsilon = inf, which is
+the noiseless density the attacker fits on synth and on aux.
 """
 
 import itertools
@@ -27,8 +29,10 @@ DEFAULT_THETA_SCALE = 4.0
 # epsilon fractions for (structure selection, statistics measurement)
 BUDGET_SPLIT = (1.0 / 3.0, 2.0 / 3.0)
 
-# L1 sensitivity of a probability table under one-record change
 def _table_sensitivity(n):
+    """L1 sensitivity of a probability table of n records under one-record change."""
+    if n == 0:
+        raise EstimationError("a probability table needs a non-empty dataset")
     return 2.0 / n
 
 
@@ -292,9 +296,22 @@ def _consistent_tree_tables(node_probs, edge_probs, edges, n, floor):
     return node_tables, edge_tables
 
 
-def _tree_model(domain, structure, node_tables, edge_tables, ledger=None):
-    """The tree's tables as factors: breadth first from attribute 0 over sorted neighbours."""
-    adj = {i: [] for i in range(len(domain))}
+def _measure_tree(ds, structure, acct, rng, floor=None):
+    """The tree generator's measurement: noisy 1-way and edge tables, made consistent, as breadth-first factors."""
+    d, n = len(ds.domain), len(ds)
+    sens = _table_sensitivity(n)
+
+    def measure(label, attrs):
+        sigma = acct.gaussian(label, sens, (BUDGET_SPLIT[1], 2 * d - 1), _tree_delta_share(d))
+        return _noisy_probs(marginals.marginal(ds, attrs).probs, sigma, rng)
+
+    node_probs = {i: measure(f"mst/measure/1way/{i}", (i,)) for i in range(d)}
+    edge_probs = {(i, j): measure(f"mst/measure/2way/{i}-{j}", (i, j)) for i, j in structure.keys}
+    if floor is None:
+        floor = marginals.default_floor(n)
+    node_tables, edge_tables = _consistent_tree_tables(node_probs, edge_probs, structure.keys, n, floor)
+
+    adj = {i: [] for i in range(d)}
     for i, j in structure.keys:
         adj[i].append(j)
         adj[j].append(i)
@@ -313,41 +330,16 @@ def _tree_model(domain, structure, node_tables, edge_tables, ledger=None):
             # zero-mass parent values are never sampled; uniform placeholder
             cond = np.where(mass > 0, probs / np.where(mass > 0, mass, 1.0), 1.0 / probs.shape[1])
             factors.append(marginals.ConditionalTable(child, (parent,), cond, pair.source_size))
-    return Model(domain, structure, tuple(factors), ledger)
+    return Model(ds.domain, structure, tuple(factors), acct)
 
 
 def fit_mst(train, cfg):
-    """Fit a DP tree model: select edges, measure noisy marginals, make consistent."""
-    domain = train.domain
-    d = len(domain)
-    if d < 2:
+    """Fit a DP tree model: select the edges, then measure the tree's tables."""
+    if len(train.domain) < 2:
         raise ConfigurationError("tree model needs at least two attributes")
-    n = len(train)
     rng = as_generator(cfg.dp.seed)
     acct = Accountant(cfg.dp)
-
-    structure = _select_tree_edges(train, acct, rng)
-
-    def measure(label, attrs):
-        sigma = acct.gaussian(label, _table_sensitivity(n), (BUDGET_SPLIT[1], 2 * d - 1), _tree_delta_share(d))
-        return _noisy_probs(marginals.marginal(train, attrs).probs, sigma, rng)
-
-    node_probs = {i: measure(f"mst/measure/1way/{i}", (i,)) for i in range(d)}
-    edge_probs = {(i, j): measure(f"mst/measure/2way/{i}-{j}", (i, j)) for i, j in structure.keys}
-
-    floor = marginals.default_floor(n)
-    tables = _consistent_tree_tables(node_probs, edge_probs, structure.keys, n, floor)
-    return _tree_model(domain, structure, *tables, acct)
-
-
-def tree_model_from_data(ds, structure, floor=None):
-    """Noiseless tree model over a fixed tree (attacker-side density estimator)."""
-    if floor is None:
-        floor = marginals.default_floor(len(ds))
-    node_probs = {i: marginals.marginal(ds, (i,)).probs for i in range(len(ds.domain))}
-    edge_probs = {e: marginals.marginal(ds, e).probs for e in structure.keys}
-    tables = _consistent_tree_tables(node_probs, edge_probs, structure.keys, len(ds), floor)
-    return _tree_model(ds.domain, structure, *tables)
+    return _measure_tree(train, _select_tree_edges(train, acct, rng), acct, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -395,8 +387,6 @@ def _parent_subsets(placed, cards, limit):
 
 def _domain_threshold(dp, n):
     """theta * epsilon * n: the largest (node, parents) table PrivBayes may pick."""
-    if n == 0:
-        raise EstimationError("PrivBayes needs a non-empty dataset")
     theta = dp.theta if dp.theta is not None else DEFAULT_THETA_SCALE / n
     return math.inf if math.isinf(dp.epsilon) else theta * dp.epsilon * n
 
@@ -407,6 +397,7 @@ def _select_bayes_order(ds, acct, rng):
     if d < 1:
         raise ConfigurationError("empty domain")
     n = len(ds)
+    sens = _table_sensitivity(n)  # first: it rejects an empty dataset
     cards = ds.domain.cardinalities
     threshold = _domain_threshold(acct.total, n)
 
@@ -431,40 +422,41 @@ def _select_bayes_order(ds, acct, rng):
                 scored[key] = privbayes_score(ds, *key)
         scores = np.array([scored[key] for key in candidates])
         eps_step = acct.exponential(f"privbayes/select/{step}", (BUDGET_SPLIT[0], d - 1))
-        k = exponential_mechanism(scores, eps_step, _table_sensitivity(n), rng)
+        k = exponential_mechanism(scores, eps_step, sens, rng)
         node, sub = candidates[k]
         order.append((node, sub))
         placed.append(node)
     return Structure(METHOD_PRIVBAYES, order)
 
 
-def fit_privbayes(train, cfg):
-    """Fit a DP Bayesian network; Laplace noise on measured conditionals."""
-    d = len(train.domain)
-    n = len(train)
-    rng = as_generator(cfg.dp.seed)
-    acct = Accountant(cfg.dp)
-
-    structure = _select_bayes_order(train, acct, rng)
-
-    floor = marginals.default_floor(n)
+def _measure_network(ds, structure, acct, rng, floor=None):
+    """PrivBayes' measurement over ``structure``: each factor's joint with Laplace noise, as a conditional."""
+    d, n = len(ds.domain), len(ds)
+    sens = _table_sensitivity(n)
+    if floor is None:
+        floor = marginals.default_floor(n)
     factors = []
     for node, parents in structure.keys:
-        joint = marginals.counts(train, parents + (node,)).astype(np.float64) / n
-        scale = acct.laplace(f"privbayes/measure/{node}", _table_sensitivity(n), (BUDGET_SPLIT[1], d))
+        joint = marginals.counts(ds, parents + (node,)).astype(np.float64) / n
+        scale = acct.laplace(f"privbayes/measure/{node}", sens, (BUDGET_SPLIT[1], d))
         if scale is not None:
             joint = joint + laplace_noise(scale, joint.size, rng).reshape(joint.shape)
             joint = np.clip(joint, 0.0, None)
         factors.append(marginals.conditional_from_joint(joint, node, parents, n, floor))
-    return Model(train.domain, structure, tuple(factors), acct)
+    return Model(ds.domain, structure, tuple(factors), acct)
 
 
-def bayes_model_from_data(ds, structure, floor=None):
-    """Noiseless Bayesian-network tables over a fixed structure."""
-    if floor is None:
-        floor = marginals.default_floor(len(ds))
-    factors = tuple(marginals.conditional(ds, node, parents, floor) for node, parents in structure.keys)
-    return Model(ds.domain, structure, factors)
+def fit_privbayes(train, cfg):
+    """Fit a DP Bayesian network: select the order, then measure its conditionals."""
+    rng = as_generator(cfg.dp.seed)
+    acct = Accountant(cfg.dp)
+    return _measure_network(train, _select_bayes_order(train, acct, rng), acct, rng)
+
+
+def model_from_data(ds, structure, floor=None):
+    """The generator's own measurement of ``structure`` on ds at epsilon = inf (the attacker's density)."""
+    measure = _measure_tree if structure.method == METHOD_MST else _measure_network
+    return measure(ds, structure, Accountant(DpParams(math.inf)), None, floor)
 
 
 def fit(train, cfg):

@@ -322,7 +322,8 @@ class TestDistinctRecords:
         hybrid = attack.score_records(attack.hybrid_pb, target, order, synth, aux)
         mamamia = attack.score_records(attack.mamamia_pb, target, w, synth, aux)
         assert np.array_equal(hybrid, mamamia)
-        for structure, fit in ((edges, sdg.tree_model_from_data), (order, sdg.bayes_model_from_data)):
+        fit = sdg.model_from_data
+        for structure in (edges, order):
             fn = attack.tamis_mst if structure.method == "mst" else attack.tamis_pb
             rows = target.rows
             ratio = sdg.log_density(fit(synth, structure), rows) - sdg.log_density(fit(aux, structure), rows)

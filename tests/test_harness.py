@@ -825,6 +825,15 @@ class TestCli:
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == "EstimationError"
 
+    @pytest.mark.parametrize("epsilon", ["inf", "1"])
+    def test_header_only_mst_input(self, tmp_path, capsys, monkeypatch, epsilon):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "empty.csv").write_text("a,b,c\n")
+        assert cli.main(["generate", "--data", "empty.csv", "--out", "gen", "--method", "mst", "--epsilon", epsilon]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "EstimationError"
+
     @pytest.mark.parametrize("name", sorted(attack.ATTACKS))
     def test_header_only_synth(self, tmp_path, capsys, name):
         paths = self._prepare(tmp_path)  # 4 attributes

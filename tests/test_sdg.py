@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from synthmia import marginals, recovery, sdg
 from synthmia.data import Dataset, Domain
 from synthmia.dp import DpParams
-from synthmia.errors import ConfigurationError
+from synthmia.errors import ConfigurationError, EstimationError
 
 INF = math.inf
 
@@ -58,7 +58,7 @@ def all_spanning_trees(d):
 
 
 def tree_tables(ds, structure, floor=None):
-    """Node and edge tables of a tree fitted to ds, as ``sdg.tree_model_from_data`` makes them."""
+    """Node and edge tables of a tree fitted to ds, as ``sdg.model_from_data`` makes them."""
     if floor is None:
         floor = marginals.default_floor(len(ds))
     node_probs = {i: marginals.marginal(ds, (i,)).probs for i in range(len(ds.domain))}
@@ -230,7 +230,7 @@ class TestTreeDensity:
     def test_two_node_tree_equals_pair_table(self):
         ds = random_ds(6, d=2)
         tree = sdg.Structure("mst", [(0, 1)])
-        model = sdg.tree_model_from_data(ds, tree)
+        model = sdg.model_from_data(ds, tree)
         grid = enumerate_grid(ds.domain)
         dens = np.exp(sdg.log_density(model, grid))
         pair = tree_tables(ds, tree)[1][(0, 1)]
@@ -239,7 +239,7 @@ class TestTreeDensity:
     def test_path_density_hand_formula(self):
         ds = random_ds(7, d=3)
         tree = sdg.Structure("mst", [(0, 1), (1, 2)])
-        model = sdg.tree_model_from_data(ds, tree)
+        model = sdg.model_from_data(ds, tree)
         node_tables, edge_tables = tree_tables(ds, tree)
         grid = enumerate_grid(ds.domain)
         want = (
@@ -251,13 +251,13 @@ class TestTreeDensity:
 
     def test_normalization_three_binary_attributes(self):
         ds = random_ds(8, d=3, max_card=2)
-        model = sdg.tree_model_from_data(ds, sdg.Structure("mst", [(0, 2), (1, 2)]))
+        model = sdg.model_from_data(ds, sdg.Structure("mst", [(0, 2), (1, 2)]))
         grid = enumerate_grid(ds.domain)
         assert abs(np.exp(sdg.log_density(model, grid)).sum() - 1.0) < 1e-9
 
     def test_single_record_scalar(self):
         ds = random_ds(9, d=2)
-        model = sdg.tree_model_from_data(ds, sdg.Structure("mst", [(0, 1)]))
+        model = sdg.model_from_data(ds, sdg.Structure("mst", [(0, 1)]))
         grid = enumerate_grid(ds.domain)
         one = sdg.log_density(model, np.array([0, 0]))
         assert one.shape == (1,) and one[0] == pytest.approx(sdg.log_density(model, grid)[0], abs=1e-12)
@@ -267,13 +267,13 @@ class TestSampleTree:
     def test_point_mass_tables(self):
         rows = [[1, 0, 1]] * 20
         ds = make_ds([2, 2, 2], rows)
-        model = sdg.tree_model_from_data(ds, sdg.Structure("mst", [(0, 1), (1, 2)]), floor=0.0)
+        model = sdg.model_from_data(ds, sdg.Structure("mst", [(0, 1), (1, 2)]), floor=0.0)
         out = sdg.sample(model, 50, seed=0)
         assert (out.rows == np.array([1, 0, 1])).all()
 
     def test_determinism(self):
         ds = random_ds(10, d=3)
-        model = sdg.tree_model_from_data(ds, sdg.Structure("mst", [(0, 1), (1, 2)]))
+        model = sdg.model_from_data(ds, sdg.Structure("mst", [(0, 1), (1, 2)]))
         a = sdg.sample(model, 200, seed=5)
         b = sdg.sample(model, 200, seed=5)
         assert np.array_equal(a.rows, b.rows)
@@ -281,7 +281,7 @@ class TestSampleTree:
     def test_sampling_consistency(self):
         ds = random_ds(11, d=3, n=2000)
         tree = sdg.Structure("mst", [(0, 1), (1, 2)])
-        model = sdg.tree_model_from_data(ds, tree)
+        model = sdg.model_from_data(ds, tree)
         out = sdg.sample(model, 200000, seed=1)
         for edge, table in tree_tables(ds, tree)[1].items():
             emp = marginals.marginal(out, edge).probs
@@ -310,7 +310,7 @@ class TestTreeAgainstReference:
     @given(tree_datasets(), st.integers(0, 2**32 - 1))
     def test_sample_is_the_breadth_first_sampler(self, case, seed):
         ds, tree, floor = case
-        model = sdg.tree_model_from_data(ds, tree, floor)
+        model = sdg.model_from_data(ds, tree, floor)
         want = reference_sample_tree(ds.domain, tree, *tree_tables(ds, tree, floor), 300, seed)
         assert sdg.sample(model, 300, seed).rows.tobytes() == want.tobytes()
 
@@ -318,7 +318,7 @@ class TestTreeAgainstReference:
     @given(tree_datasets())
     def test_log_density_is_the_degree_formula(self, case):
         ds, tree, floor = case
-        model = sdg.tree_model_from_data(ds, tree, floor)
+        model = sdg.model_from_data(ds, tree, floor)
         node_tables, edge_tables = tree_tables(ds, tree, floor)
         grid = enumerate_grid(ds.domain)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -461,7 +461,7 @@ class TestBayesDensity:
     def test_empty_parents_product_of_marginals(self):
         ds = random_ds(20, d=3)
         order = sdg.Structure("privbayes", ((0, ()), (1, ()), (2, ())))
-        model = sdg.bayes_model_from_data(ds, order)
+        model = sdg.model_from_data(ds, order)
         grid = enumerate_grid(ds.domain)
         want = np.ones(len(grid))
         for i in range(3):
@@ -470,13 +470,13 @@ class TestBayesDensity:
 
     def test_normalization(self):
         ds = random_ds(21, d=3, max_card=2)
-        model = sdg.bayes_model_from_data(ds, sdg.Structure("privbayes", ((2, ()), (0, (2,)), (1, (0, 2)))))
+        model = sdg.model_from_data(ds, sdg.Structure("privbayes", ((2, ()), (0, (2,)), (1, (0, 2)))))
         grid = enumerate_grid(ds.domain)
         assert abs(np.exp(sdg.log_density(model, grid)).sum() - 1.0) < 1e-9
 
     def test_chain_rule_hand_value(self):
         ds = random_ds(22, d=3)
-        model = sdg.bayes_model_from_data(ds, sdg.Structure("privbayes", ((0, ()), (1, (0,)), (2, (1,)))))
+        model = sdg.model_from_data(ds, sdg.Structure("privbayes", ((0, ()), (1, (0,)), (2, (1,)))))
         x = ds.rows[0]
         want = (
             factor_of(model, 0).lookup_rows(x[None, :])[0]
@@ -489,23 +489,44 @@ class TestBayesDensity:
 class TestSampleBayes:
     def test_point_mass(self):
         ds = make_ds([2, 2], [[1, 0]] * 10)
-        model = sdg.bayes_model_from_data(ds, sdg.Structure("privbayes", ((0, ()), (1, (0,)))), floor=0.0)
+        model = sdg.model_from_data(ds, sdg.Structure("privbayes", ((0, ()), (1, (0,)))), floor=0.0)
         out = sdg.sample(model, 30, seed=0)
         assert (out.rows == np.array([1, 0])).all()
 
     def test_determinism(self):
         ds = random_ds(23, d=3)
-        model = sdg.bayes_model_from_data(ds, sdg.Structure("privbayes", ((0, ()), (1, (0,)), (2, (1,)))))
+        model = sdg.model_from_data(ds, sdg.Structure("privbayes", ((0, ()), (1, (0,)), (2, (1,)))))
         a = sdg.sample(model, 100, seed=9)
         b = sdg.sample(model, 100, seed=9)
         assert np.array_equal(a.rows, b.rows)
 
     def test_sampling_consistency(self):
         ds = random_ds(24, d=3, n=2000)
-        model = sdg.bayes_model_from_data(ds, sdg.Structure("privbayes", ((0, ()), (1, (0,)), (2, (0, 1)))))
+        model = sdg.model_from_data(ds, sdg.Structure("privbayes", ((0, ()), (1, (0,)), (2, (0, 1)))))
         out = sdg.sample(model, 200000, seed=2)
         emp = marginals.conditional(out, 2, (0, 1), floor=0.0).probs
         assert np.abs(emp - factor_of(model, 2).probs).max() < 0.02
+
+
+class TestModelFromData:
+    """The attacker's noiseless model is the generator's own measurement at epsilon = inf."""
+
+    @pytest.mark.parametrize("method", ["mst", "privbayes"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_is_the_noiseless_fit(self, method, seed):
+        ds = random_ds(60 + seed, d=4)
+        fitted = sdg.fit(ds, noiseless_cfg(method, seed))
+        model = sdg.model_from_data(ds, fitted.structure)
+        assert model.structure == fitted.structure
+        assert [t.attrs for t in model.factors] == [t.attrs for t in fitted.factors]
+        assert [t.probs.tobytes() for t in model.factors] == [t.probs.tobytes() for t in fitted.factors]
+
+    @pytest.mark.parametrize("structure", [
+        sdg.Structure("mst", [(0, 1)]), sdg.Structure("privbayes", ((0, ()), (1, (0,)))),
+    ])
+    def test_empty_dataset(self, structure):
+        with pytest.raises(EstimationError):
+            sdg.model_from_data(make_ds([2, 2], np.zeros((0, 2))), structure)
 
 
 @pytest.mark.parametrize("method", ["mst", "privbayes"])
