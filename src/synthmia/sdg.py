@@ -36,6 +36,15 @@ def _table_sensitivity(n):
     return 2.0 / n
 
 
+def _privbayes_score_sensitivity(n):
+    """How far one changed record can move ``privbayes_score``: 3/n.
+
+    The score is half the L1 distance between the joint, which moves by at
+    most 2/n, and the product of its margins, which moves by at most 4/n.
+    """
+    return 1.5 * _table_sensitivity(n)
+
+
 def _tree_delta_share(d):
     """The tree generator's 3d - 1 Gaussian measurements split delta equally."""
     return (1.0, 3 * d - 1)
@@ -350,7 +359,7 @@ def privbayes_score(ds, i, parents):
     """Dependency score of a (node, parent set) candidate.
 
     Half the L1 distance between the joint P(X_i, Pi_i) and the product of
-    its marginals; a one-record change moves it by at most 2/n.
+    its marginals; a one-record change moves it by at most 3/n.
     """
     parents = tuple(parents)
     if i in parents:
@@ -397,7 +406,7 @@ def _select_bayes_order(ds, acct, rng):
     if d < 1:
         raise ConfigurationError("empty domain")
     n = len(ds)
-    sens = _table_sensitivity(n)  # first: it rejects an empty dataset
+    sens = _privbayes_score_sensitivity(n)  # first: it rejects an empty dataset
     cards = ds.domain.cardinalities
     threshold = _domain_threshold(acct.total, n)
 

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from synthmia import marginals, recovery, sdg
@@ -362,15 +362,48 @@ def neighbouring_datasets(draw):
     return make_ds(cards, rows), make_ds(cards, changed)
 
 
+# 10 records over a0 (3 values), a1 (3) and a2 (2) whose (a1, a0) cells are (0,2)x2, (1,0)x1,
+# (2,1)x3 and (2,2)x4, and the same with the (1,0) record replaced by (0,1): the
+# PrivBayes score of (a0 | a1) moves from 0.26 to 0.04, by 2.2/n
+PRIVBAYES_WITNESS = tuple(
+    make_ds([3, 3, 2], [[2, 0, 0]] * 2 + [changed] + [[1, 2, 0]] * 3 + [[2, 2, 0]] * 4)
+    for changed in ([0, 1, 0], [1, 0, 0])
+)
+
+
 class TestSensitivity:
-    """A one-record change moves every selection score by at most 2/n."""
+    """A one-record change moves each selection score by at most the sensitivity its selection uses."""
 
     @settings(max_examples=200, deadline=None)
     @given(neighbouring_datasets(), st.sampled_from([(1,), (2,), (1, 2)]))
+    @example(PRIVBAYES_WITNESS, (1,))
     def test_privbayes_score(self, pair, parents):
         ds, other = pair
         diff = abs(sdg.privbayes_score(ds, 0, parents) - sdg.privbayes_score(other, 0, parents))
-        assert diff <= 2.0 / len(ds) + 1e-12
+        assert diff <= sdg._privbayes_score_sensitivity(len(ds)) + 1e-12
+
+    def test_privbayes_witness_exceeds_table_sensitivity(self):
+        """The witness moves the score by more than 2/n, the bound of a probability table."""
+        ds, other = PRIVBAYES_WITNESS
+        diff = abs(sdg.privbayes_score(ds, 0, (1,)) - sdg.privbayes_score(other, 0, (1,)))
+        assert diff == pytest.approx(2.2 / len(ds))
+        assert diff > sdg._table_sensitivity(len(ds))
+
+    @pytest.mark.parametrize("method, bound", [
+        ("mst", sdg._table_sensitivity), ("privbayes", sdg._privbayes_score_sensitivity),
+    ])
+    def test_selections_are_calibrated_with_these_bounds(self, monkeypatch, method, bound):
+        used = []
+
+        def recorded(scores, epsilon, sensitivity, seed, size=None):
+            used.append(sensitivity)
+            return mechanism(scores, epsilon, sensitivity, seed, size)
+
+        mechanism = sdg.exponential_mechanism
+        monkeypatch.setattr(sdg, "exponential_mechanism", recorded)
+        ds = random_ds(29, d=4, n=120)
+        sdg.fit(ds, sdg.GeneratorConfig(method, DpParams(1.0, delta=1e-9)))
+        assert used and set(used) == {bound(120)}
 
     @settings(max_examples=200, deadline=None)
     @given(neighbouring_datasets(), st.integers(0, 2**32 - 1))
@@ -384,7 +417,7 @@ class TestSensitivity:
         }
         for i, j in itertools.combinations(range(3), 2):
             diff = abs(sdg.mst_edge_score(ds, i, j, one_way) - sdg.mst_edge_score(other, i, j, one_way))
-            assert diff <= 2.0 / len(ds) + 1e-12
+            assert diff <= sdg._table_sensitivity(len(ds)) + 1e-12
 
 
     @settings(max_examples=200, deadline=None)
