@@ -110,7 +110,7 @@ _FIELD_CHECKS = {
     "split.min_household_size": _COUNT,
     "split.train_size": _COUNT,
     "split.member_fraction_of_households": (_is(numbers.Real, lambda v: 0 <= v <= 1), "a number in [0, 1]"),
-    "split.seed": (_INT, "an integer"),
+    "split.seed": (_is(numbers.Integral, lambda v: v == 0), "0: each replica's split seed derives from seed"),
 }
 
 

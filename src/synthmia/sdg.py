@@ -37,11 +37,7 @@ def _table_sensitivity(n):
 
 
 def _privbayes_score_sensitivity(n):
-    """How far one changed record can move ``privbayes_score``: 3/n.
-
-    The score is half the L1 distance between the joint, which moves by at
-    most 2/n, and the product of its margins, which moves by at most 4/n.
-    """
+    """3/n: ``privbayes_score`` halves the L1 distance of a joint (moved <= 2/n) from its margins' product (<= 4/n)."""
     return 1.5 * _table_sensitivity(n)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import hashlib
 import json
@@ -66,6 +67,13 @@ class TestConfig:
         assert not os.path.exists(scores)
         errors = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
         assert [e["error"] for e in errors] == ["ConfigurationError", "ConfigurationError"]
+
+    def test_split_seed_must_be_zero(self, tmp_path):
+        """_run_cell replaces the split seed with one derived from seed, so no other value may pass unnoticed."""
+        base = SplitSpec(n_target_households=15, min_household_size=3, train_size=800)
+        assert small_config(str(tmp_path), split=base).split.seed == 0
+        with pytest.raises(ConfigurationError, match="derives from seed"):
+            small_config(str(tmp_path), split=dataclasses.replace(base, seed=3))
 
     def test_json_round_trip_with_infinite_epsilon(self, tmp_path):
         cfg = small_config(str(tmp_path), epsilons=(0.1, math.inf))
@@ -403,7 +411,7 @@ _BAD_FIELDS = {
     "split.min_household_size": ["3", 0, True],
     "split.train_size": ["800", -1, 800.0],
     "split.member_fraction_of_households": ["0.5", -0.1, 1.5, None],
-    "split.seed": ["0", 0.5, False],
+    "split.seed": ["0", 0.5, False, 1, -3],
 }
 
 

@@ -1,5 +1,5 @@
 """Source hygiene: every name a synthmia module imports is used in it, and every
-public function or class it defines is used somewhere."""
+top-level function or class it defines is used somewhere."""
 
 import ast
 import pathlib
@@ -40,12 +40,13 @@ def test_detects_an_unused_import():
 
 
 def dead_names(modules, others):
-    """Public top-level functions and classes of ``modules`` that no code refers to.
+    """Top-level functions and classes of ``modules``, private ones included, that no code refers to.
 
     A name counts as used when a Name, an attribute or a string elsewhere in
     ``modules`` or ``others`` (paths to their sources) spells it; uses inside
     its own definition do not count. Strings count because the benchmark's
-    tracer looks functions up by name.
+    tracer looks functions up by name. Dunders (``__getattr__``) are used by
+    Python itself and are skipped.
     """
     defined = {}
     used = set()
@@ -55,7 +56,7 @@ def dead_names(modules, others):
             own = None
             if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and path in modules:
                 own = stmt.name
-                if not own.startswith("_"):
+                if not (own.startswith("__") and own.endswith("__")):
                     defined[own] = f"{path.name}:{stmt.lineno}"
             for node in ast.walk(stmt):
                 if isinstance(node, ast.Name):
@@ -72,13 +73,16 @@ def dead_names(modules, others):
 
 
 def test_no_dead_names():
-    """Every public function or class is called or named by the package or the benchmark."""
+    """Every top-level function or class is called or named by the package or the benchmark."""
     assert dead_names(sorted(SRC.glob("*.py")), sorted((ROOT / "perfbench").glob("*.py"))) == []
 
 
 def test_detects_a_dead_name(tmp_path):
     lib = tmp_path / "lib.py"
-    lib.write_text("def used():\n    return 1\n\ndef dead():\n    return dead()\n\nclass _Private:\n    pass\n")
+    lib.write_text(
+        "def used():\n    return _helper()\n\ndef dead():\n    return dead()\n\nclass _Private:\n    pass\n\n"
+        "def _helper():\n    return 1\n\ndef __getattr__(name):\n    raise AttributeError(name)\n"
+    )
     user = tmp_path / "user.py"
     user.write_text("import lib\nprint(lib.used())\n")
-    assert dead_names([lib], [user]) == ["lib.py:4 dead"]
+    assert dead_names([lib], [user]) == ["lib.py:4 dead", "lib.py:7 _Private"]
