@@ -837,7 +837,8 @@ class TestCli:
     def test_header_only_mst_input(self, tmp_path, capsys, monkeypatch, epsilon):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "empty.csv").write_text("a,b,c\n")
-        assert cli.main(["generate", "--data", "empty.csv", "--out", "gen", "--method", "mst", "--epsilon", epsilon]) == 1
+        argv = ["generate", "--data", "empty.csv", "--out", "gen", "--method", "mst", "--epsilon", epsilon]
+        assert cli.main(argv) == 1
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == "EstimationError"
