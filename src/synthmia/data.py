@@ -7,6 +7,7 @@ membership labels through files.
 
 import csv
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -21,7 +22,7 @@ class Domain:
     """Ordered categorical attributes with their cardinalities.
 
     ``categories`` optionally keeps the original string labels per attribute
-    (index -> label), enabling decode back to raw values.
+    (index -> label), so encoded rows can be written back as their labels.
     """
 
     names: tuple
@@ -106,19 +107,15 @@ class Dataset:
             None if self.membership_label is None else self.membership_label[indices],
         )
 
-    def decode(self):
-        """Rows as lists of original string labels."""
-        labels = [self.domain.labels(a) for a in range(len(self.domain))]
-        return [[labels[a][v] for a, v in enumerate(row)] for row in self.rows]
-
 
 def load_csv(path, schema=None):
-    """Read a header-first CSV into a Dataset.
+    """Read a header-first CSV into a Dataset, one whole column at a time.
 
-    Without a schema, each column is encoded by first appearance order.
-    With one, unknown labels raise SchemaViolation.
+    Labels are the exact cell strings; a UTF-8 byte order mark before the
+    header is dropped. Without a schema, each column is encoded by first
+    appearance order. With one, unknown labels raise SchemaViolation.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -128,56 +125,53 @@ def load_csv(path, schema=None):
         except UnicodeDecodeError:
             raise ParseError(f"{path}: not UTF-8 text") from None
 
-    data_cols = [i for i, name in enumerate(header) if name not in (HOUSEHOLD_COLUMN, MEMBER_COLUMN)]
+    reserved = (HOUSEHOLD_COLUMN, MEMBER_COLUMN)
+    for name in reserved:
+        if header.count(name) > 1:
+            raise ParseError(f"{path}: column {name} appears {header.count(name)} times, at most once allowed")
+    data_cols = [i for i, name in enumerate(header) if name not in reserved]
     names = [header[i] for i in data_cols]
-    hh_col = header.index(HOUSEHOLD_COLUMN) if HOUSEHOLD_COLUMN in header else None
-    mb_col = header.index(MEMBER_COLUMN) if MEMBER_COLUMN in header else None
 
-    for r, rec in enumerate(records):
-        if len(rec) != len(header):
-            raise ParseError(f"{path}: row {r + 2} has {len(rec)} cells, expected {len(header)}")
+    if set(map(len, records)) - {len(header)}:
+        for r, rec in enumerate(records):
+            if len(rec) != len(header):
+                raise ParseError(f"{path}: row {r + 2} has {len(rec)} cells, expected {len(header)}")
 
-    if schema is not None:
-        if list(schema.names) != names:
-            raise SchemaViolation(f"{path}: header {names} does not match schema {list(schema.names)}")
-        encoders = [
-            {label: idx for idx, label in enumerate(schema.labels(a))}
-            for a in range(len(schema))
-        ]
+    if schema is None:
+        # a dict keeps first-appearance order; a header-only file gets a
+        # one-label placeholder domain per column
+        labels = [list(dict.fromkeys(map(itemgetter(c), records))) or [""] for c in data_cols]
+        domain = Domain(names, [len(c) for c in labels], labels)
+    elif list(schema.names) != names:
+        raise SchemaViolation(f"{path}: header {names} does not match schema {list(schema.names)}")
     else:
-        encoders = [{} for _ in names]
+        domain = schema
 
     rows = np.empty((len(records), len(names)), dtype=np.int64)
-    for r, rec in enumerate(records):
+    for a, c in enumerate(data_cols):
+        enc = {label: idx for idx, label in enumerate(domain.labels(a))}
+        try:
+            rows[:, a] = np.fromiter(map(enc.__getitem__, map(itemgetter(c), records)), np.int64, len(records))
+        except KeyError:
+            _raise_unknown_label(path, domain, data_cols, records)
+
+    ids = [_int_column(path, header, records, header.index(name)) if name in header else None for name in reserved]
+    return Dataset(domain, rows, *ids)
+
+
+def _raise_unknown_label(path, domain, data_cols, records):
+    """SchemaViolation naming the first unknown label, by row and then by column."""
+    known = [set(domain.labels(a)) for a in range(len(domain))]
+    for rec in records:
         for a, c in enumerate(data_cols):
-            value = rec[c]
-            enc = encoders[a]
-            if value not in enc:
-                if schema is not None:
-                    raise SchemaViolation(f"{path}: unknown category {value!r} in column {names[a]!r}")
-                enc[value] = len(enc)
-            rows[r, a] = enc[value]
-
-    if schema is not None:
-        domain = schema
-    else:
-        categories = []
-        for a, enc in enumerate(encoders):
-            if not enc:
-                # header-only file: give each column a one-label placeholder domain
-                enc[""] = 0
-            categories.append([label for label, _ in sorted(enc.items(), key=lambda kv: kv[1])])
-        domain = Domain(names, [len(c) for c in categories], categories)
-
-    household = None if hh_col is None else _int_column(path, header, records, hh_col)
-    member = None if mb_col is None else _int_column(path, header, records, mb_col)
-    return Dataset(domain, rows, household, member)
+            if rec[c] not in known[a]:
+                raise SchemaViolation(f"{path}: unknown category {rec[c]!r} in column {domain.names[a]!r}")
 
 
 def _int_column(path, header, records, col):
     """One reserved column as integers; ParseError naming the first bad row."""
     try:
-        return np.array([int(rec[col]) for rec in records], dtype=np.int64)
+        return np.fromiter(map(int, map(itemgetter(col), records)), np.int64, len(records))
     except (ValueError, OverflowError):
         for r, rec in enumerate(records):
             try:
@@ -187,23 +181,20 @@ def _int_column(path, header, records, col):
 
 
 def write_csv(ds, path):
-    """Write a Dataset back to CSV, including reserved columns when present."""
+    """Write a Dataset back to CSV, including reserved columns when present.
+
+    Each attribute is decoded by one gather from an array of its labels.
+    """
     header = list(ds.domain.names)
-    if ds.household_id is not None:
-        header.append(HOUSEHOLD_COLUMN)
-    if ds.membership_label is not None:
-        header.append(MEMBER_COLUMN)
-    decoded = ds.decode()
+    cols = [np.array(ds.domain.labels(a), dtype=object)[ds.rows[:, a]] for a in range(len(header))]
+    for name, ids in ((HOUSEHOLD_COLUMN, ds.household_id), (MEMBER_COLUMN, ds.membership_label)):
+        if ids is not None:
+            header.append(name)
+            cols.append(ids.tolist())
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for r, row in enumerate(decoded):
-            out = list(row)
-            if ds.household_id is not None:
-                out.append(int(ds.household_id[r]))
-            if ds.membership_label is not None:
-                out.append(int(ds.membership_label[r]))
-            writer.writerow(out)
+        writer.writerows(zip(*cols))
 
 
 @dataclass(frozen=True)
