@@ -93,32 +93,33 @@ def cmd_attack(args):
         probs, preds = attack_mod.activate_simple(log_scores, args.threshold)
     scores = np.exp(log_scores)
 
+    header = ["record_id", "household_id", "raw_score", "probability", "prediction"]
+    cols = [
+        range(len(scores)),
+        target.household_id.tolist() if target.household_id is not None else [-1] * len(scores),
+        [f"{v:.12g}" for v in scores.tolist()],
+        [f"{v:.12g}" for v in probs.tolist()],
+        preds.tolist(),
+    ]
+    if target.membership_label is not None:
+        header.append("label")
+        cols.append(target.membership_label.tolist())
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        header = ["record_id", "household_id", "raw_score", "probability", "prediction"]
-        if target.membership_label is not None:
-            header.append("label")
         writer.writerow(header)
-        for r in range(len(scores)):
-            row = [
-                r,
-                int(target.household_id[r]) if target.household_id is not None else -1,
-                f"{float(scores[r]):.12g}",
-                f"{float(probs[r]):.12g}",
-                int(preds[r]),
-            ]
-            if target.membership_label is not None:
-                row.append(int(target.membership_label[r]))
-            writer.writerow(row)
+        writer.writerows(zip(*cols))
     print(json.dumps({"scores": args.out, "records": len(scores)}))
 
 
 def cmd_evaluate(args):
     with open(args.scores, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
         try:
-            rows = list(csv.DictReader(fh))
+            rows = list(reader)
         except UnicodeDecodeError:
             raise ParseError(f"{args.scores}: not UTF-8 text") from None
+        except csv.Error as exc:
+            raise ParseError(f"{args.scores}: line {reader.reader.line_num}: {exc}") from None
     if not rows:
         raise ConfigurationError(f"{args.scores}: no score rows")
     if "label" not in rows[0]:

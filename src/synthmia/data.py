@@ -2,10 +2,16 @@
 
 Records are encoded as dense integer category indices. Two reserved CSV
 columns, ``__household__`` and ``__member__``, carry household grouping and
-membership labels through files.
+membership labels through files. A CSV is split into columns from its bytes
+in numpy when it is quote-free, and by ``csv.reader`` otherwise; both give
+the same column form and the same Dataset (``load_csv``).
 """
 
+import codecs
 import csv
+import io
+import itertools
+from collections import defaultdict
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -15,6 +21,7 @@ from .errors import ConfigurationError, ParseError, SchemaViolation
 
 HOUSEHOLD_COLUMN = "__household__"
 MEMBER_COLUMN = "__member__"
+_RESERVED = (HOUSEHOLD_COLUMN, MEMBER_COLUMN)
 
 
 @dataclass(frozen=True)
@@ -111,73 +118,139 @@ class Dataset:
 def load_csv(path, schema=None):
     """Read a header-first CSV into a Dataset, one whole column at a time.
 
-    Labels are the exact cell strings; a UTF-8 byte order mark before the
-    header is dropped. Without a schema, each column is encoded by first
-    appearance order. With one, unknown labels raise SchemaViolation.
+    Labels are the exact cell strings ``csv.reader`` reads; a UTF-8 byte
+    order mark before the header is dropped. Two tokenizers give one column
+    form, (labels in first-appearance order, codes) per column. A file with no
+    quote, NUL, lone CR, blank line or ragged row is split from its bytes in
+    numpy and only its distinct labels are decoded (``_byte_columns``); any
+    other file goes through ``csv.reader`` (``_reader_columns``), which
+    reports ragged rows and fields over ``csv.field_size_limit()``. The rest
+    works on distinct labels: without a schema, each column is encoded by
+    first appearance order; with one, unknown labels raise SchemaViolation.
     """
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-            records = list(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file, expected a header row")
-        except UnicodeDecodeError:
-            raise ParseError(f"{path}: not UTF-8 text") from None
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        header, columns = _byte_columns(raw) or _reader_columns(path, raw)
+    except UnicodeDecodeError:
+        raise ParseError(f"{path}: not UTF-8 text") from None
 
-    reserved = (HOUSEHOLD_COLUMN, MEMBER_COLUMN)
-    for name in reserved:
-        if header.count(name) > 1:
-            raise ParseError(f"{path}: column {name} appears {header.count(name)} times, at most once allowed")
-    data_cols = [i for i, name in enumerate(header) if name not in reserved]
+    _check_reserved(path, header)
+    data_cols = [i for i, name in enumerate(header) if name not in _RESERVED]
     names = [header[i] for i in data_cols]
-
-    if set(map(len, records)) - {len(header)}:
-        for r, rec in enumerate(records):
-            if len(rec) != len(header):
-                raise ParseError(f"{path}: row {r + 2} has {len(rec)} cells, expected {len(header)}")
-
     if schema is None:
-        # a dict keeps first-appearance order; a header-only file gets a
-        # one-label placeholder domain per column
-        labels = [list(dict.fromkeys(map(itemgetter(c), records))) or [""] for c in data_cols]
+        # a header-only file gets a one-label placeholder domain per column
+        labels = [columns[c][0] or [""] for c in data_cols]
         domain = Domain(names, [len(c) for c in labels], labels)
     elif list(schema.names) != names:
         raise SchemaViolation(f"{path}: header {names} does not match schema {list(schema.names)}")
     else:
         domain = schema
 
-    rows = np.empty((len(records), len(names)), dtype=np.int64)
+    rows = np.empty((len(columns[0][1]) if columns else 0, len(names)), dtype=np.int64)
     for a, c in enumerate(data_cols):
         enc = {label: idx for idx, label in enumerate(domain.labels(a))}
-        try:
-            rows[:, a] = np.fromiter(map(enc.__getitem__, map(itemgetter(c), records)), np.int64, len(records))
-        except KeyError:
-            _raise_unknown_label(path, domain, data_cols, records)
+        labels, codes = columns[c]
+        rows[:, a] = np.array([enc.get(label, -1) for label in labels], dtype=np.int64)[codes]
+    unknown = np.argwhere(rows < 0)
+    if unknown.size:
+        r, a = unknown[0]  # the first unknown label by row and then by column
+        labels, codes = columns[data_cols[a]]
+        raise SchemaViolation(f"{path}: unknown category {labels[codes[r]]!r} in column {names[a]!r}")
 
-    ids = [_int_column(path, header, records, header.index(name)) if name in header else None for name in reserved]
+    ids = [_int_column(path, name, *columns[header.index(name)]) if name in header else None for name in _RESERVED]
     return Dataset(domain, rows, *ids)
 
 
-def _raise_unknown_label(path, domain, data_cols, records):
-    """SchemaViolation naming the first unknown label, by row and then by column."""
-    known = [set(domain.labels(a)) for a in range(len(domain))]
-    for rec in records:
-        for a, c in enumerate(data_cols):
-            if rec[c] not in known[a]:
-                raise SchemaViolation(f"{path}: unknown category {rec[c]!r} in column {domain.names[a]!r}")
+def _check_reserved(path, header):
+    for name in _RESERVED:
+        if header.count(name) > 1:
+            raise ParseError(f"{path}: column {name} appears {header.count(name)} times, at most once allowed")
 
 
-def _int_column(path, header, records, col):
-    """One reserved column as integers; ParseError naming the first bad row."""
+def _byte_columns(raw):
+    """(header, columns) of a CSV whose delimiters form a grid, or None to leave it to csv.reader.
+
+    Each cell is keyed by its bytes packed into the smallest unsigned integer
+    that holds the column's widest cell, or a fixed-width byte string above 8
+    bytes; with no NUL in the file, the zero padding keeps keys distinct. A
+    column whose keys would take more bytes than the file is left to csv.reader.
+    """
+    start = len(codecs.BOM_UTF8) if raw.startswith(codecs.BOM_UTF8) else 0
+    if start == len(raw) or b'"' in raw or b"\0" in raw or raw.startswith((b"\n", b"\r\n"), start):
+        return None
+    buf = np.frombuffer(raw, dtype=np.uint8)
+    sep = np.flatnonzero((buf == ord(",")) | (buf == ord("\n")))
+    is_newline = buf[sep] == ord("\n")
+    if not raw.endswith(b"\n"):
+        sep, is_newline = np.append(sep, len(raw)), np.append(is_newline, True)
+    width = int(is_newline.argmax()) + 1
+    if is_newline.sum() * width != len(sep) or not is_newline[width - 1 :: width].all():
+        return None  # ragged, or a blank line among several columns
+    grid = sep.reshape(-1, width)  # the delimiters of each line, header first
+    crlf = buf[grid[:, -1] - 1] == ord("\r")
+    header = raw[start : grid[0, -1] - crlf[0]]
+    limit = csv.field_size_limit()
+    if np.count_nonzero(buf == ord("\r")) != np.count_nonzero(crlf) or len(header) > limit:
+        return None  # a CR inside a line, or an over-long header
+    columns = []
+    for c in range(width):
+        # bounds from strided views of the grid: no (rows x columns) copy, only gathered cells widened
+        starts = (grid[1:, c - 1] if c else grid[:-1, -1]) + 1
+        lengths = grid[1:, c] - (crlf[1:] if c == width - 1 else 0) - starts
+        longest = int(lengths.max(initial=0))
+        if longest > limit or len(starts) * longest > len(raw) or (width == 1 and lengths.min(initial=1) == 0):
+            return None
+        size = 1 << max(longest - 1, 0).bit_length() if longest <= 8 else longest
+        keys = np.zeros((len(starts), size), dtype=np.uint8)
+        for j in range(longest):
+            keys[:, j] = np.where(lengths > j, buf.take(starts + j, mode="clip"), 0)
+        _, first, inverse = np.unique(keys.view(f"u{size}" if longest <= 8 else f"S{size}").ravel(),
+                                      return_index=True, return_inverse=True)
+        order = np.argsort(first)  # distinct keys by first appearance; its inverse ranks them
+        first = first[order]
+        columns.append(([raw[s : s + n] for s, n in zip(starts[first].tolist(), lengths[first].tolist())],
+                        np.argsort(order).astype(np.min_scalar_type(len(order)))[inverse]))
+    # decoded only now, so a file left to csv.reader reports its errors in file order
+    return header.decode().split(","), [([b.decode() for b in labels], codes) for labels, codes in columns]
+
+
+def _reader_columns(path, raw):
+    """(header, columns) of any CSV through csv.reader, one defaultdict encoder per column."""
+    with io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+            records = list(reader)
+        except StopIteration:
+            raise ParseError(f"{path}: empty file, expected a header row")
+        except csv.Error as exc:
+            raise ParseError(f"{path}: line {reader.line_num}: {exc}") from None
+
+    if set(map(len, records)) - {len(header)}:
+        _check_reserved(path, header)  # reported before a ragged row
+        r, rec = next((r, rec) for r, rec in enumerate(records) if len(rec) != len(header))
+        raise ParseError(f"{path}: row {r + 2} has {len(rec)} cells, expected {len(header)}")
+    columns = []
+    for c in range(len(header)):
+        enc = defaultdict(itertools.count().__next__)
+        codes = np.fromiter(map(enc.__getitem__, map(itemgetter(c), records)), np.int64, len(records))
+        columns.append((list(enc), codes))
+    return header, columns
+
+
+def _int_column(path, name, labels, codes):
+    """A reserved column as integers, int() once per distinct label; ParseError naming the first bad row."""
     try:
-        return np.fromiter(map(int, map(itemgetter(col), records)), np.int64, len(records))
+        return np.fromiter(map(int, labels), np.int64, len(labels))[codes]
     except (ValueError, OverflowError):
-        for r, rec in enumerate(records):
+        # labels are in first-appearance order: the first bad one is on the first bad row
+        for idx, label in enumerate(labels):
             try:
-                np.int64(int(rec[col]))
+                np.int64(int(label))
             except (ValueError, OverflowError):
-                raise ParseError(f"{path}: row {r + 2}: {header[col]} {rec[col]!r} is not an integer") from None
+                r = int(np.argmax(codes == idx))
+                raise ParseError(f"{path}: row {r + 2}: {name} {label!r} is not an integer") from None
 
 
 def write_csv(ds, path):

@@ -1,5 +1,7 @@
 import csv
 import io
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,8 +12,11 @@ from synthmia import data
 from synthmia.errors import ConfigurationError, ParseError, SchemaViolation, SynthmiaError
 
 RESERVED = (data.HOUSEHOLD_COLUMN, data.MEMBER_COLUMN)
-# labels with the characters CSV quoting must survive, non-ASCII ones and ""
-LABELS = st.text(alphabet='ab ,"\n\r\té中', max_size=3)
+# labels with the characters CSV quoting must survive, non-ASCII ones, "" and
+# labels wider than the 8 bytes of an integer key
+LABELS = st.text(alphabet='ab ,"\n\r\té中', max_size=3) | st.text(alphabet='ab,"中', min_size=9, max_size=12)
+# labels a file can hold unquoted
+PLAIN_LABELS = st.text(alphabet="ab \té中", max_size=3) | st.text(alphabet="ab中", min_size=9, max_size=12)
 NAMES = st.lists(st.text(alphabet='ab_é,"', min_size=1, max_size=3), min_size=1, max_size=3, unique=True)
 INT64 = st.integers(-(2**63), 2**63 - 1)
 BAD_INTS = st.sampled_from(["x", "1.5", "", "0x1", "2e3", str(2**63), str(-(2**63) - 1)])
@@ -86,10 +91,19 @@ def load_outcome(load, path, schema):
 
 @st.composite
 def csv_files(draw):
-    """(CSV text, schema or None): tricky labels, reserved columns anywhere, at most one fault."""
-    names = draw(NAMES)
+    """(CSV text, schema or None): tricky labels, reserved columns anywhere, at most one fault.
+
+    A file is written by csv.writer or, quote-free, by joining its cells with
+    commas, with CRLF or LF line ends and maybe no final line end; a lone CR
+    or a NUL may sit inside a label.
+    """
+    plain = draw(st.booleans())
+    names = draw(NAMES.filter(lambda names: not plain or not any(set(name) & set(',"') for name in names)))
     n = draw(st.integers(0, 6))
-    columns = [draw(st.lists(LABELS, min_size=n, max_size=n)) for _ in names]
+    columns = [draw(st.lists(PLAIN_LABELS if plain else LABELS, min_size=n, max_size=n)) for _ in names]
+    if n and draw(st.booleans()):
+        label = draw(st.sampled_from(["a\rb", "\r", "a\x00", "\x00"]))
+        columns[draw(st.integers(0, len(names) - 1))][draw(st.integers(0, n - 1))] = label
     header, cols = list(names), list(columns)
     for name in RESERVED:
         if draw(st.booleans()):
@@ -97,7 +111,7 @@ def csv_files(draw):
             header.insert(at, name)
             cols.insert(at, [str(v) for v in draw(st.lists(INT64, min_size=n, max_size=n))])
     records = [list(rec) for rec in zip(*cols)]
-    fault = draw(st.sampled_from(["none", "ragged", "reserved", "unknown", "duplicate"]))
+    fault = draw(st.sampled_from(["none", "ragged", "reserved", "unknown", "duplicate", "blank"]))
     schema = None
     if fault == "unknown" or draw(st.booleans()):
         cats = [draw(st.permutations(list(dict.fromkeys(col)) or [""])) for col in columns]
@@ -119,11 +133,21 @@ def csv_files(draw):
     elif fault == "duplicate":
         header.append(draw(st.sampled_from(RESERVED)))
         records = [[*rec, "0"] for rec in records]
-    buf = io.StringIO()
-    writer = csv.writer(buf, quoting=draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL])))
-    writer.writerow(header)
-    writer.writerows(records)
-    return draw(st.sampled_from(["", "\ufeff"])) + buf.getvalue(), schema
+    elif fault == "blank":
+        records.insert(draw(st.integers(0, n)), [])
+    eol = draw(st.sampled_from(["\r\n", "\n"]))
+    if plain:
+        text = "".join(",".join(rec) + eol for rec in [header, *records])
+    else:
+        buf = io.StringIO()
+        quoting = draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL]))
+        writer = csv.writer(buf, quoting=quoting, lineterminator=eol)
+        writer.writerow(header)
+        writer.writerows(records)
+        text = buf.getvalue()
+    if draw(st.booleans()):
+        text = text.removesuffix(eol)
+    return draw(st.sampled_from(["", "\ufeff"])) + text, schema
 
 
 @st.composite
@@ -201,7 +225,59 @@ class TestLoadCsv:
     def test_matches_row_by_row_reference(self, tmp_path, case):
         text, schema = case
         path = write(tmp_path, text)
-        assert load_outcome(data.load_csv, path, schema) == load_outcome(reference_load_csv, path, schema)
+        want = load_outcome(reference_load_csv, path, schema)
+        assert load_outcome(data.load_csv, path, schema) == want
+        # every file through csv.reader alone
+        with mock.patch.object(data, "_byte_columns", return_value=None):
+            assert load_outcome(data.load_csv, path, schema) == want
+
+    @pytest.mark.parametrize(
+        "text, tokenizer",
+        [
+            ("a,__household__\r\nx,7\r\ny,8\r\n", "bytes"),
+            ("\ufeffa,b\nx,1\ny,2", "bytes"),
+            ("a,b\n" + "abcdefghijk,1\n" * 3, "bytes"),
+            ('a,b\n"x",1\n', "reader"),
+            ("a,b\nx\r,1\n", "reader"),
+            ("a,b\nx\x00,1\n", "reader"),
+            ("a\nx\n\ny\n", "reader"),
+            ("\r\na\nx\n", "reader"),
+            ("a,b\nx,1\ny\n", "reader"),
+            ("a\n" + "x" * 100 + "\n" + "y\n" * 20, "reader"),
+        ],
+        ids=["crlf", "bom-lf-no-final-newline", "wide-labels", "quote", "lone-cr", "nul", "blank-line",
+             "blank-header", "ragged", "wide-cell"],
+    )
+    def test_tokenizer_choice(self, tmp_path, monkeypatch, text, tokenizer):
+        calls = []
+        reader = csv.reader
+        monkeypatch.setattr(csv, "reader", lambda *args: calls.append(args) or reader(*args))
+        path = write(tmp_path, text)
+        outcome = load_outcome(data.load_csv, path, None)
+        assert bool(calls) == (tokenizer == "reader")
+        assert outcome == load_outcome(reference_load_csv, path, None)
+
+    def test_field_over_limit_is_parse_error(self, tmp_path):
+        limit = csv.field_size_limit()
+        ds = data.load_csv(write(tmp_path, "a\n" + "y" * limit + "\n"))
+        assert ds.domain.categories == (("y" * limit,),)
+        for line, text in ((1, "y" * (limit + 1) + "\n"), (2, "a\n" + "y" * (limit + 1) + "\n")):
+            with pytest.raises(ParseError, match=rf"line {line}: field larger than field limit \({limit}\)"):
+                data.load_csv(write(tmp_path, text))
+
+    def test_one_wide_cell_keeps_memory_small(self, tmp_path):
+        # fixed-width keys for this column would take 50,000 x 100,000 bytes
+        lines = ["a,b", *["x,1"] * 50_000]
+        lines[1] = "x" * 100_000 + ",1"
+        path = write(tmp_path, "\n".join(lines) + "\n")
+        tracemalloc.start()
+        try:
+            ds = data.load_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        assert len(ds) == 50_000 and ds.domain.cardinalities == (2, 1)
 
     @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(labelled_datasets())

@@ -607,8 +607,11 @@ class TestMalformedInput:
             ("generate", b"a,b,__household__,__household__\nx,p,1,1\ny,q,2,2\n", "ParseError"),
             ("evaluate", b"raw_score,prediction,label\n5,1,1\n\xff,0,0\n", "ParseError"),
             ("evaluate", b"raw_score,prediction,label\n5,1,1\n1,0,0\n3,1,2\n", "ConfigurationError"),
+            ("generate", b"a\n" + b"x" * 200_000 + b"\n", "ParseError"),
+            ("evaluate", b"raw_score,prediction,label\n5,1," + b"1" * 200_000 + b"\n", "ParseError"),
         ],
-        ids=["data-not-utf8", "reserved-column-twice", "scores-not-utf8", "label-not-binary"],
+        ids=["data-not-utf8", "reserved-column-twice", "scores-not-utf8", "label-not-binary",
+             "data-field-over-limit", "scores-field-over-limit"],
     )
     def test_reproduced_file_cases(self, tmp_path, capsys, command, contents, error):
         path = tmp_path / "input.csv"
