@@ -63,13 +63,6 @@ def _log_marginal_ratio(rows, attrs, synth, aux):
     return np.log(ts.lookup_rows(rows)) - np.log(ta.lookup_rows(rows))
 
 
-def _log_conditional_ratio(rows, key, synth, aux):
-    """log of the floored conditional ratio for a (node, parents) key, per record."""
-    ts = marginals.conditional(synth, *key)
-    ta = marginals.conditional(aux, *key)
-    return np.log(ts.lookup_rows(rows)) - np.log(ta.lookup_rows(rows))
-
-
 def _log_density_ratio(target, structure, synth, aux):
     """log of the ratio of the densities the generator's noiseless measurement fits on synth and on aux."""
     rows = _rows(target)
@@ -90,8 +83,9 @@ def tamis_pb(target, structure, synth, aux):
 def _weighted_mean_ratio(target, terms, log_ratio, synth, aux):
     """log of the weighted mean of per-factor ratios, summed in ``terms`` order.
 
-    ``terms`` is a sequence of (key, weight); ``log_ratio`` is
-    ``_log_marginal_ratio`` (pair keys) or ``_log_conditional_ratio``.
+    ``terms`` is a sequence of (key, weight) and ``log_ratio(rows, key, synth, aux)``
+    is ``_log_marginal_ratio`` (attribute-pair keys) or ``_log_density_ratio``
+    (one-factor ``sdg.Structure`` keys, see ``_factors``).
     """
     rows = _rows(target)
     total = sum(w for _, w in terms)
@@ -110,10 +104,15 @@ def mamamia_mst(target, weights, synth, aux):
     return _weighted_mean_ratio(target, terms, _log_marginal_ratio, synth, aux)
 
 
+def _factors(terms):
+    """Each (node, parents) key of ``terms`` as the one-factor network the generator's measurement fits."""
+    return [(sdg.Structure(sdg.METHOD_PRIVBAYES, [key]), w) for key, w in terms]
+
+
 def mamamia_pb(target, weights, synth, aux):
     """Weight-normalized average of conditional-table ratios."""
-    terms = sorted(weights.weights.items())
-    return _weighted_mean_ratio(target, terms, _log_conditional_ratio, synth, aux)
+    terms = _factors(sorted(weights.weights.items()))
+    return _weighted_mean_ratio(target, terms, _log_density_ratio, synth, aux)
 
 
 def hybrid_mst(target, structure, synth, aux):
@@ -126,8 +125,8 @@ def hybrid_mst(target, structure, synth, aux):
 def hybrid_pb(target, structure, synth, aux):
     """Uniform average of conditional ratios over the recovered network."""
     # unit weights in sorted key order: exactly mamamia's sum under indicator weights
-    terms = [(key, 1) for key in sorted(structure.keys)]
-    return _weighted_mean_ratio(target, terms, _log_conditional_ratio, synth, aux)
+    terms = _factors((key, 1) for key in sorted(structure.keys))
+    return _weighted_mean_ratio(target, terms, _log_density_ratio, synth, aux)
 
 
 def _node_pair_mean(target, pairs, synth, aux):

@@ -34,14 +34,6 @@ def _write_json(obj, path):
         json.dump(obj, fh, indent=2)
 
 
-def _read_json(path):
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except ValueError as exc:
-            raise ParseError(f"{path}: not JSON ({exc})") from None
-
-
 def cmd_generate(args):
     train = load_csv(args.data)
     model = sdg.fit(train, sdg.GeneratorConfig(args.method, _dp_from_args(args)))
@@ -76,7 +68,7 @@ def cmd_attack(args):
         if not path:
             raise ConfigurationError(f"{args.attack} needs --{needs}")
         parse = sdg.Structure.from_json if needs == "structure" else recovery.ShadowWeights.from_json
-        inputs = (parse(_read_json(path)),)
+        inputs = (parse(harness.read_json(path)),)
         if inputs[0].method != family:
             raise ConfigurationError(f"{args.attack} attacks {family} generators; {path} is {inputs[0].method}")
     # aux is the population superset, so its inferred domain covers the others
@@ -144,7 +136,7 @@ def cmd_evaluate(args):
 
 
 def cmd_replicate(args):
-    obj = _read_json(args.config)
+    obj = harness.read_json(args.config)
     if isinstance(obj, dict):  # from_json rejects any other value
         if args.out:
             obj["out_dir"] = args.out

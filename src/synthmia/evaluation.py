@@ -1,28 +1,8 @@
 """Attack-success and structure-recovery metrics."""
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigurationError, UndefinedMetric
-
-
-@dataclass(frozen=True)
-class RecoveryMetrics:
-    choice_accuracy: float
-    precision: float
-    recall: float
-    jaccard: float
-    perfect_match: bool
-
-    def to_json(self):
-        return {
-            "choice_accuracy": self.choice_accuracy,
-            "precision": self.precision,
-            "recall": self.recall,
-            "jaccard": self.jaccard,
-            "perfect_match": int(self.perfect_match),
-        }
 
 
 def _tie_average_ranks(values):
@@ -66,17 +46,17 @@ def balanced_accuracy(predictions, labels):
 
 
 def recovery_metrics(true_structure, estimated_structure):
-    """Set-overlap metrics between the keys of two ``sdg.Structure``s of one method."""
+    """Set-overlap metrics, by name, between the keys of two ``sdg.Structure``s of one method; perfect_match is 0/1."""
     if true_structure.method != estimated_structure.method:
         raise ConfigurationError("recovery metrics need two structures of one method")
-    truth = set(true_structure.keys)
-    est = set(estimated_structure.keys)
+    truth, est = set(true_structure.keys), set(estimated_structure.keys)
     if not truth:
         raise ConfigurationError("true structure is empty")
-    inter = truth & est
-    union = truth | est
-    choice_accuracy = len(inter) / len(truth)
-    precision = len(inter) / len(est) if est else 0.0
-    recall = len(inter) / len(truth)
-    jaccard = len(inter) / len(union)
-    return RecoveryMetrics(choice_accuracy, precision, recall, jaccard, truth == est)
+    inter, union = truth & est, truth | est
+    return {
+        "choice_accuracy": len(inter) / len(truth),
+        "precision": len(inter) / len(est) if est else 0.0,
+        "recall": len(inter) / len(truth),
+        "jaccard": len(inter) / len(union),
+        "perfect_match": int(truth == est),
+    }

@@ -26,7 +26,7 @@ from . import attack as attack_mod
 from . import evaluation, marginals, recovery, sdg
 from .data import SplitSpec, generate_households, load_csv, snake_split_indices
 from .dp import DpParams, derive_seed
-from .errors import ConfigurationError, ResumeMismatch
+from .errors import ConfigurationError, ParseError, ResumeMismatch
 
 ALL_ATTACKS = (
     "tamis-mst", "tamis-mst-avg", "mamamia-mst", "hybrid-mst",
@@ -179,54 +179,6 @@ def load_aux(cfg):
     return generate_households(**{"n_rows": 50000, **args})
 
 
-class _AttackContext:
-    """Lazily-computed attacker inputs shared across attacks in one cell."""
-
-    def __init__(self, synth, aux, train_size, dp, seed, true_structure, shadow_k):
-        self.synth = synth
-        self.aux = aux
-        self.train_size = train_size
-        self.dp = dp
-        self.seed = seed
-        self.true_structure = true_structure
-        self.shadow_k = shadow_k
-        self._cache = {}
-
-    def structure(self, method):
-        """The structure of a ``method`` generator recovered from synth."""
-        key = f"structure-{method}"
-        if key not in self._cache:
-            dp = self.dp.with_seed(derive_seed(self.seed, 1))
-            self._cache[key] = recovery.recover(self.synth, method, dp)
-        return self._cache[key]
-
-    def weights(self, method):
-        key = f"weights-{method}"
-        if key not in self._cache:
-            cfg = recovery.ShadowConfig(
-                K=self.shadow_k,
-                subset_size=min(self.train_size, len(self.aux)),
-                dp=self.dp,
-                seed=derive_seed(self.seed, 2),
-            )
-            self._cache[key] = recovery.shadow_weights(self.aux, cfg, method)
-        return self._cache[key]
-
-
-def score_attack(name, target, ctx):
-    """Log scores of one attack, by name, for each record of a Dataset."""
-    family, needs, starred, fn = attack_mod.lookup(name)
-    if starred and ctx.true_structure.method != family:
-        raise ConfigurationError(f"{name!r} needs the true structure of a {family} generator")
-    if needs == "structure":
-        inputs = (ctx.true_structure if starred else ctx.structure(family),)
-    elif needs == "weights":
-        inputs = (ctx.weights(family),)
-    else:
-        inputs = ()
-    return attack_mod.score_records(fn, target, *inputs, ctx.synth, ctx.aux)
-
-
 def _setting_metrics(log_scores, labels, prior, threshold):
     """AUROC plus balanced accuracy under both activation regimes."""
     _, preds_simple = attack_mod.activate_simple(log_scores, threshold)
@@ -239,14 +191,15 @@ def _setting_metrics(log_scores, labels, prior, threshold):
 
 
 def _attacks_for(cfg, method):
-    names = []
+    """(name, ``attack.lookup(name)``) of each configured attack that runs in a ``method`` cell."""
+    out = []
     for name in cfg.attacks:
-        family, _, starred, _ = attack_mod.lookup(name)
+        entry = family, _, starred, _ = attack_mod.lookup(name)
         if starred and family != method:
             continue  # true-structure variants only apply to their own generator
         if cfg.cross_targeted or family in ("free", method):
-            names.append(name)
-    return names
+            out.append((name, entry))
+    return out
 
 
 def run_replica(cfg, replica_index, aux=None):
@@ -279,15 +232,27 @@ def _run_cell(cfg, aux, replica_index, m_idx, e_idx):
     dp = DpParams(eps, delta=cfg.delta, theta=cfg.theta, seed=derive_seed(stage, 0))
     model = sdg.fit(train, sdg.GeneratorConfig(method, dp))
     synth = sdg.sample(model, n_synth, derive_seed(stage, 1))
-    ctx = _AttackContext(synth, aux, split.train_size, dp, derive_seed(stage, 3), model.structure, cfg.shadow_k)
+    attacker = derive_seed(stage, 3)
+
+    # each attacker input is computed once per family, and only when an attack takes it
+    @functools.cache
+    def structure(family):
+        return recovery.recover(synth, family, dp.with_seed(derive_seed(attacker, 1)))
+
+    @functools.cache
+    def weights(family):
+        shadow = recovery.ShadowConfig(cfg.shadow_k, min(split.train_size, len(aux)), dp, derive_seed(attacker, 2))
+        return recovery.shadow_weights(aux, shadow, family)
+
     # the structure the attacks score with is the one whose recovery is reported
-    rec = evaluation.recovery_metrics(model.structure, ctx.structure(method))
-    emit("recovery", f"recover-{method}", rec.to_json())
+    emit("recovery", f"recover-{method}", evaluation.recovery_metrics(model.structure, structure(method)))
     house_labels = _household_labels(target_households, target_labels)
     prior_aux, prior_tgt = float(aux_labels.mean()), float(target_labels.mean())
-    for name in _attacks_for(cfg, method):
+    inputs = {"structure": structure, "weights": weights}
+    for name, (family, needs, starred, fn) in _attacks_for(cfg, method):
+        given = () if needs is None else (model.structure if starred else inputs[needs](family),)
         # a record's score depends on the record alone, so the targets' scores are a slice of aux's
-        aux_logs = score_attack(name, aux, ctx)
+        aux_logs = attack_mod.score_records(fn, aux, *given, synth, aux)
         target_logs = aux_logs[target_idx]
         house_logs = attack_mod.aggregate_households(target_logs, target_households)
         emit("aux-individuals", name, _setting_metrics(aux_logs, aux_labels, prior_aux, cfg.threshold))
@@ -311,14 +276,18 @@ def _replica_path(out_dir, replica_index):
     return os.path.join(out_dir, f"replica_{replica_index:04d}.csv")
 
 
-def write_rows(rows, path):
-    """Write metric rows to a temporary file beside ``path``, then move it there.
-
-    ``run_experiment`` treats an existing replica file as done, so a run cut
-    short while writing must leave no file at ``path``.
-    """
+@contextlib.contextmanager
+def _replacing(path, newline=None):
+    """A text file opened beside ``path``, moved there once the block ends: a cut run leaves no file at ``path``."""
     part = path + ".part"
-    with open(part, "w", newline="", encoding="utf-8") as fh:
+    with open(part, "w", newline=newline, encoding="utf-8") as fh:
+        yield fh
+    os.replace(part, path)
+
+
+def write_rows(rows, path):
+    """Write metric rows to ``path`` through ``_replacing``."""
+    with _replacing(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
         for row in rows:
@@ -326,12 +295,33 @@ def write_rows(rows, path):
                 row["replica"], row["method"], row["epsilon"], row["setting"],
                 row["attack"], row["metric"], f"{float(row['value']):.12g}",
             ])
-    os.replace(part, path)
 
 
 def read_rows(path):
+    """The metric rows ``write_rows`` wrote to ``path``; ParseError, naming the file and line, for other content."""
     with open(path, newline="", encoding="utf-8") as fh:
-        return list(csv.DictReader(fh))
+        reader = csv.reader(fh)
+        try:
+            if next(reader, None) != list(CSV_COLUMNS):
+                raise ValueError(f"the header is not {','.join(CSV_COLUMNS)}")
+            rows = []
+            for record in reader:
+                if len(record) != len(CSV_COLUMNS):
+                    raise ValueError(f"{len(record)} fields, not {len(CSV_COLUMNS)}")
+                float(record[-1])  # ValueError unless the value is a number
+                rows.append(dict(zip(CSV_COLUMNS, record)))
+        except (ValueError, csv.Error) as exc:  # UnicodeDecodeError is a ValueError
+            raise ParseError(f"{path}: line {reader.line_num}: {exc}") from None
+    return rows
+
+
+def read_json(path):
+    """The JSON value in ``path``; ParseError, naming the file, if it holds none."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise ParseError(f"{path}: not JSON ({exc})") from None
 
 
 def run_experiment(cfg):
@@ -341,12 +331,13 @@ def run_experiment(cfg):
     digest = config_hash(cfg)
     meta_path = os.path.join(cfg.out_dir, "config.json")
     if os.path.exists(meta_path):
-        with open(meta_path, encoding="utf-8") as fh:
-            meta = json.load(fh)
+        meta = read_json(meta_path)
+        if not isinstance(meta, dict):
+            raise ParseError(f"{meta_path}: not a JSON object")
         if meta.get("hash") != digest:
             raise ResumeMismatch(f"{cfg.out_dir} holds results for a different configuration")
     else:
-        with open(meta_path, "w", encoding="utf-8") as fh:
+        with _replacing(meta_path) as fh:
             json.dump({"hash": digest, "config": cfg.to_json()}, fh, indent=2, sort_keys=True)
 
     pending = [r for r in range(cfg.replicas) if not os.path.exists(_replica_path(cfg.out_dir, r))]
@@ -357,7 +348,7 @@ def run_experiment(cfg):
     paths = [meta_path, *(_replica_path(cfg.out_dir, r) for r in range(cfg.replicas))]
     summary = aggregate([row for path in paths[1:] for row in read_rows(path)])
     summary_path = os.path.join(cfg.out_dir, "summary.json")
-    with open(summary_path, "w", encoding="utf-8") as fh:
+    with _replacing(summary_path) as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
     paths.append(summary_path)
     return paths

@@ -1,4 +1,7 @@
-"""Contingency-table kernels: empirical marginals and conditionals.
+"""Contingency-table kernels: counts, empirical marginals and conditional tables.
+
+Only PrivBayes' measurement (``sdg._measure_network``) turns a joint into a
+conditional table, so the attacks read conditionals through it.
 
 Tables are dense numpy arrays. Each distinct record is counted once, weighted
 by its multiplicity, so counts are exact integers independent of row order.
@@ -194,18 +197,3 @@ def conditional_from_joint(joint_probs, child, parents, source_size, floor=None)
     cond = cond / cond.sum(axis=-1, keepdims=True)
     return ConditionalTable(child, tuple(parents), cond, source_size)
 
-
-def conditional(ds, child, parents, floor=None):
-    """Empirical conditional P(child | parents) with zero-probability flooring.
-
-    ``floor`` defaults to 1/(10 * |ds|).
-    """
-    parents = tuple(parents)
-    if child in parents:
-        raise ConfigurationError("child attribute cannot be one of its parents")
-    if len(ds) == 0:
-        raise EstimationError("cannot estimate a conditional from an empty dataset")
-    if floor is None:
-        floor = default_floor(len(ds))
-    joint = counts(ds, parents + (child,)).astype(np.float64) / len(ds)
-    return conditional_from_joint(joint, child, parents, len(ds), floor)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -76,6 +78,38 @@ class TestHybridEqualsMamamia:
         h = attack.hybrid_pb(target, order, synth, aux)
         m = attack.mamamia_pb(target, w, synth, aux)
         assert np.array_equal(h, m)
+
+
+class TestOneMeasurement:
+    """Every PrivBayes ratio attack reads PrivBayes' own measurement, so a change to it reaches them all."""
+
+    def test_changed_measurement_moves_every_privbayes_attack(self, monkeypatch):
+        domain = Domain(["a", "b", "c"], [2, 3, 2])
+        synth, aux = random_ds(41, domain=domain), random_ds(42, domain=domain)
+        target = random_ds(43, n=40, domain=domain)
+        order = sdg.Structure("privbayes", ((1, ()), (0, (1,)), (2, (0, 1))))
+        weights = recovery.ShadowWeights("privbayes", 2, {(0, (1,)): 2, (2, (0, 1)): 1, (1, ()): 1})
+
+        def scores():
+            return {
+                "tamis-pb": attack.tamis_pb(target, order, synth, aux),
+                "hybrid-pb": attack.hybrid_pb(target, order, synth, aux),
+                "mamamia-pb": attack.mamamia_pb(target, weights, synth, aux),
+            }
+
+        measure, before = sdg._measure_network, scores()
+
+        def squared(*args, **kwargs):  # each conditional squared, then renormalised
+            model = measure(*args, **kwargs)
+            factors = tuple(
+                marginals.ConditionalTable(t.child, t.parents, t.probs**2 / (t.probs**2).sum(-1, keepdims=True), 0)
+                for t in model.factors
+            )
+            return dataclasses.replace(model, factors=factors)
+
+        monkeypatch.setattr(sdg, "_measure_network", squared)
+        for name, logs in scores().items():
+            assert np.abs(logs - before[name]).max() > 1e-3, name
 
 
 class TestHandValues:

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from synthmia import attack, cli, harness, recovery, sdg
 from synthmia.data import SplitSpec, generate_households, make_snake_split, write_csv
-from synthmia.dp import DpParams
 from synthmia.errors import ConfigurationError, ResumeMismatch
 
 
@@ -225,6 +224,18 @@ class TestRunExperiment:
         harness.run_experiment(clean)
         with open(path, "rb") as a, open(os.path.join(clean.out_dir, "replica_0000.csv"), "rb") as b:
             assert a.read() == b.read()
+
+    def test_config_json_cut_short_is_not_left_behind(self, tmp_path, monkeypatch):
+        cfg = small_config(str(tmp_path / "exp"))
+
+        def cut_short(obj, fh, **kwargs):
+            fh.write('{"hash": ')
+            raise RuntimeError("cut short")
+
+        monkeypatch.setattr(harness.json, "dump", cut_short)
+        with pytest.raises(RuntimeError):
+            harness.run_experiment(cfg)
+        assert not os.path.exists(os.path.join(cfg.out_dir, "config.json"))
 
     def test_resume_rejects_config_change(self, tmp_path):
         out = str(tmp_path / "exp")
@@ -634,6 +645,43 @@ class TestMalformedInput:
         assert json.loads(lines[0])["error"] == "ConfigurationError"
         assert os.listdir(tmp_path) == ["config.json"]
 
+    @pytest.mark.parametrize("contents", [b'{"hash": "ab', b"[1, 2]", b"\xff"], ids=["truncated", "array", "not-utf8"])
+    def test_resume_with_broken_config_json(self, tmp_path, capsys, contents):
+        meta = tmp_path / "exp" / "config.json"
+        meta.parent.mkdir()
+        meta.write_bytes(contents)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(small_config(str(tmp_path / "exp")).to_json()))
+        assert cli.main(["replicate", "--config", str(config)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])
+        assert error["error"] == "ParseError" and error["message"].startswith(str(meta))
+        assert os.listdir(meta.parent) == ["config.json"]
+
+    @pytest.mark.parametrize(
+        "edit, line",
+        [
+            (lambda lines: lines[:3] + [lines[3].rsplit(",", 1)[0] + ",abc"] + lines[4:], 4),
+            (lambda lines: [",".join(f for k, f in enumerate(l.split(",")) if k != 2) for l in lines], 1),
+            (lambda lines: lines[:2] + [lines[2].rsplit(",", 1)[0]] + lines[3:], 3),
+        ],
+        ids=["value-not-a-number", "no-epsilon-column", "short-row"],
+    )
+    def test_resume_with_malformed_replica_csv(self, tmp_path, capsys, edit, line):
+        cfg = small_config(str(tmp_path / "exp"), replicas=2)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(cfg.to_json()))
+        assert cli.main(["replicate", "--config", str(config)]) == 0
+        replica = tmp_path / "exp" / "replica_0001.csv"
+        replica.write_text("\n".join(edit(replica.read_text().splitlines())) + "\n")
+        capsys.readouterr()
+        assert cli.main(["replicate", "--config", str(config)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])
+        assert error["error"] == "ParseError" and error["message"].startswith(f"{replica}: line {line}: ")
+
     def test_negative_sample_size(self, tmp_path, capsys):
         data = tmp_path / "train.csv"
         write_csv(generate_households(300, n_attrs=3, max_cardinality=3, seed=0), str(data))
@@ -645,45 +693,45 @@ class TestMalformedInput:
 
 
 class TestStarredAttacks:
-    """A starred structure attack scores with the generator's true structure."""
+    """In a cell, a starred structure attack scores with the fitted model's structure, a plain one with the recovered."""
 
-    def _context(self, method, candidates):
-        aux = generate_households(3000, n_attrs=4, max_cardinality=3, seed=5)
-        synth = aux.subset(np.arange(800))
-        dp = DpParams(math.inf, seed=0)
-        ctx = harness._AttackContext(synth, aux, 800, dp, 11, None, 2)
-        recovered = ctx.structure(method)
-        ctx.true_structure = next(s for s in (sdg.Structure(method, keys) for keys in candidates) if s != recovered)
-        return ctx, recovered
+    def _check(self, tmp_path, monkeypatch, method, name, candidates):
+        fitted, scored = [], []
+        fit, fn = sdg.fit, getattr(attack, name.replace("-", "_"))
+
+        def fit_recorded(train, cfg):
+            fitted.append(fit(train, cfg))
+            return fitted[-1]
+
+        def wrong(synth, family, dp):  # a recovery that misses the fitted structure
+            return next(s for s in (sdg.Structure(family, keys) for keys in candidates) if s != fitted[-1].structure)
+
+        def recorded(target, structure, synth, aux):
+            scored.append((structure, fn(target, structure, synth, aux)))
+            return scored[-1][1]
+
+        monkeypatch.setattr(sdg, "fit", fit_recorded)
+        monkeypatch.setattr(recovery, "recover", wrong)
+        monkeypatch.setattr(attack, name.replace("-", "_"), recorded)
+        cfg = small_config(str(tmp_path), methods=(method,), attacks=(name, name + "*"))
+        rows = harness._run_cell(cfg, harness.load_aux(cfg), 0, 0, 0)
+        # attacks run in configured order: the plain one first
+        (plain, plain_logs), (starred, starred_logs) = scored
+        assert plain == wrong(None, method, None) != fitted[-1].structure
+        assert starred == fitted[-1].structure
+        assert not np.array_equal(starred_logs, plain_logs)
+        assert [r["value"] for r in rows if r["metric"] == "perfect_match"] == [0]
+        assert {r["attack"] for r in rows if r["setting"] != "recovery"} == {name, name + "*"}
 
     @pytest.mark.parametrize("name", ["tamis-mst", "tamis-mst-avg", "hybrid-mst"])
-    def test_mst(self, name):
-        ctx, recovered = self._context("mst", [((0, 1), (0, 2), (0, 3)), ((0, 1), (1, 2), (2, 3))])
-        self._check(name, ctx, recovered)
+    def test_mst(self, tmp_path, monkeypatch, name):
+        candidates = [((0, 1), (0, 2), (0, 3)), ((0, 1), (1, 2), (2, 3))]
+        self._check(tmp_path, monkeypatch, "mst", name, candidates)
 
     @pytest.mark.parametrize("name", ["tamis-pb", "hybrid-pb"])
-    def test_privbayes(self, name):
-        ctx, recovered = self._context(
-            "privbayes",
-            [((0, ()), (1, (0,)), (2, (1,)), (3, (2,))), ((3, ()), (2, (3,)), (1, (2,)), (0, (1,)))],
-        )
-        self._check(name, ctx, recovered)
-
-    def _check(self, name, ctx, recovered):
-        fn = getattr(attack, name.replace("-", "_"))
-        target = ctx.aux.subset(np.arange(50))
-        starred = harness.score_attack(name + "*", target, ctx)
-        plain = harness.score_attack(name, target, ctx)
-        want_star = fn(target, ctx.true_structure, ctx.synth, ctx.aux)
-        want_plain = fn(target, recovered, ctx.synth, ctx.aux)
-        assert np.array_equal(starred, want_star)
-        assert np.array_equal(plain, want_plain)
-        assert not np.array_equal(starred, plain)
-
-    def test_star_needs_matching_generator(self):
-        ctx, _ = self._context("mst", [((0, 1), (0, 2), (0, 3)), ((0, 1), (1, 2), (2, 3))])
-        with pytest.raises(ConfigurationError):
-            harness.score_attack("tamis-pb*", ctx.aux.subset(np.arange(5)), ctx)
+    def test_privbayes(self, tmp_path, monkeypatch, name):
+        candidates = [((0, ()), (1, (0,)), (2, (1,)), (3, (2,))), ((3, ()), (2, (3,)), (1, (2,)), (0, (1,)))]
+        self._check(tmp_path, monkeypatch, "privbayes", name, candidates)
 
 
 def _sha256(path):

@@ -61,13 +61,21 @@ class TestMarginal:
         assert table.probs.min() >= floor / (1.0 + floor * table.probs.size)
 
 
+def factor(ds, node, parents, floor=None):
+    """P(node | parents) as PrivBayes' noiseless measurement of the one-factor network builds it."""
+    (table,) = sdg.model_from_data(ds, sdg.Structure("privbayes", [(node, parents)]), floor=floor).factors
+    return table
+
+
 class TestConditional:
+    """The conditional tables of ``sdg.model_from_data``, the only conditional estimator."""
+
     def test_independent_child_rows_equal_marginal(self):
         rng = np.random.default_rng(3)
         child = rng.integers(0, 3, size=4000)
         parent = rng.integers(0, 2, size=4000)
         ds = make_ds([3, 2], np.column_stack([child, parent]))
-        cond = marginals.conditional(ds, 0, (1,), floor=0.0)
+        cond = factor(ds, 0, (1,), floor=0.0)
         one = marginals.marginal(ds, (0,)).probs
         # brute-force oracle per parent configuration
         for v in range(2):
@@ -78,23 +86,23 @@ class TestConditional:
 
     def test_unseen_parent_configuration_uniform(self):
         ds = make_ds([2, 3], [[0, 0], [1, 0], [0, 1]])
-        cond = marginals.conditional(ds, 0, (1,))
+        cond = factor(ds, 0, (1,))
         assert np.allclose(cond.probs[2], [0.5, 0.5])
 
     def test_empty_parents_equals_marginal(self):
         ds = make_ds([3], [[0], [1], [1], [2]])
-        cond = marginals.conditional(ds, 0, (), floor=0.0)
+        cond = factor(ds, 0, (), floor=0.0)
         assert np.allclose(cond.probs, marginals.marginal(ds, (0,)).probs)
 
     def test_child_in_parents_rejected(self):
         ds = make_ds([2, 2], [[0, 0]])
-        with pytest.raises(ConfigurationError):
-            marginals.conditional(ds, 0, (0,))
+        with pytest.raises(ConfigurationError, match="attributes must be distinct"):
+            factor(ds, 0, (0,))
 
     def test_block_normalization(self):
         rng = np.random.default_rng(7)
         ds = make_ds([3, 2, 2], rng.integers(0, [3, 2, 2], size=(40, 3)))
-        cond = marginals.conditional(ds, 0, (1, 2))
+        cond = factor(ds, 0, (1, 2))
         assert np.allclose(cond.probs.sum(axis=-1), 1.0, atol=1e-12)
 
     def test_chain_rule_before_flooring(self):
@@ -104,7 +112,7 @@ class TestConditional:
         rows[:3, 1] = [0, 1, 2]
         ds = make_ds([2, 3], rows)
         pair = marginals.marginal(ds, (1, 0)).probs
-        cond = marginals.conditional(ds, 0, (1,), floor=0.0).probs
+        cond = factor(ds, 0, (1,), floor=0.0).probs
         pj = marginals.marginal(ds, (1,)).probs
         assert np.allclose(pair, cond * pj[:, None], atol=1e-12)
 
