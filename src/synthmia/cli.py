@@ -105,28 +105,32 @@ def cmd_attack(args):
 
 def cmd_evaluate(args):
     with open(args.scores, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.reader(fh)
         try:
-            rows = list(reader)
+            header = next(reader, [])
+            records = [record for record in reader if record]  # blank lines are skipped
         except UnicodeDecodeError:
             raise ParseError(f"{args.scores}: not UTF-8 text") from None
         except csv.Error as exc:
-            raise ParseError(f"{args.scores}: line {reader.reader.line_num}: {exc}") from None
-    if not rows:
+            raise ParseError(f"{args.scores}: line {reader.line_num}: {exc}") from None
+    if not records:
         raise ConfigurationError(f"{args.scores}: no score rows")
-    if "label" not in rows[0]:
+    if "label" not in header:
         raise ConfigurationError(f"{args.scores}: has no 'label' column ({MEMBER_COLUMN} missing upstream)")
+    at = {name: c for c, name in enumerate(header)}  # a repeated name reads its last column
+    columns = list(zip(*records))  # as many columns as the shortest row has cells; longer rows are accepted
     try:
-        scores = np.array([float(r["raw_score"]) for r in rows])
-        preds = np.array([int(r["prediction"]) for r in rows], dtype=np.int64)
-        labels = np.array([int(r["label"]) for r in rows], dtype=np.int64)
-    except (KeyError, TypeError, ValueError, OverflowError):
-        # a missing column, a short row (None) or a cell that is not a number
+        score, pred, label = (columns[at[name]] for name in ("raw_score", "prediction", "label"))
+        scores = np.fromiter(map(float, score), np.float64, len(records))
+        preds = np.fromiter(map(int, pred), np.int64, len(records))
+        labels = np.fromiter(map(int, label), np.int64, len(records))
+    except (KeyError, IndexError, ValueError, OverflowError):
+        # a missing column, a short row or a cell that is not a number
         raise ParseError(f"{args.scores}: needs numeric raw_score and integer prediction and label cells") from None
     out = {
         "auroc": evaluation.auroc(scores, labels),
         "balanced_accuracy": evaluation.balanced_accuracy(preds, labels),
-        "n": len(rows),
+        "n": len(records),
     }
     text = json.dumps(out, indent=2, sort_keys=True)
     if args.out:

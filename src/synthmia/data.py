@@ -4,7 +4,9 @@ Records are encoded as dense integer category indices. Two reserved CSV
 columns, ``__household__`` and ``__member__``, carry household grouping and
 membership labels through files. A CSV is split into columns from its bytes
 in numpy when it is quote-free, and by ``csv.reader`` otherwise; both give
-the same column form and the same Dataset (``load_csv``).
+the same Dataset (``load_csv``). In numpy each column takes one of three
+decoders: a lookup table for cells of at most 2 bytes, a sort for wider
+ones, or digit-by-digit parsing for a reserved column of plain digits.
 """
 
 import codecs
@@ -124,7 +126,11 @@ def load_csv(path, schema=None):
     quote, NUL, lone CR, blank line or ragged row is split from its bytes in
     numpy and only its distinct labels are decoded (``_byte_columns``); any
     other file goes through ``csv.reader`` (``_reader_columns``), which
-    reports ragged rows and fields over ``csv.field_size_limit()``. The rest
+    reports ragged rows and fields over ``csv.field_size_limit()``. In numpy a
+    column of cells up to 2 bytes wide finds its distinct cells through a table
+    over all 2^8 or 2^16 keys, a wider one through np.unique, and a reserved
+    column whose cells are all 1 to 18 ASCII digits is parsed to integers
+    without labels (any other such column keeps its labels for int()). The rest
     works on distinct labels: without a schema, each column is encoded by
     first appearance order; with one, unknown labels raise SchemaViolation.
     """
@@ -151,10 +157,9 @@ def load_csv(path, schema=None):
     for a, c in enumerate(data_cols):
         enc = {label: idx for idx, label in enumerate(domain.labels(a))}
         labels, codes = columns[c]
-        rows[:, a] = np.array([enc.get(label, -1) for label in labels], dtype=np.int64)[codes]
-    unknown = np.argwhere(rows < 0)
-    if unknown.size:
-        r, a = unknown[0]  # the first unknown label by row and then by column
+        rows[:, a] = np.array([enc.get(label, -1) for label in labels], dtype=np.int64).take(codes)
+    if (rows < 0).any():
+        r, a = np.argwhere(rows < 0)[0]  # the first unknown label by row and then by column
         labels, codes = columns[data_cols[a]]
         raise SchemaViolation(f"{path}: unknown category {labels[codes[r]]!r} in column {names[a]!r}")
 
@@ -171,10 +176,7 @@ def _check_reserved(path, header):
 def _byte_columns(raw):
     """(header, columns) of a CSV whose delimiters form a grid, or None to leave it to csv.reader.
 
-    Each cell is keyed by its bytes packed into the smallest unsigned integer
-    that holds the column's widest cell, or a fixed-width byte string above 8
-    bytes; with no NUL in the file, the zero padding keeps keys distinct. A
-    column whose keys would take more bytes than the file is left to csv.reader.
+    A reserved column parsed by ``_digit_column`` comes as (None, values); the others go through ``_label_codes``.
     """
     start = len(codecs.BOM_UTF8) if raw.startswith(codecs.BOM_UTF8) else 0
     if start == len(raw) or b'"' in raw or b"\0" in raw or raw.startswith((b"\n", b"\r\n"), start):
@@ -185,7 +187,7 @@ def _byte_columns(raw):
     if not raw.endswith(b"\n"):
         sep, is_newline = np.append(sep, len(raw)), np.append(is_newline, True)
     width = int(is_newline.argmax()) + 1
-    if is_newline.sum() * width != len(sep) or not is_newline[width - 1 :: width].all():
+    if np.count_nonzero(is_newline) * width != len(sep) or not is_newline[width - 1 :: width].all():
         return None  # ragged, or a blank line among several columns
     grid = sep.reshape(-1, width)  # the delimiters of each line, header first
     crlf = buf[grid[:, -1] - 1] == ord("\r")
@@ -193,26 +195,64 @@ def _byte_columns(raw):
     limit = csv.field_size_limit()
     if np.count_nonzero(buf == ord("\r")) != np.count_nonzero(crlf) or len(header) > limit:
         return None  # a CR inside a line, or an over-long header
+    reserved = [name.encode() for name in _RESERVED]  # matched as bytes: the header is decoded last
     columns = []
-    for c in range(width):
-        # bounds from strided views of the grid: no (rows x columns) copy, only gathered cells widened
-        starts = (grid[1:, c - 1] if c else grid[:-1, -1]) + 1
-        lengths = grid[1:, c] - (crlf[1:] if c == width - 1 else 0) - starts
+    ends = grid[:-1, -1]  # the line end before each row
+    for c, name in enumerate(header.split(b",")):
+        # one strided read of the grid per column: no (rows x columns) copy, only gathered cells widened
+        starts, ends = ends + 1, grid[1:, c] - (crlf[1:] if c == width - 1 else 0)
+        lengths = ends - starts
         longest = int(lengths.max(initial=0))
-        if longest > limit or len(starts) * longest > len(raw) or (width == 1 and lengths.min(initial=1) == 0):
+        if longest > limit or (width == 1 and lengths.min(initial=1) == 0):
             return None
-        size = 1 << max(longest - 1, 0).bit_length() if longest <= 8 else longest
-        keys = np.zeros((len(starts), size), dtype=np.uint8)
-        for j in range(longest):
-            keys[:, j] = np.where(lengths > j, buf.take(starts + j, mode="clip"), 0)
-        _, first, inverse = np.unique(keys.view(f"u{size}" if longest <= 8 else f"S{size}").ravel(),
-                                      return_index=True, return_inverse=True)
-        order = np.argsort(first)  # distinct keys by first appearance; its inverse ranks them
-        first = first[order]
-        columns.append(([raw[s : s + n] for s, n in zip(starts[first].tolist(), lengths[first].tolist())],
-                        np.argsort(order).astype(np.min_scalar_type(len(order)))[inverse]))
+        if name in reserved and (values := _digit_column(buf, ends, lengths, longest)) is not None:
+            columns.append((None, values))
+        elif longest > 2 and len(starts) * longest > len(raw):
+            return None  # its fixed-width keys would take more bytes than the file
+        else:
+            first, codes = _label_codes(buf, starts, lengths, longest)
+            columns.append(([raw[s : s + n] for s, n in zip(starts[first].tolist(), lengths[first].tolist())], codes))
     # decoded only now, so a file left to csv.reader reports its errors in file order
-    return header.decode().split(","), [([b.decode() for b in labels], codes) for labels, codes in columns]
+    return header.decode().split(","), [(labels and [b.decode() for b in labels], codes) for labels, codes in columns]
+
+
+def _digit_column(buf, ends, lengths, longest):
+    """A column as int64 if every cell is 1 to 18 ASCII digits (so fits and reads as int() reads it), else None."""
+    if longest > 18 or lengths.min(initial=1) == 0:
+        return None
+    values = np.zeros(len(ends), dtype=np.int64)
+    for k in range(longest):  # the k-th digit from the right, 0 in a shorter cell
+        digits = np.where(lengths > k, buf.take(ends - 1 - k, mode="clip") - np.uint8(ord("0")), 0)
+        if digits.max() > 9:  # any byte but a digit wraps past 9
+            return None
+        values += np.int64(10**k) * digits
+    return values
+
+
+def _label_codes(buf, starts, lengths, longest):
+    """(each distinct cell's first row, in row order; codes by first appearance) of one column.
+
+    A cell's key is its bytes zero-padded to the widest cell (no cell holds a NUL). Keys of up to 2 bytes index
+    a table of each key's first row; wider ones go through np.unique, as an unsigned integer or a byte string.
+    """
+    if longest <= 2:
+        keys = buf.take(starts, mode="clip")
+        if longest == 2:
+            keys = keys.astype(np.uint16) << 8 | np.where(lengths == 2, buf.take(starts + 1, mode="clip"), 0)
+        keys = np.where(lengths > 0, keys, 0) if lengths.min(initial=1) == 0 else keys
+        firsts = np.full(1 << 8 * max(longest, 1), len(keys))  # by key; len(keys) for a key no cell has
+        np.minimum.at(firsts, keys, np.arange(len(keys)))
+    else:
+        size = 1 << (longest - 1).bit_length() if longest <= 8 else longest
+        matrix = np.zeros((len(starts), size), dtype=np.uint8)
+        for j in range(longest):
+            matrix[:, j] = np.where(lengths > j, buf.take(starts + j, mode="clip"), 0)
+        _, firsts, keys = np.unique(matrix.view(f"u{size}" if longest <= 8 else f"S{size}").ravel(),
+                                    return_index=True, return_inverse=True)
+    first = np.sort(firsts[firsts < len(keys)])
+    rank = np.zeros(len(firsts), dtype=np.min_scalar_type(len(first)))
+    rank[keys[first]] = np.arange(len(first))
+    return first, rank.take(keys)
 
 
 def _reader_columns(path, raw):
@@ -241,6 +281,8 @@ def _reader_columns(path, raw):
 
 def _int_column(path, name, labels, codes):
     """A reserved column as integers, int() once per distinct label; ParseError naming the first bad row."""
+    if labels is None:  # parsed from its digits (_byte_columns)
+        return codes
     try:
         return np.fromiter(map(int, labels), np.int64, len(labels))[codes]
     except (ValueError, OverflowError):

@@ -179,6 +179,9 @@ def load_aux(cfg):
     return generate_households(**{"n_rows": 50000, **args})
 
 
+_SETTINGS = ("aux-individuals", "target-individuals", "target-households")  # each attack is scored in all three
+
+
 def _setting_metrics(log_scores, labels, prior, threshold):
     """AUROC plus balanced accuracy under both activation regimes."""
     _, preds_simple = attack_mod.activate_simple(log_scores, threshold)
@@ -255,9 +258,10 @@ def _run_cell(cfg, aux, replica_index, m_idx, e_idx):
         aux_logs = attack_mod.score_records(fn, aux, *given, synth, aux)
         target_logs = aux_logs[target_idx]
         house_logs = attack_mod.aggregate_households(target_logs, target_households)
-        emit("aux-individuals", name, _setting_metrics(aux_logs, aux_labels, prior_aux, cfg.threshold))
-        emit("target-individuals", name, _setting_metrics(target_logs, target_labels, prior_tgt, cfg.threshold))
-        emit("target-households", name, _setting_metrics(house_logs, house_labels, 0.5, cfg.threshold))
+        scored = ((aux_logs, aux_labels, prior_aux), (target_logs, target_labels, prior_tgt),
+                  (house_logs, house_labels, 0.5))
+        for setting, (logs, labels, prior) in zip(_SETTINGS, scored):
+            emit(setting, name, _setting_metrics(logs, labels, prior, cfg.threshold))
     return rows
 
 
@@ -297,8 +301,21 @@ def write_rows(rows, path):
             ])
 
 
-def read_rows(path):
-    """The metric rows ``write_rows`` wrote to ``path``; ParseError, naming the file and line, for other content."""
+def _row_keys(cfg, replica_index):
+    """The (replica, method, epsilon, setting, attack) cells of the rows ``run_replica`` returns for ``cfg``."""
+    keys = set()
+    for method in cfg.methods:
+        pairs = [("recovery", f"recover-{method}")]
+        pairs += [(setting, name) for name, _ in _attacks_for(cfg, method) for setting in _SETTINGS]
+        keys.update((str(replica_index), method, format_epsilon(eps), *pair) for eps in cfg.epsilons for pair in pairs)
+    return keys
+
+
+def read_rows(path, keys):
+    """The metric rows ``write_rows`` wrote to ``path``; ParseError, naming the file and line, for other content.
+
+    A row's first five cells must be one of ``keys``, the replica's ``_row_keys``.
+    """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -309,6 +326,8 @@ def read_rows(path):
                 if len(record) != len(CSV_COLUMNS):
                     raise ValueError(f"{len(record)} fields, not {len(CSV_COLUMNS)}")
                 float(record[-1])  # ValueError unless the value is a number
+                if tuple(record[:-2]) not in keys:
+                    raise ValueError(f"{','.join(record[:-2])} is not a row this configuration writes")
                 rows.append(dict(zip(CSV_COLUMNS, record)))
         except (ValueError, csv.Error) as exc:  # UnicodeDecodeError is a ValueError
             raise ParseError(f"{path}: line {reader.line_num}: {exc}") from None
@@ -346,7 +365,7 @@ def run_experiment(cfg):
             write_rows(rows, _replica_path(cfg.out_dir, r))
 
     paths = [meta_path, *(_replica_path(cfg.out_dir, r) for r in range(cfg.replicas))]
-    summary = aggregate([row for path in paths[1:] for row in read_rows(path)])
+    summary = aggregate([row for r, path in enumerate(paths[1:]) for row in read_rows(path, _row_keys(cfg, r))])
     summary_path = os.path.join(cfg.out_dir, "summary.json")
     with _replacing(summary_path) as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)

@@ -19,6 +19,11 @@ LABELS = st.text(alphabet='ab ,"\n\r\té中', max_size=3) | st.text(alphabet='ab
 PLAIN_LABELS = st.text(alphabet="ab \té中", max_size=3) | st.text(alphabet="ab中", min_size=9, max_size=12)
 NAMES = st.lists(st.text(alphabet='ab_é,"', min_size=1, max_size=3), min_size=1, max_size=3, unique=True)
 INT64 = st.integers(-(2**63), 2**63 - 1)
+# reserved cells of 1 to 18 ASCII digits, which load_csv may parse digit by digit
+DIGIT_IDS = st.integers(0, 10**18 - 1).map(str) | st.sampled_from(["007", "0", "9" * 18])
+# any integer int() reads, in the spellings it allows: signs, spaces, "_", other scripts' digits, 19 digits
+LENIENT_IDS = st.sampled_from(["-0", "+5", " 7", "7 ", "1_000", "٣", "1" + "0" * 18, "0" * 19])
+IDS = DIGIT_IDS | INT64.map(str) | LENIENT_IDS
 BAD_INTS = st.sampled_from(["x", "1.5", "", "0x1", "2e3", str(2**63), str(-(2**63) - 1)])
 
 
@@ -94,8 +99,8 @@ def csv_files(draw):
     """(CSV text, schema or None): tricky labels, reserved columns anywhere, at most one fault.
 
     A file is written by csv.writer or, quote-free, by joining its cells with
-    commas, with CRLF or LF line ends and maybe no final line end; a lone CR
-    or a NUL may sit inside a label.
+    commas, with CRLF or LF line ends (a quote-free file may mix them) and
+    maybe no final line end; a lone CR or a NUL may sit inside a label.
     """
     plain = draw(st.booleans())
     names = draw(NAMES.filter(lambda names: not plain or not any(set(name) & set(',"') for name in names)))
@@ -109,7 +114,7 @@ def csv_files(draw):
         if draw(st.booleans()):
             at = draw(st.integers(0, len(header)))
             header.insert(at, name)
-            cols.insert(at, [str(v) for v in draw(st.lists(INT64, min_size=n, max_size=n))])
+            cols.insert(at, draw(st.lists(DIGIT_IDS if draw(st.booleans()) else IDS, min_size=n, max_size=n)))
     records = [list(rec) for rec in zip(*cols)]
     fault = draw(st.sampled_from(["none", "ragged", "reserved", "unknown", "duplicate", "blank"]))
     schema = None
@@ -137,7 +142,10 @@ def csv_files(draw):
         records.insert(draw(st.integers(0, n)), [])
     eol = draw(st.sampled_from(["\r\n", "\n"]))
     if plain:
-        text = "".join(",".join(rec) + eol for rec in [header, *records])
+        mixed = draw(st.booleans())
+        ends = [draw(st.sampled_from(["\r\n", "\n"])) if mixed else eol for _ in range(len(records) + 1)]
+        eol = ends[-1]
+        text = "".join(",".join(rec) + end for rec, end in zip([header, *records], ends))
     else:
         buf = io.StringIO()
         quoting = draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL]))
@@ -256,6 +264,50 @@ class TestLoadCsv:
         outcome = load_outcome(data.load_csv, path, None)
         assert bool(calls) == (tokenizer == "reader")
         assert outcome == load_outcome(reference_load_csv, path, None)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "a,b\nz,1\ny,2\nz,1\nx,3\n",
+            "a,b\né,x\ne,\n,y\nzé,x\né,y\n",
+            "a\nb\nb\nb\na",
+            "a,b\r\nb,é\r\nb,é\r\nb,é\r\na,é\r\n",
+            "a,b\r\nx,\ny,\r\n,1\nz,",
+            "a,b\nx,é\r\ny,e\nz,e\r\nw,e",
+        ],
+        ids=["one-byte", "two-byte-utf8", "first-seen-last", "first-seen-last-crlf", "empty-cells-mixed-line-ends",
+             "one-byte-label-in-two-byte-column-mixed-line-ends"],
+    )
+    def test_narrow_keys(self, tmp_path, text):
+        path = write(tmp_path, text)
+        with open(path, "rb") as fh:
+            assert data._byte_columns(fh.read()) is not None
+        want = load_outcome(reference_load_csv, path, None)
+        assert load_outcome(data.load_csv, path, None) == want
+        # categories keep first-appearance order, which is not the order of the bytes
+        domain = want[0]
+        assert any(list(c) != sorted(c) for c in domain.categories)
+        schema = data.Domain(domain.names, domain.cardinalities, [c[::-1] for c in domain.categories])
+        assert load_outcome(data.load_csv, path, schema) == load_outcome(reference_load_csv, path, schema)
+
+    @pytest.mark.parametrize(
+        "cells, values",
+        [
+            (["7", "007", "0", "9" * 18, "12"], [7, 7, 0, 10**18 - 1, 12]),
+            (["7", "+5", "12"], [7, 5, 12]),
+            (["7", " 7", "1_000"], [7, 7, 1000]),
+            (["7", "٣"], [7, 3]),
+            (["7", "1" + "0" * 18], [7, 10**18]),
+        ],
+        ids=["digits", "sign", "space-underscore", "arabic-indic", "19-digits"],
+    )
+    def test_reserved_ids_read_as_int_reads_them(self, tmp_path, cells, values):
+        path = write(tmp_path, "a,__household__\n" + "".join(f"x,{cell}\n" for cell in cells))
+        with open(path, "rb") as fh:
+            _, columns = data._byte_columns(fh.read())
+        # only a column of plain digits skips its labels
+        assert (columns[1][0] is None) == all(cell.isascii() and cell.isdigit() and len(cell) <= 18 for cell in cells)
+        assert data.load_csv(path).household_id.tolist() == values
 
     def test_field_over_limit_is_parse_error(self, tmp_path):
         limit = csv.field_size_limit()

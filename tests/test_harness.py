@@ -184,7 +184,7 @@ class TestRunExperiment:
         assert os.path.exists(os.path.join(cfg.out_dir, "summary.json"))
         rows = []
         for r in range(2):
-            rows.extend(harness.read_rows(os.path.join(cfg.out_dir, f"replica_{r:04d}.csv")))
+            rows.extend(harness.read_rows(os.path.join(cfg.out_dir, f"replica_{r:04d}.csv"), harness._row_keys(cfg, r)))
         summary = json.load(open(os.path.join(cfg.out_dir, "summary.json")))
         # aggregates match recomputation from per-replica rows
         for key, cell in summary.items():
@@ -277,8 +277,10 @@ class TestWorkers:
             _cpus(monkeypatch, cpus)
             harness.run_experiment(pooled)
             assert _output_bytes(pooled.out_dir) == _output_bytes(serial.out_dir)
-        rows = harness.read_rows(os.path.join(serial.out_dir, "replica_0001.csv"))
+        rows = harness.read_rows(os.path.join(serial.out_dir, "replica_0001.csv"), harness._row_keys(serial, 1))
         assert [r["value"] for r in rows] == [f"{float(r['value']):.12g}" for r in harness.run_replica(serial, 1)]
+        # the rows a resume accepts are exactly the rows a replica writes
+        assert {tuple(r.values())[:5] for r in rows} == harness._row_keys(serial, 1)
 
     def test_no_affinity_mask_runs_serially(self, tmp_path, monkeypatch):
         clean = grid_config(str(tmp_path / "clean"))
@@ -681,6 +683,33 @@ class TestMalformedInput:
         assert len(lines) == 1
         error = json.loads(lines[0])
         assert error["error"] == "ParseError" and error["message"].startswith(f"{replica}: line {line}: ")
+
+    @pytest.mark.parametrize(
+        "column, cell",
+        [(2, "abc"), (2, "1"), (4, "tamis-pb"), (1, "privbayes"), (0, "0"), (3, "households")],
+        ids=["epsilon-not-a-number", "epsilon-not-configured", "attack-not-run", "method-not-run",
+             "other-replica", "unknown-setting"],
+    )
+    def test_resume_with_replica_row_of_another_cell(self, tmp_path, capsys, column, cell):
+        cfg = small_config(str(tmp_path / "exp"), replicas=2)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(cfg.to_json()))
+        assert cli.main(["replicate", "--config", str(config)]) == 0
+        summary = tmp_path / "exp" / "summary.json"
+        summary.unlink()
+        replica = tmp_path / "exp" / "replica_0001.csv"
+        lines = replica.read_text().splitlines()
+        cells = lines[7].split(",")  # line 8: a tamis-mst row of replica 1's (mst, inf) cell
+        assert cells[:5] == ["1", "mst", "inf", "aux-individuals", "tamis-mst"]
+        cells[column] = cell
+        replica.write_text("\n".join([*lines[:7], ",".join(cells), *lines[8:]]) + "\n")
+        capsys.readouterr()
+        assert cli.main(["replicate", "--config", str(config)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])
+        assert error["error"] == "ParseError" and error["message"].startswith(f"{replica}: line 8: ")
+        assert not summary.exists()
 
     def test_negative_sample_size(self, tmp_path, capsys):
         data = tmp_path / "train.csv"
