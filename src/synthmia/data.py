@@ -4,9 +4,7 @@ Records are encoded as dense integer category indices. Two reserved CSV
 columns, ``__household__`` and ``__member__``, carry household grouping and
 membership labels through files. A CSV is split into columns from its bytes
 in numpy when it is quote-free, and by ``csv.reader`` otherwise; both give
-the same Dataset (``load_csv``). In numpy each column takes one of three
-decoders: a lookup table for cells of at most 2 bytes, a sort for wider
-ones, or digit-by-digit parsing for a reserved column of plain digits.
+the same column form and the same Dataset (``load_csv``).
 """
 
 import codecs
@@ -126,11 +124,7 @@ def load_csv(path, schema=None):
     quote, NUL, lone CR, blank line or ragged row is split from its bytes in
     numpy and only its distinct labels are decoded (``_byte_columns``); any
     other file goes through ``csv.reader`` (``_reader_columns``), which
-    reports ragged rows and fields over ``csv.field_size_limit()``. In numpy a
-    column of cells up to 2 bytes wide finds its distinct cells through a table
-    over all 2^8 or 2^16 keys, a wider one through np.unique, and a reserved
-    column whose cells are all 1 to 18 ASCII digits is parsed to integers
-    without labels (any other such column keeps its labels for int()). The rest
+    reports ragged rows and fields over ``csv.field_size_limit()``. The rest
     works on distinct labels: without a schema, each column is encoded by
     first appearance order; with one, unknown labels raise SchemaViolation.
     """
@@ -207,7 +201,7 @@ def _byte_columns(raw):
             return None
         if name in reserved and (values := _digit_column(buf, ends, lengths, longest)) is not None:
             columns.append((None, values))
-        elif longest > 2 and len(starts) * longest > len(raw):
+        elif len(starts) * longest > len(raw):
             return None  # its fixed-width keys would take more bytes than the file
         else:
             first, codes = _label_codes(buf, starts, lengths, longest)
@@ -232,15 +226,13 @@ def _digit_column(buf, ends, lengths, longest):
 def _label_codes(buf, starts, lengths, longest):
     """(each distinct cell's first row, in row order; codes by first appearance) of one column.
 
-    A cell's key is its bytes zero-padded to the widest cell (no cell holds a NUL). Keys of up to 2 bytes index
-    a table of each key's first row; wider ones go through np.unique, as an unsigned integer or a byte string.
+    A cell's key is its bytes zero-padded to the widest cell (no cell holds a NUL). One-byte keys index a table
+    of each byte's first row; wider ones go through np.unique, as an unsigned integer or a byte string.
     """
-    if longest <= 2:
+    if longest <= 1:
         keys = buf.take(starts, mode="clip")
-        if longest == 2:
-            keys = keys.astype(np.uint16) << 8 | np.where(lengths == 2, buf.take(starts + 1, mode="clip"), 0)
         keys = np.where(lengths > 0, keys, 0) if lengths.min(initial=1) == 0 else keys
-        firsts = np.full(1 << 8 * max(longest, 1), len(keys))  # by key; len(keys) for a key no cell has
+        firsts = np.full(256, len(keys))  # by key; len(keys) for a key no cell has
         np.minimum.at(firsts, keys, np.arange(len(keys)))
     else:
         size = 1 << (longest - 1).bit_length() if longest <= 8 else longest

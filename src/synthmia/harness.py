@@ -182,6 +182,11 @@ def load_aux(cfg):
 _SETTINGS = ("aux-individuals", "target-individuals", "target-households")  # each attack is scored in all three
 
 
+def _recovery_row(method):
+    """The (setting, attack) of the one row that reports a ``method`` cell's structure recovery."""
+    return "recovery", f"recover-{method}"
+
+
 def _setting_metrics(log_scores, labels, prior, threshold):
     """AUROC plus balanced accuracy under both activation regimes."""
     _, preds_simple = attack_mod.activate_simple(log_scores, threshold)
@@ -248,7 +253,7 @@ def _run_cell(cfg, aux, replica_index, m_idx, e_idx):
         return recovery.shadow_weights(aux, shadow, family)
 
     # the structure the attacks score with is the one whose recovery is reported
-    emit("recovery", f"recover-{method}", evaluation.recovery_metrics(model.structure, structure(method)))
+    emit(*_recovery_row(method), evaluation.recovery_metrics(model.structure, structure(method)))
     house_labels = _household_labels(target_households, target_labels)
     prior_aux, prior_tgt = float(aux_labels.mean()), float(target_labels.mean())
     inputs = {"structure": structure, "weights": weights}
@@ -305,8 +310,8 @@ def _row_keys(cfg, replica_index):
     """The (replica, method, epsilon, setting, attack) cells of the rows ``run_replica`` returns for ``cfg``."""
     keys = set()
     for method in cfg.methods:
-        pairs = [("recovery", f"recover-{method}")]
-        pairs += [(setting, name) for name, _ in _attacks_for(cfg, method) for setting in _SETTINGS]
+        pairs = [(setting, name) for name, _ in _attacks_for(cfg, method) for setting in _SETTINGS]
+        pairs.append(_recovery_row(method))
         keys.update((str(replica_index), method, format_epsilon(eps), *pair) for eps in cfg.epsilons for pair in pairs)
     return keys
 

@@ -279,6 +279,7 @@ class TestLoadCsv:
              "one-byte-label-in-two-byte-column-mixed-line-ends"],
     )
     def test_narrow_keys(self, tmp_path, text):
+        """One-byte columns go through the lookup table, wider ones (such as "é") through np.unique."""
         path = write(tmp_path, text)
         with open(path, "rb") as fh:
             assert data._byte_columns(fh.read()) is not None
