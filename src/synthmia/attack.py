@@ -60,7 +60,8 @@ def _log_marginal_ratio(rows, attrs, synth, aux):
     """log of the floored marginal ratio mu^synth / mu^aux, per record."""
     ts = marginals.marginal(synth, attrs, floor=marginals.default_floor(len(synth)))
     ta = marginals.marginal(aux, attrs, floor=marginals.default_floor(len(aux)))
-    return np.log(ts.lookup_rows(rows)) - np.log(ta.lookup_rows(rows))
+    cells = tuple(rows[:, a] for a in attrs)  # after both marginals, which reject an attribute outside the domain
+    return np.log(ts[cells]) - np.log(ta[cells])
 
 
 def _log_density_ratio(target, structure, synth, aux):

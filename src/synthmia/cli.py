@@ -122,6 +122,8 @@ def cmd_evaluate(args):
     try:
         score, pred, label = (columns[at[name]] for name in ("raw_score", "prediction", "label"))
         scores = np.fromiter(map(float, score), np.float64, len(records))
+        if np.isnan(scores).any():
+            raise ValueError("nan")  # it would rank above every score
         preds = np.fromiter(map(int, pred), np.int64, len(records))
         labels = np.fromiter(map(int, label), np.int64, len(records))
     except (KeyError, IndexError, ValueError, OverflowError):

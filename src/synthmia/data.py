@@ -17,6 +17,7 @@ from operator import itemgetter
 
 import numpy as np
 
+from . import marginals
 from .errors import ConfigurationError, ParseError, SchemaViolation
 
 HOUSEHOLD_COLUMN = "__household__"
@@ -335,15 +336,13 @@ def snake_split_indices(aux, spec):
             f"only {qualifying.size} households of size >= {spec.min_household_size}, "
             f"need {spec.n_target_households}"
         )
-    selected = rng.choice(np.sort(qualifying), size=spec.n_target_households, replace=False)
+    selected = rng.choice(qualifying, size=spec.n_target_households, replace=False)  # np.unique: sorted
     n_member = int(spec.member_fraction_of_households * spec.n_target_households)
     member_hh = rng.choice(np.sort(selected), size=n_member, replace=False)
 
-    selected_set = set(int(h) for h in selected)
-    member_set = set(int(h) for h in member_hh)
-    in_target = np.isin(aux.household_id, sorted(selected_set))
+    in_target = np.isin(aux.household_id, selected)
     target_idx = np.flatnonzero(in_target)
-    member_idx = np.flatnonzero(np.isin(aux.household_id, sorted(member_set)))
+    member_idx = np.flatnonzero(np.isin(aux.household_id, member_hh))
 
     pad = spec.train_size - member_idx.size
     if pad < 0:
@@ -355,7 +354,7 @@ def snake_split_indices(aux, spec):
         raise ConfigurationError("not enough non-target rows to pad the train set")
     pad_idx = rng.choice(pool, size=pad, replace=False)
     train_idx = np.concatenate([member_idx, np.sort(pad_idx)])
-    labels = np.isin(aux.household_id[target_idx], sorted(member_set)).astype(np.int64)
+    labels = np.isin(aux.household_id[target_idx], member_hh).astype(np.int64)
     return train_idx, target_idx, labels
 
 
@@ -383,9 +382,10 @@ def generate_households(
 ):
     """Generate a synthetic household-structured population.
 
-    Attributes follow a randomly-drawn dependency chain; members of one
-    household are perturbed copies of a shared seed record, giving strong
-    intra-household correlation. Deterministic given the seed.
+    Attributes follow a randomly-drawn dependency chain, each drawn given the
+    one before it (``marginals.draw``); members of one household are perturbed
+    copies of a shared seed record, giving strong intra-household
+    correlation. Deterministic given the seed.
     """
     if n_rows < 1 or n_attrs < 1:
         raise ConfigurationError("n_rows and n_attrs must be positive")
@@ -393,8 +393,9 @@ def generate_households(
         raise ConfigurationError("need max_cardinality >= 2 and 0 <= min_size <= max_size, max_size >= 1")
     rng = np.random.default_rng(seed)
     cards = rng.integers(2, max_cardinality + 1, size=n_attrs)
-    first = rng.dirichlet(np.ones(cards[0]))
-    conds = [rng.dirichlet(0.3 * np.ones(cards[k]), size=cards[k - 1]) for k in range(1, n_attrs)]
+    # attribute k's distribution per value of attribute k - 1; attribute 0 has one constant configuration
+    blocks = [rng.dirichlet(np.ones(cards[0]))[None, :]]
+    blocks += [rng.dirichlet(0.3 * np.ones(cards[k]), size=cards[k - 1]) for k in range(1, n_attrs)]
 
     # oversample households, then cut at exactly n_rows
     est = n_rows // ((min_size + max_size) // 2 or 1) + n_rows
@@ -403,38 +404,21 @@ def generate_households(
     n_households = int(np.searchsorted(cum, n_rows) + 1)
     sizes = sizes[:n_households]
 
-    def sample_chain(n):
-        out = np.empty((n, n_attrs), dtype=np.int64)
-        out[:, 0] = rng.choice(cards[0], size=n, p=first)
-        for k in range(1, n_attrs):
-            for v in range(cards[k - 1]):
-                mask = out[:, k - 1] == v
-                m = int(mask.sum())
-                if m:
-                    out[mask, k] = rng.choice(cards[k], size=m, p=conds[k - 1][v])
-        return out
+    def draw_attr(rows, k):
+        configs = rows[:, k - 1] if k else np.zeros(len(rows), dtype=np.int64)
+        return marginals.draw(blocks[k], configs, rng)
 
-    seeds = sample_chain(n_households)
+    seeds = np.empty((n_households, n_attrs), dtype=np.int64)
+    for k in range(n_attrs):
+        seeds[:, k] = draw_attr(seeds, k)
     rows = np.repeat(seeds, sizes, axis=0)
     household = np.repeat(np.arange(n_households), sizes)
 
     # per-member perturbation, sequential along the chain
     flip = rng.random(rows.shape) < resample_prob
     for k in range(n_attrs):
-        mask = flip[:, k]
-        m = int(mask.sum())
-        if not m:
-            continue
-        if k == 0:
-            rows[mask, 0] = rng.choice(cards[0], size=m, p=first)
-        else:
-            prev = rows[mask, k - 1]
-            for v in range(cards[k - 1]):
-                sub = prev == v
-                s = int(sub.sum())
-                if s:
-                    idx = np.flatnonzero(mask)[sub]
-                    rows[idx, k] = rng.choice(cards[k], size=s, p=conds[k - 1][v])
+        idx = np.flatnonzero(flip[:, k])
+        rows[idx, k] = draw_attr(rows[idx], k)
 
     # trimmed in place: a view of the first n_rows would be copied by Dataset
     rows.resize((n_rows, n_attrs), refcheck=False)

@@ -1,9 +1,11 @@
-"""Contingency-table kernels: counts, empirical marginals and conditional tables.
+"""Contingency-table kernels: counts, empirical marginals, conditional tables and categorical draws.
 
 Only PrivBayes' measurement (``sdg._measure_network``) turns a joint into a
-conditional table, so the attacks read conditionals through it.
+conditional table, so the attacks read conditionals through it. ``draw`` is
+the one rule by which a generator draws a child given its parents' configuration.
 
-Tables are dense numpy arrays. Each distinct record is counted once, weighted
+Tables are dense numpy arrays; a marginal is a probability array whose axes
+follow its attributes. Each distinct record is counted once, weighted
 by its multiplicity, so counts are exact integers independent of row order.
 Zero cells can be floored to a small positive value and renormalized, which
 keeps density ratios finite downstream.
@@ -14,11 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, EstimationError
+from .errors import ConfigurationError, EstimationError, ParameterError
 
 # floor default: 1/(FLOOR_FACTOR * source_size)
 FLOOR_FACTOR = 10
 MAX_TABLE_CELLS = 10**8
+# the tolerance of Generator.choice's check that p sums to 1
+_CHOICE_ATOL = math.sqrt(np.finfo(np.float64).eps)
 # the Dataset attribute holding its count tables, {attribute tuple: table},
 # and its distinct form under "distinct"
 _CACHE_ATTR = "_counts"
@@ -28,33 +32,8 @@ def default_floor(source_size):
     return 1.0 / (FLOOR_FACTOR * max(int(source_size), 1))
 
 
-class _Table:
-    """The lookup shared by the table types; the axes of ``probs`` follow ``attrs``."""
-
-    def lookup_rows(self, rows):
-        """Vectorized probability lookup for a (n, d) matrix of records."""
-        cols = tuple(rows[:, a] for a in self.attrs)
-        flat = np.ravel_multi_index(cols, self.probs.shape)
-        return self.probs.ravel()[flat]
-
-
 @dataclass(frozen=True)
-class MarginalTable(_Table):
-    """Empirical probability table over an attribute subset."""
-
-    attrs: tuple
-    probs: np.ndarray
-    source_size: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "attrs", tuple(int(a) for a in self.attrs))
-        probs = np.ascontiguousarray(self.probs, dtype=np.float64)
-        probs.setflags(write=False)
-        object.__setattr__(self, "probs", probs)
-
-
-@dataclass(frozen=True)
-class ConditionalTable(_Table):
+class ConditionalTable:
     """P(child | parents), one distribution per parent configuration.
 
     ``probs`` has shape parent_cardinalities + (child_cardinality,);
@@ -75,6 +54,10 @@ class ConditionalTable(_Table):
     @property
     def attrs(self):
         return self.parents + (self.child,)
+
+    def lookup_rows(self, rows):
+        """Vectorized probability lookup for a (n, d) matrix of records."""
+        return self.probs[tuple(rows[:, a] for a in self.attrs)]
 
     def to_json(self):
         return {
@@ -173,12 +156,10 @@ def floor_probs(probs, floor):
 
 
 def marginal(ds, attrs, floor=None):
-    """Empirical marginal over ``attrs``: cell(v) = count(v) / |ds|."""
+    """Empirical marginal over ``attrs``, cell(v) = count(v) / |ds|: an array with its axes in ``attrs`` order."""
     if len(ds) == 0:
         raise EstimationError("cannot estimate a marginal from an empty dataset")
-    table = counts(ds, attrs).astype(np.float64) / len(ds)
-    table = floor_probs(table, floor)
-    return MarginalTable(tuple(attrs), table, len(ds))
+    return floor_probs(counts(ds, attrs) / len(ds), floor)
 
 
 def conditional_from_joint(joint_probs, child, parents, source_size, floor=None):
@@ -197,3 +178,23 @@ def conditional_from_joint(joint_probs, child, parents, source_size, floor=None)
     cond = cond / cond.sum(axis=-1, keepdims=True)
     return ConditionalTable(child, tuple(parents), cond, source_size)
 
+
+def draw(blocks, configs, rng):
+    """One categorical draw per row: row r's category from distribution ``blocks[configs[r]]``.
+
+    Exactly the draws of ``rng.choice(nc, size=m, p=blocks[c])`` once per
+    configuration c present, in ascending order, over that configuration's
+    rows in row order: one ``rng.random(n)`` in that order, and each row's
+    count of its CDF cells <= u, which is ``searchsorted(side="right")``.
+    """
+    blocks = np.asarray(blocks, dtype=np.float64)
+    if not (np.all(blocks >= 0) and np.all(np.abs(blocks.sum(axis=1) - 1.0) <= _CHOICE_ATOL)):
+        raise ParameterError("a categorical distribution must be non-negative and sum to 1")
+    cdf = np.cumsum(blocks, axis=1)
+    cdf /= cdf[:, -1:]
+    u = np.empty(len(configs))
+    u[np.argsort(configs, kind="stable")] = rng.random(len(configs))
+    out = np.zeros(len(configs), dtype=np.int64)
+    for c in range(blocks.shape[1]):  # a column at a time: no (rows x categories) temporary
+        out += cdf[configs, c] <= u
+    return out

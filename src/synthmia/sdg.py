@@ -56,28 +56,6 @@ class GeneratorConfig:
             raise ConfigurationError(f"unknown method {self.method!r}")
 
 
-class DisjointSets:
-    """Union-find over 0..n-1 with path halving."""
-
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, a):
-        parent = self.parent
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(self, a, b):
-        """Merge the sets of a and b; False if they already share one."""
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[ra] = rb
-        return True
-
-
 def _is_index(x):
     return type(x) is int and x >= 0
 
@@ -111,9 +89,9 @@ class Structure:
     def validate(self, d):
         """ConfigurationError unless this factorises a density over d attributes.
 
-        A tree needs d - 1 edges between attributes below d and no cycle; a
-        network places every attribute below d once, each parent before its
-        child.
+        A tree needs d - 1 edges between attributes below d and no cycle (an
+        edge within one component, a self-loop included, closes one); a network
+        places every attribute below d once, each parent before its child.
         """
         outside = f"structure names an attribute outside 0..{d - 1}"
         if self.method == METHOD_MST:
@@ -121,9 +99,11 @@ class Structure:
                 raise ConfigurationError("a spanning tree needs exactly d - 1 edges")
             if any(j >= d for _, j in self.keys):
                 raise ConfigurationError(outside)
-            sets = DisjointSets(d)
-            if not all(sets.union(i, j) for i, j in self.keys):
-                raise ConfigurationError("edges contain a cycle")
+            component = np.arange(d)
+            for i, j in self.keys:
+                if component[i] == component[j]:
+                    raise ConfigurationError("edges contain a cycle")
+                component[component == component[j]] = component[i]
             return
         seen = set()
         for node, parents in self.keys:
@@ -194,20 +174,16 @@ def log_density(model, rows):
 
 
 def sample(model, n, seed):
-    """Ancestral sampling: each factor draws its child given the parents drawn before it."""
+    """Ancestral sampling: each factor draws its child given the parents drawn before it (``marginals.draw``)."""
     if n < 0:
         raise ConfigurationError(f"sample size must be >= 0, got {n}")
     rng = as_generator(seed)
     rows = np.zeros((int(n), len(model.domain)), dtype=np.int64)
     for table in model.factors:
-        nc = table.probs.shape[-1]
         flat_cfg = np.zeros(int(n), dtype=np.int64)  # row-major parent configuration, as in the table
         for p, card in zip(table.parents, table.probs.shape):
             flat_cfg = flat_cfg * card + rows[:, p]
-        blocks = table.probs.reshape(-1, nc)
-        for cfg_idx in np.unique(flat_cfg):
-            mask = flat_cfg == cfg_idx
-            rows[mask, table.child] = rng.choice(nc, size=int(mask.sum()), p=blocks[cfg_idx])
+        rows[:, table.child] = marginals.draw(table.probs.reshape(-1, table.probs.shape[-1]), flat_cfg, rng)
     return Dataset(model.domain, rows)
 
 
@@ -219,10 +195,9 @@ def mst_edge_score(ds, i, j, noisy_1way=None):
     """Total-variation-style dependency score between attributes i and j."""
     if i == j:
         raise ConfigurationError("edge score needs two distinct attributes")
-    pair = marginals.marginal(ds, (i, j)).probs
+    pair = marginals.marginal(ds, (i, j))
     if noisy_1way is not None:
-        pi = noisy_1way[i].probs
-        pj = noisy_1way[j].probs
+        pi, pj = noisy_1way[i], noisy_1way[j]
     else:
         pi = pair.sum(axis=1)
         pj = pair.sum(axis=0)
@@ -268,36 +243,31 @@ def _select_tree_edges(ds, acct, rng):
     for i in range(d):
         sigma = acct.gaussian(f"mst/select/1way/{i}", sens, (sel_frac, 2 * d), _tree_delta_share(d))
         if sigma is not None:
-            probs = marginals.marginal(ds, (i,)).probs
-            one_way[i] = marginals.MarginalTable((i,), _noisy_probs(probs, sigma, rng), n)
+            one_way[i] = _noisy_probs(marginals.marginal(ds, (i,)), sigma, rng)
 
-    all_pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
+    pairs = np.array([(i, j) for i in range(d) for j in range(i + 1, d)], dtype=np.int64).reshape(-1, 2)
     # noiseless, each pair's score takes its 1-way margins from its own table
-    scores = {p: mst_edge_score(ds, p[0], p[1], one_way or None) for p in all_pairs}
+    scores = np.array([mst_edge_score(ds, i, j, one_way or None) for i, j in pairs.tolist()])
 
-    sets = DisjointSets(d)
+    component = np.arange(d)  # each attribute's component label
     edges = []
     for step in range(d - 1):
-        candidates = [p for p in all_pairs if sets.find(p[0]) != sets.find(p[1])]
-        cand_scores = np.array([scores[p] for p in candidates])
+        candidates = np.flatnonzero(component[pairs[:, 0]] != component[pairs[:, 1]])
         eps_edge = acct.exponential(f"mst/select/edge/{step}", (sel_frac, 2 * (d - 1)))
-        k = exponential_mechanism(cand_scores, eps_edge, sens, rng)
-        i, j = candidates[k]
-        sets.union(i, j)
+        k = exponential_mechanism(scores[candidates], eps_edge, sens, rng)
+        i, j = pairs[candidates[k]].tolist()
+        component[component == component[j]] = component[i]
         edges.append((i, j))
     return Structure(METHOD_MST, edges)
 
 
-def _consistent_tree_tables(node_probs, edge_probs, edges, n, floor):
+def _consistent_tree_tables(node_probs, edge_probs, edges, floor):
     """Floor all tables and project edge tables onto common node margins."""
-    node_tables = {}
-    for i, probs in node_probs.items():
-        node_tables[i] = marginals.MarginalTable((i,), marginals.floor_probs(probs, floor), n)
+    node_tables = {i: marginals.floor_probs(probs, floor) for i, probs in node_probs.items()}
     edge_tables = {}
     for (i, j) in edges:
         pair = marginals.floor_probs(edge_probs[(i, j)], floor)
-        pair = _ipf_to_margins(pair, node_tables[i].probs, node_tables[j].probs)
-        edge_tables[(i, j)] = marginals.MarginalTable((i, j), pair, n)
+        edge_tables[(i, j)] = _ipf_to_margins(pair, node_tables[i], node_tables[j])
     return node_tables, edge_tables
 
 
@@ -308,20 +278,19 @@ def _measure_tree(ds, structure, acct, rng, floor=None):
 
     def measure(label, attrs):
         sigma = acct.gaussian(label, sens, (BUDGET_SPLIT[1], 2 * d - 1), _tree_delta_share(d))
-        return _noisy_probs(marginals.marginal(ds, attrs).probs, sigma, rng)
+        return _noisy_probs(marginals.marginal(ds, attrs), sigma, rng)
 
     node_probs = {i: measure(f"mst/measure/1way/{i}", (i,)) for i in range(d)}
     edge_probs = {(i, j): measure(f"mst/measure/2way/{i}-{j}", (i, j)) for i, j in structure.keys}
     if floor is None:
         floor = marginals.default_floor(n)
-    node_tables, edge_tables = _consistent_tree_tables(node_probs, edge_probs, structure.keys, n, floor)
+    node_tables, edge_tables = _consistent_tree_tables(node_probs, edge_probs, structure.keys, floor)
 
     adj = {i: [] for i in range(d)}
     for i, j in structure.keys:
         adj[i].append(j)
         adj[j].append(i)
-    root = node_tables[0]
-    factors = [marginals.ConditionalTable(0, (), root.probs, root.source_size)]
+    factors = [marginals.ConditionalTable(0, (), node_tables[0], n)]
     placed = {0}
     for factor in factors:  # the queue: each node reached is appended
         parent = factor.child
@@ -330,11 +299,11 @@ def _measure_tree(ds, structure, acct, rng, floor=None):
                 continue
             placed.add(child)
             pair = edge_tables[(min(parent, child), max(parent, child))]
-            probs = pair.probs if parent < child else pair.probs.T
+            probs = pair if parent < child else pair.T
             mass = probs.sum(axis=1, keepdims=True)
             # zero-mass parent values are never sampled; uniform placeholder
             cond = np.where(mass > 0, probs / np.where(mass > 0, mass, 1.0), 1.0 / probs.shape[1])
-            factors.append(marginals.ConditionalTable(child, (parent,), cond, pair.source_size))
+            factors.append(marginals.ConditionalTable(child, (parent,), cond, n))
     return Model(ds.domain, structure, tuple(factors), acct)
 
 

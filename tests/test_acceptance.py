@@ -40,10 +40,10 @@ def random_ds(rng, d, max_card, n):
 
 def tree_tables(ds, structure):
     """Floored node and edge tables of ds, made consistent over the tree."""
-    node_probs = {i: marginals.marginal(ds, (i,)).probs for i in range(len(ds.domain))}
-    edge_probs = {e: marginals.marginal(ds, e).probs for e in structure.keys}
+    node_probs = {i: marginals.marginal(ds, (i,)) for i in range(len(ds.domain))}
+    edge_probs = {e: marginals.marginal(ds, e) for e in structure.keys}
     floor = marginals.default_floor(len(ds))
-    return sdg._consistent_tree_tables(node_probs, edge_probs, structure.keys, len(ds), floor)
+    return sdg._consistent_tree_tables(node_probs, edge_probs, structure.keys, floor)
 
 
 def grid_of(domain):
@@ -264,10 +264,11 @@ def test_06_tamis_equals_density_ratio():
         oracle = np.zeros(len(target))
         for i in range(d):
             oracle += (1 - deg[i]) * (
-                np.log(ns[i].lookup_rows(target.rows)) - np.log(na[i].lookup_rows(target.rows))
+                np.log(ns[i][target.rows[:, i]]) - np.log(na[i][target.rows[:, i]])
             )
         for e in edges.keys:
-            oracle += np.log(es[e].lookup_rows(target.rows)) - np.log(ea[e].lookup_rows(target.rows))
+            cells = tuple(target.rows[:, e].T)
+            oracle += np.log(es[e][cells]) - np.log(ea[e][cells])
         worst = max(worst, float(np.abs(np.exp(logs) - np.exp(oracle)).max()))
 
         logs_p = attack.tamis_pb(target, order, synth, aux)

@@ -377,8 +377,8 @@ def malformed_score_csvs(draw):
         header[c] = draw(st.sampled_from(["score", "pred", "", "raw_scores"]))
     elif fault == "cell":
         c = draw(st.integers(0, 2))
-        # a decimal is a valid score but not a valid prediction or label
-        cells[r][c] = draw(_JUNK if c == 0 else _JUNK | st.sampled_from(["1.5", "1e3"]))
+        # a decimal is a valid score but not a valid prediction or label; "nan" parses but is no score
+        cells[r][c] = draw(_JUNK | st.just("nan") if c == 0 else _JUNK | st.sampled_from(["1.5", "1e3"]))
     else:
         cells[r] = cells[r][: draw(st.integers(1, 2))]
     return "\n".join(",".join(row) for row in [header, *cells]) + "\n"
@@ -582,7 +582,14 @@ class TestMalformedInput:
         assert json.loads(lines[0])["error"] == error
         assert not (tmp_path / "exp").exists()
 
-    @pytest.mark.parametrize("text", ["record_id,label\n0,1\n", "raw_score,prediction,label\nx,1,1\n"])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "record_id,label\n0,1\n",
+            "raw_score,prediction,label\nx,1,1\n",
+            "raw_score,prediction,label\n1,1,1\nnan,1,0\n0,0,0\n",  # NaN would rank above every score
+        ],
+    )
     def test_evaluate_reproduced_cases(self, tmp_path, capsys, text):
         path = tmp_path / "scores.csv"
         path.write_text(text)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from synthmia import marginals, sdg
 from synthmia.data import Dataset, Domain
 from synthmia.dp import Accountant, DpParams
-from synthmia.errors import ConfigurationError, EstimationError
+from synthmia.errors import ConfigurationError, EstimationError, ParameterError
 
 
 def make_ds(cards, rows):
@@ -22,12 +22,12 @@ class TestMarginal:
     def test_three_value_column(self):
         ds = make_ds([3], [[0], [1], [1], [2]])
         table = marginals.marginal(ds, (0,))
-        assert table.probs.tolist() == [0.25, 0.5, 0.25]
+        assert table.tolist() == [0.25, 0.5, 0.25]
 
     def test_correlated_pair_diagonal(self):
         ds = make_ds([2, 2], [[0, 0], [1, 1], [0, 0], [1, 1]])
         table = marginals.marginal(ds, (0, 1))
-        assert table.probs.tolist() == [[0.5, 0.0], [0.0, 0.5]]
+        assert table.tolist() == [[0.5, 0.0], [0.0, 0.5]]
 
     def test_empty_dataset(self):
         ds = make_ds([2], np.empty((0, 1), dtype=np.int64))
@@ -42,8 +42,8 @@ class TestMarginal:
     def test_axis_sum_consistency(self):
         rng = np.random.default_rng(0)
         ds = make_ds([3, 4], rng.integers(0, [3, 4], size=(200, 2)))
-        pair = marginals.marginal(ds, (0, 1)).probs
-        one = marginals.marginal(ds, (1,)).probs
+        pair = marginals.marginal(ds, (0, 1))
+        one = marginals.marginal(ds, (1,))
         assert np.allclose(pair.sum(axis=0), one, atol=1e-12)
 
     @given(st.integers(0, 10**9))
@@ -55,10 +55,10 @@ class TestMarginal:
         k = int(rng.integers(1, 4))
         attrs = tuple(rng.choice(3, size=k, replace=False).tolist())
         table = marginals.marginal(ds, attrs, floor=marginals.default_floor(50))
-        assert abs(table.probs.sum() - 1.0) < 1e-12
+        assert abs(table.sum() - 1.0) < 1e-12
         # renormalization after flooring may shrink cells slightly below floor
         floor = marginals.default_floor(50)
-        assert table.probs.min() >= floor / (1.0 + floor * table.probs.size)
+        assert table.min() >= floor / (1.0 + floor * table.size)
 
 
 def factor(ds, node, parents, floor=None):
@@ -76,7 +76,7 @@ class TestConditional:
         parent = rng.integers(0, 2, size=4000)
         ds = make_ds([3, 2], np.column_stack([child, parent]))
         cond = factor(ds, 0, (1,), floor=0.0)
-        one = marginals.marginal(ds, (0,)).probs
+        one = marginals.marginal(ds, (0,))
         # brute-force oracle per parent configuration
         for v in range(2):
             sub = child[parent == v]
@@ -92,7 +92,7 @@ class TestConditional:
     def test_empty_parents_equals_marginal(self):
         ds = make_ds([3], [[0], [1], [1], [2]])
         cond = factor(ds, 0, (), floor=0.0)
-        assert np.allclose(cond.probs, marginals.marginal(ds, (0,)).probs)
+        assert np.allclose(cond.probs, marginals.marginal(ds, (0,)))
 
     def test_child_in_parents_rejected(self):
         ds = make_ds([2, 2], [[0, 0]])
@@ -111,9 +111,9 @@ class TestConditional:
         # ensure every parent value appears
         rows[:3, 1] = [0, 1, 2]
         ds = make_ds([2, 3], rows)
-        pair = marginals.marginal(ds, (1, 0)).probs
+        pair = marginals.marginal(ds, (1, 0))
         cond = factor(ds, 0, (1,), floor=0.0).probs
-        pj = marginals.marginal(ds, (1,)).probs
+        pj = marginals.marginal(ds, (1,))
         assert np.allclose(pair, cond * pj[:, None], atol=1e-12)
 
 
@@ -122,17 +122,17 @@ class TestLookup:
         ds = make_ds([2, 2], [[0, 0]] * 5)
         floor = marginals.default_floor(5)
         table = marginals.marginal(ds, (0, 1), floor=floor)
-        assert table.lookup_rows(np.array([[1, 1]]))[0] >= floor / (1.0 + floor * 4)
+        assert table[1, 1] >= floor / (1.0 + floor * 4)
 
     def test_point_mass(self):
         ds = make_ds([2], [[1]] * 8)
         table = marginals.marginal(ds, (0,))
-        assert table.lookup_rows(np.array([[1]])).tolist() == [1.0]
+        assert table[[1]].tolist() == [1.0]
 
     def test_hand_counts_on_toy_data(self):
         ds = make_ds([2, 3], [[0, 0], [0, 1], [1, 1], [1, 1], [0, 2]])
         table = marginals.marginal(ds, (0, 1))
-        assert table.lookup_rows(np.array([[1, 1], [0, 2]])) == pytest.approx([0.4, 0.2])
+        assert table[[1, 0], [1, 2]] == pytest.approx([0.4, 0.2])
 
 
 def test_table_cell_guard():
@@ -285,3 +285,56 @@ class TestCountCache:
         ds = make_ds(cards, rng.integers(0, cards, size=(400, 5)))
         sdg._select_bayes_order(ds, Accountant(DpParams(epsilon, seed=0)), np.random.default_rng(0))
         assert calls and set(calls.values()) == {1}
+
+
+def choice_loop(blocks, configs, rng):
+    """The reference draw: one ``rng.choice`` per configuration present, ascending, over its rows in row order."""
+    out = np.zeros(len(configs), dtype=np.int64)
+    for c in np.unique(configs):
+        mask = configs == c
+        out[mask] = rng.choice(blocks.shape[1], size=int(mask.sum()), p=blocks[c])
+    return out
+
+
+@st.composite
+def draw_cases(draw):
+    """(blocks, configs, seed): random distributions with zero cells, and rows over some of their configurations."""
+    n_cfg, nc = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    blocks = rng.dirichlet(np.ones(nc), size=n_cfg)
+    blocks[rng.random(blocks.shape) < draw(st.sampled_from([0.0, 0.3, 0.7]))] = 0.0
+    blocks[blocks.sum(axis=1) == 0, int(rng.integers(nc))] = 1.0
+    blocks /= blocks.sum(axis=1, keepdims=True)
+    present = draw(st.lists(st.integers(0, n_cfg - 1), min_size=1, max_size=n_cfg, unique=True))
+    configs = rng.choice(present, size=draw(st.integers(0, 80)))
+    return blocks, configs, draw(st.integers(0, 2**32 - 1))
+
+
+class TestDraw:
+    @given(draw_cases())
+    @settings(max_examples=300, deadline=None)
+    @example((np.array([[0.2, 0.8]]), np.array([0]), 3))  # a single row
+    @example((np.array([[1.0], [1.0]]), np.array([1, 1, 0]), 4))  # a single category
+    @example((np.array([[0.5, 0.0, 0.5], [0.0, 1.0, 0.0], [0.1, 0.2, 0.7]]), np.array([2, 0, 2, 2, 0] * 8), 5))
+    def test_equals_choice_loop(self, case):
+        blocks, configs, seed = case
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = marginals.draw(blocks, configs, got_rng)
+        assert got.tolist() == choice_loop(blocks, configs, want_rng).tolist()
+        assert got_rng.random() == want_rng.random()  # the same generator state afterwards
+
+    def test_within_choice_tolerance_is_accepted(self):
+        blocks = np.array([[0.25, 0.75 + 1e-9], [0.5, 0.5]])
+        configs = np.array([1, 0, 0, 1])
+        want = choice_loop(blocks, configs, np.random.default_rng(6))
+        assert marginals.draw(blocks, configs, np.random.default_rng(6)).tolist() == want.tolist()
+
+    @pytest.mark.parametrize(
+        "block", [[1.2, -0.2], [0.5, 0.6], [0.3, 0.3], [math.nan, 1.0]], ids=["negative", "over", "under", "nan"]
+    )
+    def test_invalid_block_is_typed(self, block):
+        blocks = np.array([[0.5, 0.5], block])
+        with pytest.raises(ValueError):  # what rng.choice raises
+            choice_loop(blocks, np.array([1]), np.random.default_rng(0))
+        with pytest.raises(ParameterError, match="non-negative and sum to 1"):
+            marginals.draw(blocks, np.array([1]), np.random.default_rng(0))

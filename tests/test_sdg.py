@@ -61,9 +61,9 @@ def tree_tables(ds, structure, floor=None):
     """Node and edge tables of a tree fitted to ds, as ``sdg.model_from_data`` makes them."""
     if floor is None:
         floor = marginals.default_floor(len(ds))
-    node_probs = {i: marginals.marginal(ds, (i,)).probs for i in range(len(ds.domain))}
-    edge_probs = {e: marginals.marginal(ds, e).probs for e in structure.keys}
-    return sdg._consistent_tree_tables(node_probs, edge_probs, structure.keys, len(ds), floor)
+    node_probs = {i: marginals.marginal(ds, (i,)) for i in range(len(ds.domain))}
+    edge_probs = {e: marginals.marginal(ds, e) for e in structure.keys}
+    return sdg._consistent_tree_tables(node_probs, edge_probs, structure.keys, floor)
 
 
 def reference_tree_log_density(structure, node_tables, edge_tables, rows):
@@ -75,9 +75,9 @@ def reference_tree_log_density(structure, node_tables, edge_tables, rows):
         deg[j] += 1
     logp = np.zeros(rows.shape[0])
     for i, table in node_tables.items():
-        logp += (1 - deg[i]) * np.log(table.lookup_rows(rows))
-    for table in edge_tables.values():
-        logp += np.log(table.lookup_rows(rows))
+        logp += (1 - deg[i]) * np.log(table[rows[:, i]])
+    for (i, j), table in edge_tables.items():
+        logp += np.log(table[rows[:, i], rows[:, j]])
     return logp
 
 
@@ -90,7 +90,7 @@ def reference_sample_tree(domain, structure, node_tables, edge_tables, n, seed):
         adj[i].append(j)
         adj[j].append(i)
     rows = np.zeros((n, d), dtype=np.int64)
-    rows[:, 0] = rng.choice(domain.cardinalities[0], size=n, p=node_tables[0].probs)
+    rows[:, 0] = rng.choice(domain.cardinalities[0], size=n, p=node_tables[0])
     visited = {0}
     queue = [0]
     while queue:
@@ -100,7 +100,7 @@ def reference_sample_tree(domain, structure, node_tables, edge_tables, n, seed):
                 continue
             visited.add(child)
             queue.append(child)
-            pair = edge_tables[(min(parent, child), max(parent, child))].probs
+            pair = edge_tables[(min(parent, child), max(parent, child))]
             if parent > child:
                 pair = pair.T
             mass = pair.sum(axis=1, keepdims=True)
@@ -177,9 +177,9 @@ class TestFitMst:
             # the noisy, clipped edge tables IPF projected agree with their node tables
             node, edge = made[-1]
             for i, j in model.structure.keys:
-                pair = edge[(i, j)].probs
-                assert np.abs(pair.sum(axis=1) - node[i].probs).max() < 1e-6
-                assert np.abs(pair.sum(axis=0) - node[j].probs).max() < 1e-6
+                pair = edge[(i, j)]
+                assert np.abs(pair.sum(axis=1) - node[i]).max() < 1e-6
+                assert np.abs(pair.sum(axis=0) - node[j]).max() < 1e-6
         assert len(made) == 40
 
     def test_noiseless_matches_brute_force(self):
@@ -234,7 +234,7 @@ class TestTreeDensity:
         grid = enumerate_grid(ds.domain)
         dens = np.exp(sdg.log_density(model, grid))
         pair = tree_tables(ds, tree)[1][(0, 1)]
-        assert np.allclose(dens, pair.lookup_rows(grid), atol=1e-12)
+        assert np.allclose(dens, pair[grid[:, 0], grid[:, 1]], atol=1e-12)
 
     def test_path_density_hand_formula(self):
         ds = random_ds(7, d=3)
@@ -242,11 +242,8 @@ class TestTreeDensity:
         model = sdg.model_from_data(ds, tree)
         node_tables, edge_tables = tree_tables(ds, tree)
         grid = enumerate_grid(ds.domain)
-        want = (
-            edge_tables[(0, 1)].lookup_rows(grid)
-            * edge_tables[(1, 2)].lookup_rows(grid)
-            / node_tables[1].lookup_rows(grid)
-        )
+        a, b, c = grid.T
+        want = edge_tables[(0, 1)][a, b] * edge_tables[(1, 2)][b, c] / node_tables[1][b]
         assert np.allclose(np.exp(sdg.log_density(model, grid)), want, atol=1e-12)
 
     def test_normalization_three_binary_attributes(self):
@@ -284,8 +281,8 @@ class TestSampleTree:
         model = sdg.model_from_data(ds, tree)
         out = sdg.sample(model, 200000, seed=1)
         for edge, table in tree_tables(ds, tree)[1].items():
-            emp = marginals.marginal(out, edge).probs
-            assert np.abs(emp - table.probs).sum() < 0.02
+            emp = marginals.marginal(out, edge)
+            assert np.abs(emp - table).sum() < 0.02
 
 
 @st.composite
@@ -325,8 +322,9 @@ class TestTreeAgainstReference:
             got = sdg.log_density(model, grid)
             want = reference_tree_log_density(tree, node_tables, edge_tables, grid)
         # the degree formula is 0 / 0 where a node value has no mass; the density there is 0
-        tables = [*node_tables.values(), *edge_tables.values()]
-        supported = np.all([t.lookup_rows(grid) > 0 for t in tables], axis=0)
+        cells = [t[grid[:, i]] for i, t in node_tables.items()]
+        cells += [t[grid[:, i], grid[:, j]] for (i, j), t in edge_tables.items()]
+        supported = np.all([c > 0 for c in cells], axis=0)
         assert (got[~supported] == -np.inf).all()
         # a factor divides by its edge table's parent margin, which fitting leaves within 1e-13
         # of the node table: equal densities to about 1e-13 per edge (in log, a small margin magnifies it)
@@ -411,10 +409,7 @@ class TestSensitivity:
         ds, other = pair
         rng = np.random.default_rng(seed)
         # the noisy 1-way tables are measured once and shared by both datasets
-        one_way = {
-            i: marginals.MarginalTable((i,), rng.dirichlet(np.ones(c)), len(ds))
-            for i, c in enumerate(ds.domain.cardinalities)
-        }
+        one_way = {i: rng.dirichlet(np.ones(c)) for i, c in enumerate(ds.domain.cardinalities)}
         for i, j in itertools.combinations(range(3), 2):
             diff = abs(sdg.mst_edge_score(ds, i, j, one_way) - sdg.mst_edge_score(other, i, j, one_way))
             assert diff <= sdg._table_sensitivity(len(ds)) + 1e-12
@@ -427,7 +422,7 @@ class TestSensitivity:
         ds, other = pair
         bound = sdg._table_sensitivity(len(ds)) + 1e-12
         for attrs in [(0,), (1,), (2,), *itertools.combinations(range(3), 2)]:
-            diff = marginals.marginal(ds, attrs).probs - marginals.marginal(other, attrs).probs
+            diff = marginals.marginal(ds, attrs) - marginals.marginal(other, attrs)
             assert np.abs(diff).sum() <= bound
         attrs = parents + (0,)
         diff = marginals.counts(ds, attrs) / len(ds) - marginals.counts(other, attrs) / len(other)

@@ -84,12 +84,71 @@ def test_weights_from_json_rejects_malformed(obj):
         recovery.ShadowWeights.from_json(obj)
 
 
+def reference_tree_error(edges, d):
+    """The check a tree's edge list fails, in ``Structure.validate``'s order: count, range, then connectivity by BFS."""
+    if len(edges) != d - 1:
+        return "a spanning tree needs exactly d - 1 edges"
+    if any(v >= d for edge in edges for v in edge):
+        return f"structure names an attribute outside 0..{d - 1}"
+    adj = {v: [] for v in range(d)}
+    for i, j in edges:
+        adj[i].append(j)
+        adj[j].append(i)
+    reached, queue = {0}, [0]
+    for v in queue:
+        for w in adj[v]:
+            if w not in reached:
+                reached.add(w)
+                queue.append(w)
+    # d - 1 edges in range that leave some attribute unreached close a cycle (a self-loop included)
+    return None if len(reached) == d else "edges contain a cycle"
+
+
+@st.composite
+def edge_lists(draw):
+    """(edges, d): a random tree over d <= 8 attributes, often broken by a self-loop, repeat, cycle or stray index."""
+    d = draw(st.integers(1, 8))
+    edges = [(k, draw(st.integers(0, k - 1))) for k in range(1, d)]
+    node = st.integers(0, d + 1)
+    for _ in range(draw(st.integers(0, 2))):
+        fault = draw(st.sampled_from(["replace", "add", "drop", "self-loop", "repeat"]))
+        if fault in ("replace", "drop") and edges:
+            edges.pop(draw(st.integers(0, len(edges) - 1)))
+        if fault in ("replace", "add"):
+            edges.append((draw(node), draw(node)))
+        elif fault == "self-loop" and edges:
+            v = draw(st.integers(0, d - 1))
+            edges[draw(st.integers(0, len(edges) - 1))] = (v, v)
+        elif fault == "repeat" and edges:
+            edges[draw(st.integers(0, len(edges) - 1))] = draw(st.sampled_from(edges))
+    return draw(st.permutations(edges)), d
+
+
+@given(edge_lists())
+@settings(max_examples=500, deadline=None)
+def test_validate_tree_matches_reference(case):
+    edges, d = case
+    want = reference_tree_error(edges, d)
+    if want is None:
+        sdg.Structure("mst", edges).validate(d)
+    else:
+        with pytest.raises(ConfigurationError) as err:
+            sdg.Structure("mst", edges).validate(d)
+        assert str(err.value) == want
+
+
 def _kruskal(ds):
     """Reference maximum spanning tree: edges by (-score, pair), skipping cycles."""
     d = len(ds.domain)
     scored = sorted((-sdg.mst_edge_score(ds, i, j), (i, j)) for i in range(d) for j in range(i + 1, d))
-    sets = sdg.DisjointSets(d)
-    return sdg.Structure("mst", [edge for _, edge in scored if sets.union(*edge)])
+    component = list(range(d))  # an edge joins two components, relabelling j's as i's
+    edges = []
+    for _, (i, j) in scored:
+        if component[i] != component[j]:
+            old = component[j]
+            component = [component[i] if c == old else c for c in component]
+            edges.append((i, j))
+    return sdg.Structure("mst", edges)
 
 
 @given(st.integers(0, 2**32 - 1))
