@@ -21,12 +21,7 @@ from .errors import ConfigurationError, ParseError, SynthmiaError
 
 
 def _dp_from_args(args):
-    return DpParams(
-        epsilon=harness.parse_epsilon(args.epsilon),
-        delta=args.delta,
-        theta=args.theta,
-        seed=args.seed,
-    )
+    return DpParams(epsilon=harness.parse_epsilon(args.epsilon), delta=args.delta, theta=args.theta)
 
 
 def _write_json(obj, path):
@@ -36,7 +31,7 @@ def _write_json(obj, path):
 
 def cmd_generate(args):
     train = load_csv(args.data)
-    model = sdg.fit(train, sdg.GeneratorConfig(args.method, _dp_from_args(args)))
+    model = sdg.fit(train, args.method, _dp_from_args(args), args.seed)
     synth = sdg.sample(model, args.n_synth, derive_seed(args.seed, 1))
     os.makedirs(args.out, exist_ok=True)
     write_csv(synth, os.path.join(args.out, "synth.csv"))
@@ -47,15 +42,14 @@ def cmd_generate(args):
 
 def cmd_recover(args):
     synth = load_csv(args.synth)
-    structure = recovery.recover(synth, args.method, _dp_from_args(args))
+    structure = recovery.recover(synth, args.method, _dp_from_args(args), args.seed)
     _write_json(structure.to_json(), args.out)
     print(json.dumps({"structure": args.out}))
 
 
 def cmd_shadow(args):
     aux = load_csv(args.aux)
-    cfg = recovery.ShadowConfig(K=args.k, subset_size=args.subset_size, dp=_dp_from_args(args), seed=args.seed)
-    weights = recovery.shadow_weights(aux, cfg, args.method)
+    weights = recovery.shadow_weights(aux, args.method, _dp_from_args(args), args.seed, args.k, args.subset_size)
     _write_json(weights.to_json(), args.out)
     print(json.dumps({"weights": args.out, "total": weights.total()}))
 
@@ -153,9 +147,9 @@ def cmd_replicate(args):
     print(json.dumps({"files": paths}))
 
 
-def _add_dp_args(p, delta_default=0.0):
+def _add_dp_args(p):
     p.add_argument("--epsilon", default="inf", help="privacy budget; 'inf' disables noise")
-    p.add_argument("--delta", type=float, default=delta_default)
+    p.add_argument("--delta", type=float, default=1e-9)
     p.add_argument("--theta", type=float, default=None)
     p.add_argument("--seed", type=int, default=0)
 
@@ -169,7 +163,7 @@ def build_parser():
     p.add_argument("--method", choices=(sdg.METHOD_MST, sdg.METHOD_PRIVBAYES), default=sdg.METHOD_MST)
     p.add_argument("--n-synth", type=int, default=10000)
     p.add_argument("--out", required=True, help="output directory")
-    _add_dp_args(p, delta_default=1e-9)
+    _add_dp_args(p)
     p.set_defaults(fn=cmd_generate)
 
     p = sub.add_parser("recover", help="estimate structure from synthetic data")

@@ -2,11 +2,12 @@
 
 ``epsilon = math.inf`` is the supported noiseless sentinel: the accountant
 calibrates no noise and the exponential mechanism degenerates to argmax.
+``DpParams`` is the budget alone; seeds are passed to each run as arguments.
 """
 
 import hashlib
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -18,7 +19,6 @@ class DpParams:
     epsilon: float
     delta: float = 0.0
     theta: float = None
-    seed: int = 0
 
     def __post_init__(self):
         if not self.epsilon > 0:
@@ -27,9 +27,6 @@ class DpParams:
             raise ConfigurationError("delta must lie in [0, 1)")
         if self.theta is not None and not self.theta > 0:
             raise ConfigurationError("theta must be positive")
-
-    def with_seed(self, seed):
-        return replace(self, seed=seed)
 
 
 @dataclass

@@ -237,20 +237,20 @@ def _run_cell(cfg, aux, replica_index, m_idx, e_idx):
         rows.extend(dict(zip(CSV_COLUMNS, (*cell, metric, value))) for metric, value in metrics.items())
 
     stage = derive_seed(rseed, 1 + m_idx * len(cfg.epsilons) + e_idx)
-    dp = DpParams(eps, delta=cfg.delta, theta=cfg.theta, seed=derive_seed(stage, 0))
-    model = sdg.fit(train, sdg.GeneratorConfig(method, dp))
+    dp = DpParams(eps, delta=cfg.delta, theta=cfg.theta)
+    model = sdg.fit(train, method, dp, derive_seed(stage, 0))
     synth = sdg.sample(model, n_synth, derive_seed(stage, 1))
     attacker = derive_seed(stage, 3)
 
     # each attacker input is computed once per family, and only when an attack takes it
     @functools.cache
     def structure(family):
-        return recovery.recover(synth, family, dp.with_seed(derive_seed(attacker, 1)))
+        return recovery.recover(synth, family, dp, derive_seed(attacker, 1))
 
     @functools.cache
     def weights(family):
-        shadow = recovery.ShadowConfig(cfg.shadow_k, min(split.train_size, len(aux)), dp, derive_seed(attacker, 2))
-        return recovery.shadow_weights(aux, shadow, family)
+        subset_size = min(split.train_size, len(aux))
+        return recovery.shadow_weights(aux, family, dp, derive_seed(attacker, 2), cfg.shadow_k, subset_size)
 
     # the structure the attacks score with is the one whose recovery is reported
     emit(*_recovery_row(method), evaluation.recovery_metrics(model.structure, structure(method)))

@@ -15,22 +15,6 @@ from .dp import Accountant, DpParams, as_generator, derive_seed
 from .errors import ConfigurationError, ParseError
 
 
-@dataclass(frozen=True)
-class ShadowConfig:
-    K: int = 50
-    subset_size: int = 10000
-    dp: DpParams = None
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.K < 1:
-            raise ConfigurationError("shadow run count must be >= 1")
-        if self.subset_size < 1:
-            raise ConfigurationError("shadow subset size must be >= 1")
-        if self.dp is None:
-            raise ConfigurationError("shadow modeling needs the attacked generator's DP params")
-
-
 @dataclass
 class ShadowWeights:
     """Selection counts per structure key over K shadow runs.
@@ -95,30 +79,40 @@ def recover_tree(synth):
     return sdg._select_tree_edges(synth, Accountant(DpParams(math.inf)), None)
 
 
-def recover_bayesnet(synth, dp):
+def recover_bayesnet(synth, dp, seed):
     """One Bayesian-network selection run on the synthetic data.
 
     Requires the generator's hyper-parameters (epsilon, theta); returns the
     ordered (node, parent set) structure only.
     """
-    return sdg._select_bayes_order(synth, Accountant(dp), as_generator(dp.seed))
+    return sdg._select_bayes_order(synth, Accountant(dp), as_generator(seed))
 
 
-def recover(synth, method, dp):
-    """The structure of a ``method`` generator recovered from synth (dp: PrivBayes's)."""
-    return recover_tree(synth) if method == sdg.METHOD_MST else recover_bayesnet(synth, dp)
+def recover(synth, method, dp, seed):
+    """The structure of a ``method`` generator recovered from synth (dp and seed: PrivBayes's)."""
+    if method not in (sdg.METHOD_MST, sdg.METHOD_PRIVBAYES):
+        raise ConfigurationError(f"unknown method {method!r}")
+    return recover_tree(synth) if method == sdg.METHOD_MST else recover_bayesnet(synth, dp, seed)
 
 
-def shadow_weights(aux, cfg, method=sdg.METHOD_MST):
-    """K selection runs on uniform without-replacement subsets of aux."""
-    if cfg.subset_size > len(aux):
+def shadow_weights(aux, method, dp, seed, k, subset_size):
+    """k selection runs at budget dp on uniform without-replacement subsets of aux, run i from derive_seed(seed, i)."""
+    select = {sdg.METHOD_MST: sdg._select_tree_edges, sdg.METHOD_PRIVBAYES: sdg._select_bayes_order}.get(method)
+    if select is None:
+        raise ConfigurationError(f"unknown method {method!r}")
+    if k < 1:
+        raise ConfigurationError("shadow run count must be >= 1")
+    if subset_size < 1:
+        raise ConfigurationError("shadow subset size must be >= 1")
+    if dp is None:
+        raise ConfigurationError("shadow modeling needs the attacked generator's DP params")
+    if subset_size > len(aux):
         raise ConfigurationError("shadow subset size exceeds the auxiliary dataset")
-    select = {sdg.METHOD_MST: sdg._select_tree_edges, sdg.METHOD_PRIVBAYES: sdg._select_bayes_order}[method]
-    weights = ShadowWeights(method, cfg.K)
-    for k in range(cfg.K):
-        rng = as_generator(derive_seed(cfg.seed, k))
-        idx = rng.choice(len(aux), size=cfg.subset_size, replace=False)
+    weights = ShadowWeights(method, k)
+    for run in range(k):
+        rng = as_generator(derive_seed(seed, run))
+        idx = rng.choice(len(aux), size=subset_size, replace=False)
         subset = aux.subset(np.sort(idx))
-        for key in select(subset, Accountant(cfg.dp), rng).keys:
+        for key in select(subset, Accountant(dp), rng).keys:
             weights.add(key)
     return weights

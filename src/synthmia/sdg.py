@@ -18,7 +18,7 @@ import numpy as np
 from . import marginals
 from .data import Dataset, Domain
 from .dp import Accountant, DpParams, as_generator, exponential_mechanism, gaussian_noise, laplace_noise
-from .errors import ConfigurationError, EstimationError, ParseError
+from .errors import ConfigurationError, EstimationError, ParseError, SchemaViolation
 
 METHOD_MST = "mst"
 METHOD_PRIVBAYES = "privbayes"
@@ -44,16 +44,6 @@ def _privbayes_score_sensitivity(n):
 def _tree_delta_share(d):
     """The tree generator's 3d - 1 Gaussian measurements split delta equally."""
     return (1.0, 3 * d - 1)
-
-
-@dataclass(frozen=True)
-class GeneratorConfig:
-    method: str
-    dp: DpParams
-
-    def __post_init__(self):
-        if self.method not in (METHOD_MST, METHOD_PRIVBAYES):
-            raise ConfigurationError(f"unknown method {self.method!r}")
 
 
 def _is_index(x):
@@ -165,8 +155,13 @@ class Model:
 
 
 def log_density(model, rows):
-    """Log of the factorised joint density, vectorised over records."""
+    """Log of the factorised joint density, vectorised over records; SchemaViolation on a row outside the domain."""
     rows = np.atleast_2d(np.asarray(rows, dtype=np.int64))
+    if rows.ndim != 2 or rows.shape[1] != len(model.domain):
+        raise SchemaViolation("rows must be a (n, d) matrix matching the domain")
+    # read as unsigned, a negative cell is above every cardinality: one comparison checks both ends
+    if (rows.view(np.uint64) >= np.array(model.domain.cardinalities, dtype=np.uint64)).any():
+        raise SchemaViolation("cell value outside its attribute domain")
     logp = np.zeros(rows.shape[0])
     for table in model.factors:
         logp += np.log(table.lookup_rows(rows))
@@ -307,12 +302,12 @@ def _measure_tree(ds, structure, acct, rng, floor=None):
     return Model(ds.domain, structure, tuple(factors), acct)
 
 
-def fit_mst(train, cfg):
+def fit_mst(train, dp, seed):
     """Fit a DP tree model: select the edges, then measure the tree's tables."""
     if len(train.domain) < 2:
         raise ConfigurationError("tree model needs at least two attributes")
-    rng = as_generator(cfg.dp.seed)
-    acct = Accountant(cfg.dp)
+    rng = as_generator(seed)
+    acct = Accountant(dp)
     return _measure_tree(train, _select_tree_edges(train, acct, rng), acct, rng)
 
 
@@ -420,10 +415,10 @@ def _measure_network(ds, structure, acct, rng, floor=None):
     return Model(ds.domain, structure, tuple(factors), acct)
 
 
-def fit_privbayes(train, cfg):
+def fit_privbayes(train, dp, seed):
     """Fit a DP Bayesian network: select the order, then measure its conditionals."""
-    rng = as_generator(cfg.dp.seed)
-    acct = Accountant(cfg.dp)
+    rng = as_generator(seed)
+    acct = Accountant(dp)
     return _measure_network(train, _select_bayes_order(train, acct, rng), acct, rng)
 
 
@@ -433,11 +428,11 @@ def model_from_data(ds, structure, floor=None):
     return measure(ds, structure, Accountant(DpParams(math.inf)), None, floor)
 
 
-def fit(train, cfg):
-    """Dispatch on the configured method."""
-    if cfg.method == METHOD_MST:
-        return fit_mst(train, cfg)
-    return fit_privbayes(train, cfg)
+def fit(train, method, dp, seed):
+    """Fit a ``method`` generator with budget dp; its selection and noise draw from seed."""
+    if method not in (METHOD_MST, METHOD_PRIVBAYES):
+        raise ConfigurationError(f"unknown method {method!r}")
+    return fit_mst(train, dp, seed) if method == METHOD_MST else fit_privbayes(train, dp, seed)
 
 
 def model_to_file(model, path):

@@ -64,11 +64,9 @@ def test_01_density_normalization():
         ds = make_ds(cards, rng.integers(0, cards, size=(150, d)))
         eps = float(rng.choice([0.5, 5.0, 50.0, INF]))
         if trial % 2 == 0:
-            cfg = sdg.GeneratorConfig("mst", DpParams(eps, delta=1e-9, seed=trial))
-            model = sdg.fit_mst(ds, cfg)
+            model = sdg.fit_mst(ds, DpParams(eps, delta=1e-9), trial)
         else:
-            cfg = sdg.GeneratorConfig("privbayes", DpParams(eps, seed=trial))
-            model = sdg.fit_privbayes(ds, cfg)
+            model = sdg.fit_privbayes(ds, DpParams(eps), trial)
         total = np.exp(sdg.log_density(model, grid_of(ds.domain))).sum()
         worst = max(worst, abs(total - 1.0))
     elapsed = time.monotonic() - start
@@ -83,8 +81,7 @@ def test_02_noiseless_mst_optimality():
     for trial in range(100):
         d = int(rng.integers(3, 6))
         ds = random_ds(rng, d, 4, 200)
-        cfg = sdg.GeneratorConfig("mst", DpParams(INF, seed=trial))
-        model = sdg.fit_mst(ds, cfg)
+        model = sdg.fit_mst(ds, DpParams(INF), trial)
         scores = {
             (i, j): sdg.mst_edge_score(ds, i, j)
             for i in range(d)
@@ -127,8 +124,7 @@ def test_03_mst_recovery():
             train = generate_households(
                 10000, n_attrs=8, max_cardinality=8, seed=dp.derive_seed(303, replica)
             )
-            cfg = sdg.GeneratorConfig("mst", DpParams(eps, delta=1e-9, seed=replica))
-            model = sdg.fit_mst(train, cfg)
+            model = sdg.fit_mst(train, DpParams(eps, delta=1e-9), replica)
             synth = sdg.sample(model, 10000, dp.derive_seed(304, replica))
             est = recovery.recover_tree(synth)
             metrics = evaluation.recovery_metrics(model.structure, est)
@@ -160,8 +156,7 @@ def test_04_attack_power_vs_privacy():
         target_hh = aux.household_id[target_idx]
         hh_labels = harness._household_labels(target_hh, labels)
         for eps in aurocs:
-            cfg = sdg.GeneratorConfig("mst", DpParams(eps, delta=1e-9, seed=dp.derive_seed(rseed, 1)))
-            model = sdg.fit_mst(train, cfg)
+            model = sdg.fit_mst(train, DpParams(eps, delta=1e-9), dp.derive_seed(rseed, 1))
             synth = sdg.sample(model, 10000, dp.derive_seed(rseed, 2))
             edges = recovery.recover_tree(synth)
             logs = attack.tamis_mst(target, edges, synth, aux)

@@ -17,10 +17,6 @@ class TestParams:
             dp.DpParams(epsilon=1.0, theta=-1.0)
         assert math.isinf(dp.DpParams(epsilon=math.inf).epsilon)
 
-    def test_with_seed(self):
-        p = dp.DpParams(1.0, seed=3)
-        assert p.with_seed(9).seed == 9 and p.seed == 3
-
 
 class TestLedger:
     def test_overspend_raises(self):

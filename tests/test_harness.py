@@ -735,11 +735,11 @@ class TestStarredAttacks:
         fitted, scored = [], []
         fit, fn = sdg.fit, getattr(attack, name.replace("-", "_"))
 
-        def fit_recorded(train, cfg):
-            fitted.append(fit(train, cfg))
+        def fit_recorded(train, method, dp, seed):
+            fitted.append(fit(train, method, dp, seed))
             return fitted[-1]
 
-        def wrong(synth, family, dp):  # a recovery that misses the fitted structure
+        def wrong(synth, family, dp, seed):  # a recovery that misses the fitted structure
             return next(s for s in (sdg.Structure(family, keys) for keys in candidates) if s != fitted[-1].structure)
 
         def recorded(target, structure, synth, aux):
@@ -753,7 +753,7 @@ class TestStarredAttacks:
         rows = harness._run_cell(cfg, harness.load_aux(cfg), 0, 0, 0)
         # attacks run in configured order: the plain one first
         (plain, plain_logs), (starred, starred_logs) = scored
-        assert plain == wrong(None, method, None) != fitted[-1].structure
+        assert plain == wrong(None, method, None, None) != fitted[-1].structure
         assert starred == fitted[-1].structure
         assert not np.array_equal(starred_logs, plain_logs)
         assert [r["value"] for r in rows if r["metric"] == "perfect_match"] == [0]
@@ -790,6 +790,14 @@ class TestGoldenBytes:
         "mst": "e470fdee01afe2f9ad74dbb51504e4bfa1cbca3048ca494a839cc858aeab0cf0",
         "privbayes": "b6b3b56c10ea1d9c9b4364a5ddeb49c74cd3e9c23f4d66fad1d46abd20b0d4c5",
     }
+    RECOVER = {
+        "mst": "cdc84fd4fbc37826d845fd820db79e65d72b8a8e7d87919770e3294eff1b1697",
+        "privbayes": "092c1c96161b0718acc6a9a59057b2b268a194d21229b168b69d827f17e0a7f4",
+    }
+    SHADOW = {
+        "mst": "d9b08ae742ab67466808d5158a26c38c8d2d844a2d5d7b6b92cb82c6d34eca54",
+        "privbayes": "9b77895ece265727c795eb148c44fd658c4aee52f439c2a7a7387c8a7884249b",
+    }
 
     def test_run_experiment(self, tmp_path, monkeypatch):
         _cpus(monkeypatch, 1)
@@ -810,6 +818,28 @@ class TestGoldenBytes:
             "--n-synth", "1000", "--seed", "4", "--out", str(gen),
         ]) == 0
         assert _sha256(gen / "synth.csv") == self.GENERATE[method]
+
+    @pytest.mark.parametrize("method", ["mst", "privbayes"])
+    def test_recover(self, tmp_path, method):
+        synth = str(tmp_path / "synth.csv")
+        write_csv(generate_households(2000, n_attrs=5, max_cardinality=4, seed=3), synth)
+        out = tmp_path / "structure.json"
+        assert cli.main([
+            "recover", "--synth", synth, "--method", method, "--epsilon", "10", "--delta", "1e-9",
+            "--seed", "5", "--out", str(out),
+        ]) == 0
+        assert _sha256(out) == self.RECOVER[method]
+
+    @pytest.mark.parametrize("method", ["mst", "privbayes"])
+    def test_shadow(self, tmp_path, method):
+        aux = str(tmp_path / "aux.csv")
+        write_csv(generate_households(2000, n_attrs=5, max_cardinality=4, seed=3), aux)
+        out = tmp_path / "weights.json"
+        assert cli.main([
+            "shadow", "--aux", aux, "--method", method, "--epsilon", "10", "--delta", "1e-9",
+            "--k", "4", "--subset-size", "500", "--seed", "6", "--out", str(out),
+        ]) == 0
+        assert _sha256(out) == self.SHADOW[method]
 
 
 class TestHouseholdLabels:
@@ -858,6 +888,19 @@ class TestCli:
         assert cli.main(["evaluate", "--scores", scores]) == 0
         out = capsys.readouterr().out
         assert '"auroc"' in out
+
+    def test_shadow_without_delta_uses_the_generate_default(self, tmp_path):
+        """shadow replays the generator's parameters, so its --delta default is generate's 1e-9."""
+        paths = self._prepare(tmp_path)
+        written = []
+        for extra in ([], ["--delta", "1e-9"]):
+            out = tmp_path / f"weights{len(written)}.json"
+            assert cli.main([
+                "shadow", "--aux", paths["aux"], "--method", "mst", "--epsilon", "1",
+                "--k", "2", "--subset-size", "800", "--out", str(out), *extra,
+            ]) == 0
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
 
     def test_mamamia_via_weights(self, tmp_path, capsys):
         paths = self._prepare(tmp_path)

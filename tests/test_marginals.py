@@ -283,7 +283,7 @@ class TestCountCache:
         rng = np.random.default_rng(4)
         cards = [2, 3, 2, 3, 2]
         ds = make_ds(cards, rng.integers(0, cards, size=(400, 5)))
-        sdg._select_bayes_order(ds, Accountant(DpParams(epsilon, seed=0)), np.random.default_rng(0))
+        sdg._select_bayes_order(ds, Accountant(DpParams(epsilon)), np.random.default_rng(0))
         assert calls and set(calls.values()) == {1}
 
 

@@ -31,8 +31,7 @@ class TestRecoverTree:
 
     def test_recovers_generating_tree(self):
         ds = random_ds(2, d=4, n=3000)
-        cfg = sdg.GeneratorConfig("mst", DpParams(math.inf, seed=0))
-        model = sdg.fit_mst(ds, cfg)
+        model = sdg.fit_mst(ds, DpParams(math.inf), 0)
         synth = sdg.sample(model, 20000, seed=3)
         assert recovery.recover_tree(synth) == model.structure
 
@@ -68,7 +67,7 @@ class TestRecoverBayesnet:
     def test_acyclic_for_all_seeds(self):
         ds = random_ds(6, d=4)
         for seed in range(20):
-            order = recovery.recover_bayesnet(ds, DpParams(1.0, seed=seed))
+            order = recovery.recover_bayesnet(ds, DpParams(1.0), seed)
             placed = set()
             for node, parents in order.keys:
                 assert set(parents) <= placed
@@ -77,72 +76,77 @@ class TestRecoverBayesnet:
 
     def test_single_attribute(self):
         ds = make_ds([3], np.random.default_rng(7).integers(0, 3, size=(50, 1)))
-        order = recovery.recover_bayesnet(ds, DpParams(1.0, seed=0))
+        order = recovery.recover_bayesnet(ds, DpParams(1.0), 0)
         assert order == sdg.Structure("privbayes", ((0, ()),))
 
 
 class TestShadowWeights:
     def test_k1_is_indicator(self):
         ds = random_ds(8, d=4, n=400)
-        cfg = recovery.ShadowConfig(K=1, subset_size=200, dp=DpParams(1.0, delta=1e-9), seed=0)
-        w = recovery.shadow_weights(ds, cfg, "mst")
+        w = recovery.shadow_weights(ds, "mst", DpParams(1.0, delta=1e-9), 0, 1, 200)
         assert set(w.weights.values()) == {1}
         assert w.total() == 3
 
     def test_sum_identity_mst(self):
         ds = random_ds(9, d=5, n=400)
-        cfg = recovery.ShadowConfig(K=7, subset_size=200, dp=DpParams(1.0, delta=1e-9), seed=1)
-        w = recovery.shadow_weights(ds, cfg, "mst")
+        w = recovery.shadow_weights(ds, "mst", DpParams(1.0, delta=1e-9), 1, 7, 200)
         assert w.total() == 7 * (5 - 1)
         assert all(0 <= v <= 7 for v in w.weights.values())
 
     def test_sum_identity_privbayes(self):
         ds = random_ds(10, d=4, n=400)
-        cfg = recovery.ShadowConfig(K=6, subset_size=200, dp=DpParams(1.0), seed=2)
-        w = recovery.shadow_weights(ds, cfg, "privbayes")
+        w = recovery.shadow_weights(ds, "privbayes", DpParams(1.0), 2, 6, 200)
         assert w.total() == 6 * 4
 
     def test_noiseless_full_subsets_concentrate(self):
         # subset_size = |aux| makes every run identical; noiseless tree
         # selection is deterministic, so weights are 0 or K
         ds = random_ds(11, d=4, n=300)
-        cfg = recovery.ShadowConfig(K=5, subset_size=300, dp=DpParams(math.inf), seed=3)
-        w = recovery.shadow_weights(ds, cfg, "mst")
+        w = recovery.shadow_weights(ds, "mst", DpParams(math.inf), 3, 5, 300)
         assert set(w.weights.values()) == {5}
 
     def test_oversized_subset_rejected(self):
         ds = random_ds(12, d=3, n=100)
-        cfg = recovery.ShadowConfig(K=1, subset_size=200, dp=DpParams(1.0), seed=0)
         with pytest.raises(ConfigurationError):
-            recovery.shadow_weights(ds, cfg, "mst")
+            recovery.shadow_weights(ds, "mst", DpParams(1.0), 0, 1, 200)
 
     def test_serialization_round_trip(self):
         ds = random_ds(13, d=4, n=300)
         for method, dp in (("mst", DpParams(1.0, delta=1e-9)), ("privbayes", DpParams(1.0))):
-            cfg = recovery.ShadowConfig(K=3, subset_size=150, dp=dp, seed=4)
-            w = recovery.shadow_weights(ds, cfg, method)
+            w = recovery.shadow_weights(ds, method, dp, 4, 3, 150)
             back = recovery.ShadowWeights.from_json(json.loads(json.dumps(w.to_json())))
             assert back.weights == w.weights and back.K == w.K
 
     def test_determinism(self):
         ds = random_ds(14, d=4, n=300)
-        cfg = recovery.ShadowConfig(K=4, subset_size=150, dp=DpParams(1.0, delta=1e-9), seed=5)
-        a = recovery.shadow_weights(ds, cfg, "mst")
-        b = recovery.shadow_weights(ds, cfg, "mst")
+        a = recovery.shadow_weights(ds, "mst", DpParams(1.0, delta=1e-9), 5, 4, 150)
+        b = recovery.shadow_weights(ds, "mst", DpParams(1.0, delta=1e-9), 5, 4, 150)
         assert a.weights == b.weights
 
 
 def test_shadow_config_validation():
-    with pytest.raises(ConfigurationError):
-        recovery.ShadowConfig(K=0, subset_size=10, dp=DpParams(1.0))
-    with pytest.raises(ConfigurationError):
-        recovery.ShadowConfig(K=1, subset_size=10, dp=None)
+    ds = random_ds(15, d=3, n=100)
+    with pytest.raises(ConfigurationError, match="shadow run count must be >= 1"):
+        recovery.shadow_weights(ds, "mst", DpParams(1.0), 0, 0, 10)
+    with pytest.raises(ConfigurationError, match="DP params"):
+        recovery.shadow_weights(ds, "mst", None, 0, 1, 10)
+
+
+@pytest.mark.parametrize("entry", ["fit", "recover", "shadow_weights"])
+def test_unknown_method_rejected(entry):
+    ds, dp = random_ds(16, d=3, n=100), DpParams(1.0, delta=1e-9)
+    run = {
+        "fit": lambda: sdg.fit(ds, "bogus", dp, 0),
+        "recover": lambda: recovery.recover(ds, "bogus", dp, 0),
+        "shadow_weights": lambda: recovery.shadow_weights(ds, "bogus", dp, 0, 1, 10),
+    }[entry]
+    with pytest.raises(ConfigurationError, match="unknown method 'bogus'"):
+        run()
 
 
 def test_recovery_on_household_data_end_to_end():
     aux = generate_households(4000, n_attrs=5, max_cardinality=4, seed=21)
-    cfg = sdg.GeneratorConfig("mst", DpParams(1000.0, delta=1e-9, seed=1))
-    model = sdg.fit_mst(aux, cfg)
+    model = sdg.fit_mst(aux, DpParams(1000.0, delta=1e-9), 1)
     synth = sdg.sample(model, 4000, seed=2)
     est = recovery.recover_tree(synth)
     assert len(est.keys) == 4

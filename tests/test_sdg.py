@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from synthmia import marginals, recovery, sdg
 from synthmia.data import Dataset, Domain
 from synthmia.dp import DpParams
-from synthmia.errors import ConfigurationError, EstimationError
+from synthmia.errors import ConfigurationError, EstimationError, SchemaViolation
 
 INF = math.inf
 
@@ -25,10 +25,6 @@ def random_ds(seed, d=None, n=300, max_card=4):
     d = d or int(rng.integers(2, 5))
     cards = rng.integers(2, max_card + 1, size=d)
     return make_ds(cards, rng.integers(0, cards, size=(n, d)))
-
-
-def noiseless_cfg(method, seed=0):
-    return sdg.GeneratorConfig(method, DpParams(INF, seed=seed))
 
 
 def enumerate_grid(domain):
@@ -157,7 +153,7 @@ class TestEdgeScore:
 class TestFitMst:
     def test_two_attributes_single_edge(self):
         ds = random_ds(1, d=2)
-        model = sdg.fit_mst(ds, noiseless_cfg("mst"))
+        model = sdg.fit_mst(ds, DpParams(INF), 0)
         assert model.structure == sdg.Structure("mst", ((0, 1),))
 
     def test_spanning_tree_invariant_random_seeds(self, monkeypatch):
@@ -171,8 +167,7 @@ class TestFitMst:
         monkeypatch.setattr(sdg, "_consistent_tree_tables", recorded)
         ds = random_ds(2, d=5)
         for seed in range(40):
-            cfg = sdg.GeneratorConfig("mst", DpParams(1.0, delta=1e-9, seed=seed))
-            model = sdg.fit_mst(ds, cfg)
+            model = sdg.fit_mst(ds, DpParams(1.0, delta=1e-9), seed)
             check_factors(model)  # spanning tree + proper conditionals in sampling order
             # the noisy, clipped edge tables IPF projected agree with their node tables
             node, edge = made[-1]
@@ -185,7 +180,7 @@ class TestFitMst:
     def test_noiseless_matches_brute_force(self):
         for seed in range(10):
             ds = random_ds(100 + seed, d=4)
-            model = sdg.fit_mst(ds, noiseless_cfg("mst"))
+            model = sdg.fit_mst(ds, DpParams(INF), 0)
             scores = {
                 (i, j): sdg.mst_edge_score(ds, i, j)
                 for i in range(4)
@@ -199,12 +194,11 @@ class TestFitMst:
     def test_finite_epsilon_needs_delta(self):
         ds = random_ds(3)
         with pytest.raises(ConfigurationError):
-            sdg.fit_mst(ds, sdg.GeneratorConfig("mst", DpParams(1.0)))
+            sdg.fit_mst(ds, DpParams(1.0), 0)
 
     def test_budget_ledger_within_bounds(self):
         ds = random_ds(5, d=4)
-        cfg = sdg.GeneratorConfig("mst", DpParams(2.0, delta=1e-9, seed=0))
-        model = sdg.fit_mst(ds, cfg)
+        model = sdg.fit_mst(ds, DpParams(2.0, delta=1e-9), 0)
         assert model.ledger.epsilon_spent() == pytest.approx(1.0)
         assert model.ledger.delta_spent() == pytest.approx(1.0)
 
@@ -213,17 +207,17 @@ class TestBudgetTotals:
     @pytest.mark.parametrize("d", [2, 3, 8, 16])
     def test_generators_spend_exactly_their_budget(self, d):
         ds = random_ds(27, d=d, n=200)
-        mst = sdg.fit_mst(ds, sdg.GeneratorConfig("mst", DpParams(1.0, delta=1e-9))).ledger
+        mst = sdg.fit_mst(ds, DpParams(1.0, delta=1e-9), 0).ledger
         assert len(mst.spent) == (3 * d - 1) + (d - 1)
         assert abs(mst.epsilon_spent() - 1.0) <= 1e-12
         assert abs(mst.delta_spent() - 1.0) <= 1e-12
-        pb = sdg.fit_privbayes(ds, sdg.GeneratorConfig("privbayes", DpParams(1.0, delta=1e-9))).ledger
+        pb = sdg.fit_privbayes(ds, DpParams(1.0, delta=1e-9), 0).ledger
         assert len(pb.spent) == d + (d - 1)
         assert abs(pb.epsilon_spent() - 1.0) <= 1e-12
         assert pb.delta_spent() == 0.0
         # noiseless PrivBayes scores every parent subset, 2^15 of them at d = 16
         for method in ("mst", "privbayes") if d <= 8 else ("mst",):
-            assert sdg.fit(ds, sdg.GeneratorConfig(method, DpParams(INF, delta=1e-9))).ledger.spent == []
+            assert sdg.fit(ds, method, DpParams(INF, delta=1e-9), 0).ledger.spent == []
 
 
 class TestTreeDensity:
@@ -400,7 +394,7 @@ class TestSensitivity:
         mechanism = sdg.exponential_mechanism
         monkeypatch.setattr(sdg, "exponential_mechanism", recorded)
         ds = random_ds(29, d=4, n=120)
-        sdg.fit(ds, sdg.GeneratorConfig(method, DpParams(1.0, delta=1e-9)))
+        sdg.fit(ds, method, DpParams(1.0, delta=1e-9), 0)
         assert used and set(used) == {bound(120)}
 
     @settings(max_examples=200, deadline=None)
@@ -433,15 +427,14 @@ class TestFitPrivbayes:
     def test_single_attribute(self):
         ds = random_ds(15, d=2).subset(np.arange(50))
         one = Dataset(Domain(["a0"], [ds.domain.cardinalities[0]]), ds.rows[:, :1])
-        model = sdg.fit_privbayes(one, noiseless_cfg("privbayes"))
+        model = sdg.fit_privbayes(one, DpParams(INF), 0)
         assert model.structure == sdg.Structure("privbayes", ((0, ()),))
         assert abs(model.factors[0].probs.sum() - 1.0) < 1e-12
 
     def test_acyclicity_over_seeds(self):
         ds = random_ds(16, d=5)
         for seed in range(40):
-            cfg = sdg.GeneratorConfig("privbayes", DpParams(1.0, seed=seed))
-            model = sdg.fit_privbayes(ds, cfg)
+            model = sdg.fit_privbayes(ds, DpParams(1.0), seed)
             check_factors(model)
 
     def test_chain_structure_recovered_noiseless(self):
@@ -454,7 +447,7 @@ class TestFitPrivbayes:
             flip = rng.random(n) < 0.05
             rows[:, k] = np.where(flip, rng.integers(0, 3, size=n), rows[:, k - 1])
         ds = make_ds([3] * d, rows)
-        model = sdg.fit_privbayes(ds, noiseless_cfg("privbayes", seed=2))
+        model = sdg.fit_privbayes(ds, DpParams(INF), 2)
         placed = set()
         for node, parents in model.structure.keys:
             # chain dependencies: every chosen parent must be a true ancestor
@@ -466,8 +459,7 @@ class TestFitPrivbayes:
     def test_theta_constraint_respected(self):
         ds = random_ds(18, d=4, n=500)
         theta = 8.0 / 500
-        cfg = sdg.GeneratorConfig("privbayes", DpParams(1.0, theta=theta, seed=0))
-        model = sdg.fit_privbayes(ds, cfg)
+        model = sdg.fit_privbayes(ds, DpParams(1.0, theta=theta), 0)
         limit = theta * 1.0 * 500
         for node, parents in model.structure.keys:
             size = ds.domain.cardinalities[node]
@@ -480,9 +472,8 @@ class TestFitPrivbayes:
         ds = random_ds(19, d=4)
         for eps in (0.5, 10.0, INF):
             for seed in range(5):
-                dp = DpParams(eps, seed=seed)
-                fitted = sdg.fit_privbayes(ds, sdg.GeneratorConfig("privbayes", dp))
-                assert recovery.recover_bayesnet(ds, dp) == fitted.structure
+                fitted = sdg.fit_privbayes(ds, DpParams(eps), seed)
+                assert recovery.recover_bayesnet(ds, DpParams(eps), seed) == fitted.structure
 
 
 class TestBayesDensity:
@@ -545,7 +536,7 @@ class TestModelFromData:
     @pytest.mark.parametrize("seed", range(4))
     def test_is_the_noiseless_fit(self, method, seed):
         ds = random_ds(60 + seed, d=4)
-        fitted = sdg.fit(ds, noiseless_cfg(method, seed))
+        fitted = sdg.fit(ds, method, DpParams(INF), seed)
         model = sdg.model_from_data(ds, fitted.structure)
         assert model.structure == fitted.structure
         assert [t.attrs for t in model.factors] == [t.attrs for t in fitted.factors]
@@ -560,8 +551,18 @@ class TestModelFromData:
 
 
 @pytest.mark.parametrize("method", ["mst", "privbayes"])
+def test_log_density_rejects_rows_outside_the_domain(method):
+    model = sdg.fit(random_ds(28, d=3), method, DpParams(INF), 0)
+    for row in ([-1, 0, 0], [model.domain.cardinalities[0], 0, 0]):
+        with pytest.raises(SchemaViolation, match="cell value outside its attribute domain"):
+            sdg.log_density(model, [[0, 0, 0], row])
+    with pytest.raises(SchemaViolation, match=r"rows must be a \(n, d\) matrix matching the domain"):
+        sdg.log_density(model, [[0, 0]])
+
+
+@pytest.mark.parametrize("method", ["mst", "privbayes"])
 def test_negative_sample_size(method):
-    model = sdg.fit(random_ds(28, d=3), noiseless_cfg(method))
+    model = sdg.fit(random_ds(28, d=3), method, DpParams(INF), 0)
     with pytest.raises(ConfigurationError, match="sample size must be >= 0"):
         sdg.sample(model, -1, seed=0)
     assert sdg.sample(model, 0, seed=0).rows.shape == (0, 3)
@@ -584,14 +585,14 @@ class TestSerialization:
             assert np.array_equal(np.array(factor["probs"]).reshape(factor["shape"]), table.probs)
 
     def test_tree_round_trip(self, tmp_path):
-        model = sdg.fit_mst(random_ds(25, d=3), noiseless_cfg("mst"))
+        model = sdg.fit_mst(random_ds(25, d=3), DpParams(INF), 0)
         self._check(model, tmp_path)
 
     def test_bayes_round_trip(self, tmp_path):
-        model = sdg.fit_privbayes(random_ds(26, d=3), noiseless_cfg("privbayes"))
+        model = sdg.fit_privbayes(random_ds(26, d=3), DpParams(INF), 0)
         self._check(model, tmp_path)
 
 
 def test_generator_config_validation():
     with pytest.raises(ConfigurationError):
-        sdg.GeneratorConfig("nope", DpParams(1.0))
+        sdg.fit(random_ds(30, d=3), "nope", DpParams(1.0), 0)

@@ -161,7 +161,7 @@ def test_recover_tree_is_noiseless_selection(seed):
     ds = Dataset(domain, rng.integers(0, 2, size=(int(rng.integers(1, 12)), d)))
     recovered = recovery.recover_tree(ds)
     assert recovered == _kruskal(ds)
-    assert recovered == sdg.fit_mst(ds, sdg.GeneratorConfig("mst", DpParams(math.inf))).structure
+    assert recovered == sdg.fit_mst(ds, DpParams(math.inf), 0).structure
 
 
 TREE_JSON = """{
