@@ -787,8 +787,14 @@ class TestGoldenBytes:
         "summary.json": "bf80f4dd8ea39bd6ca4081d4cd25efe780c398aa7f6cd064a84f06045343e63a",
     }
     GENERATE = {
-        "mst": "e470fdee01afe2f9ad74dbb51504e4bfa1cbca3048ca494a839cc858aeab0cf0",
-        "privbayes": "b6b3b56c10ea1d9c9b4364a5ddeb49c74cd3e9c23f4d66fad1d46abd20b0d4c5",
+        "mst": {
+            "synth.csv": "e470fdee01afe2f9ad74dbb51504e4bfa1cbca3048ca494a839cc858aeab0cf0",
+            "model.json": "c88d229349888ec90609da541c9fea0ceb8b636b1d832e99caed81aa0220923b",
+        },
+        "privbayes": {
+            "synth.csv": "b6b3b56c10ea1d9c9b4364a5ddeb49c74cd3e9c23f4d66fad1d46abd20b0d4c5",
+            "model.json": "f16586d9b4e3c16ee40ae2c143c9d05fabf52ecd050ea056008b63af33c66ce5",
+        },
     }
     RECOVER = {
         "mst": "cdc84fd4fbc37826d845fd820db79e65d72b8a8e7d87919770e3294eff1b1697",
@@ -797,6 +803,12 @@ class TestGoldenBytes:
     SHADOW = {
         "mst": "d9b08ae742ab67466808d5158a26c38c8d2d844a2d5d7b6b92cb82c6d34eca54",
         "privbayes": "9b77895ece265727c795eb148c44fd658c4aee52f439c2a7a7387c8a7884249b",
+    }
+    ATTACK = {
+        "tamis-mst": "4d1f06ee99dd129e10c8c78d7f462f5aea2dae7ce446dc3a95f41923173eef25",
+        "tamis-pb": "326ec918675e5d51e94ee1503b068e519756be00d8103a6e0e2f6920415acd29",
+        "mamamia-pb": "67595d1b883be05e35fbb40be0af4d01b4ff8e24ba24af912c3b2f9f3a7585c2",
+        "hybrid-pb": "a27c20e3bd3f347af87abb4f35e10be081916940d831c84f256559254821240f",
     }
 
     def test_run_experiment(self, tmp_path, monkeypatch):
@@ -817,7 +829,7 @@ class TestGoldenBytes:
             "generate", "--data", data, "--method", method, "--epsilon", "10", "--delta", "1e-9",
             "--n-synth", "1000", "--seed", "4", "--out", str(gen),
         ]) == 0
-        assert _sha256(gen / "synth.csv") == self.GENERATE[method]
+        assert {name: _sha256(gen / name) for name in self.GENERATE[method]} == self.GENERATE[method]
 
     @pytest.mark.parametrize("method", ["mst", "privbayes"])
     def test_recover(self, tmp_path, method):
@@ -840,6 +852,33 @@ class TestGoldenBytes:
             "--k", "4", "--subset-size", "500", "--seed", "6", "--out", str(out),
         ]) == 0
         assert _sha256(out) == self.SHADOW[method]
+
+    @pytest.mark.parametrize("name", sorted(ATTACK))
+    def test_attack(self, tmp_path, name):
+        """Scores of an attack on a generator's synth, through the noiseless densities fitted on synth and aux."""
+        method, needs, _, _ = attack.lookup(name)
+        aux = generate_households(2000, n_attrs=5, max_cardinality=4, seed=3)
+        train, target, _ = make_snake_split(aux, SplitSpec(n_target_households=10, min_household_size=3,
+                                                           train_size=500, seed=1))
+        paths = {}
+        for part, ds in (("aux", aux), ("train", train), ("target", target)):
+            paths[part] = str(tmp_path / f"{part}.csv")
+            write_csv(ds, paths[part])
+        gen = tmp_path / "gen"
+        dp = ["--method", method, "--epsilon", "10", "--delta", "1e-9"]
+        assert cli.main(["generate", "--data", paths["train"], *dp, "--n-synth", "1000", "--seed", "4",
+                         "--out", str(gen)]) == 0
+        given = str(gen / "structure.json")
+        if needs == "weights":
+            given = str(tmp_path / "weights.json")
+            assert cli.main(["shadow", "--aux", paths["aux"], *dp, "--k", "4", "--subset-size", "500",
+                             "--seed", "6", "--out", given]) == 0
+        out = tmp_path / "scores.csv"
+        assert cli.main([
+            "attack", "--attack", name, "--target", paths["target"], "--synth", str(gen / "synth.csv"),
+            "--aux", paths["aux"], f"--{needs}", given, "--out", str(out),
+        ]) == 0
+        assert _sha256(out) == self.ATTACK[name]
 
 
 class TestHouseholdLabels:

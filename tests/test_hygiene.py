@@ -2,6 +2,8 @@
 top-level function or class it defines is used somewhere."""
 
 import ast
+import importlib
+import importlib.util
 import pathlib
 
 import pytest
@@ -86,3 +88,22 @@ def test_detects_a_dead_name(tmp_path):
     user = tmp_path / "user.py"
     user.write_text("import lib\nprint(lib.used())\n")
     assert dead_names([lib], [user]) == ["lib.py:4 dead", "lib.py:7 _Private"]
+
+
+def test_traced_names_are_distinct_functions():
+    """Every function the benchmark's tracer wraps exists, and no two of its names are one object.
+
+    The tracer wraps each name's object; an alias (``tamis_pb = tamis_mst``)
+    would nest one attack's span inside the other's and move its self time.
+    """
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    names = {(module, fn) for module, fn, *_ in tracing.TARGETS}
+    names.update(("attack", fn) for fn in tracing.ATTACK_FUNCTIONS)
+    found = {}
+    for module, fn in sorted(names):
+        obj = getattr(importlib.import_module(f"synthmia.{module}"), fn, None)
+        assert callable(obj), f"synthmia.{module}.{fn} does not exist"
+        found.setdefault(id(obj), []).append(f"{module}.{fn}")
+    assert [group for group in found.values() if len(group) > 1] == []
