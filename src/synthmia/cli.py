@@ -148,6 +148,7 @@ def cmd_replicate(args):
 
 
 def _add_dp_args(p):
+    p.add_argument("--method", choices=sdg.METHODS, default=sdg.METHOD_MST)
     p.add_argument("--epsilon", default="inf", help="privacy budget; 'inf' disables noise")
     p.add_argument("--delta", type=float, default=1e-9)
     p.add_argument("--theta", type=float, default=None)
@@ -160,7 +161,6 @@ def build_parser():
 
     p = sub.add_parser("generate", help="fit a generator and sample synthetic data")
     p.add_argument("--data", required=True, help="training CSV")
-    p.add_argument("--method", choices=(sdg.METHOD_MST, sdg.METHOD_PRIVBAYES), default=sdg.METHOD_MST)
     p.add_argument("--n-synth", type=int, default=10000)
     p.add_argument("--out", required=True, help="output directory")
     _add_dp_args(p)
@@ -168,14 +168,12 @@ def build_parser():
 
     p = sub.add_parser("recover", help="estimate structure from synthetic data")
     p.add_argument("--synth", required=True)
-    p.add_argument("--method", choices=(sdg.METHOD_MST, sdg.METHOD_PRIVBAYES), default=sdg.METHOD_MST)
     p.add_argument("--out", required=True)
     _add_dp_args(p)
     p.set_defaults(fn=cmd_recover)
 
     p = sub.add_parser("shadow", help="accumulate selection weights over shadow runs")
     p.add_argument("--aux", required=True)
-    p.add_argument("--method", choices=(sdg.METHOD_MST, sdg.METHOD_PRIVBAYES), default=sdg.METHOD_MST)
     p.add_argument("--k", type=int, default=50)
     p.add_argument("--subset-size", type=int, required=True)
     p.add_argument("--out", required=True)

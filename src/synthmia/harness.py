@@ -40,7 +40,7 @@ class ExperimentConfig:
     out_dir: str
     replicas: int = 1
     epsilons: tuple = (0.1, 1.0, 10.0, 100.0, 1000.0)
-    methods: tuple = (sdg.METHOD_MST, sdg.METHOD_PRIVBAYES)
+    methods: tuple = sdg.METHODS
     attacks: tuple = ALL_ATTACKS
     cross_targeted: bool = False
     split: SplitSpec = field(
@@ -96,8 +96,8 @@ _FIELD_CHECKS = {
     "replicas": _COUNT,
     "epsilons": (_is((list, tuple), lambda v: len(v) > 0 and all(_NUMBER(e) and e > 0 for e in v)),
                  "a list of positive numbers"),
-    "methods": (_is((list, tuple), lambda v: all(m in (sdg.METHOD_MST, sdg.METHOD_PRIVBAYES) for m in v)),
-                f"a list of {sdg.METHOD_MST!r} and {sdg.METHOD_PRIVBAYES!r}"),
+    "methods": (_is((list, tuple), lambda v: all(m in sdg.METHODS for m in v)),
+                f"a list of methods out of {list(sdg.METHODS)}"),
     "attacks": (_is((list, tuple)), "a list of attack names"),
     "cross_targeted": (lambda v: isinstance(v, bool), "true or false"),
     "shadow_k": _COUNT,

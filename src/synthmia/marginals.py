@@ -1,18 +1,18 @@
-"""Contingency-table kernels: counts, empirical marginals, conditional tables and categorical draws.
+"""Contingency-table kernels: counts, empirical marginals, conditionals and categorical draws.
 
-Only PrivBayes' measurement (``sdg._measure_network``) turns a joint into a
-conditional table, so the attacks read conditionals through it. ``draw`` is
-the one rule by which a generator draws a child given its parents' configuration.
+``conditional_from_joint`` is the one rule by which both generators' measurements
+turn a joint into a factor, so the attacks read conditionals through them. ``draw``
+is the one rule by which a generator draws a child given its parents' configuration.
 
 Tables are dense numpy arrays; a marginal is a probability array whose axes
-follow its attributes. Each distinct record is counted once, weighted
+follow its attributes, and a factor P(child | parents) is ``(attrs, probs)``
+with ``attrs = parents + (child,)``. Each distinct record is counted once, weighted
 by its multiplicity, so counts are exact integers independent of row order.
 Zero cells can be floored to a small positive value and renormalized, which
 keeps density ratios finite downstream.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,44 +30,6 @@ _CACHE_ATTR = "_counts"
 
 def default_floor(source_size):
     return 1.0 / (FLOOR_FACTOR * max(int(source_size), 1))
-
-
-@dataclass(frozen=True)
-class ConditionalTable:
-    """P(child | parents), one distribution per parent configuration.
-
-    ``probs`` has shape parent_cardinalities + (child_cardinality,);
-    the last axis is the child and sums to 1 per parent configuration.
-    """
-
-    child: int
-    parents: tuple
-    probs: np.ndarray
-    source_size: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "parents", tuple(int(p) for p in self.parents))
-        probs = np.ascontiguousarray(self.probs, dtype=np.float64)
-        probs.setflags(write=False)
-        object.__setattr__(self, "probs", probs)
-
-    @property
-    def attrs(self):
-        return self.parents + (self.child,)
-
-    def lookup_rows(self, rows):
-        """Vectorized probability lookup for a (n, d) matrix of records."""
-        return self.probs[tuple(rows[:, a] for a in self.attrs)]
-
-    def to_json(self):
-        return {
-            "kind": "conditional",
-            "child": int(self.child),
-            "parents": list(self.parents),
-            "shape": list(self.probs.shape),
-            "probs": self.probs.ravel().tolist(),
-            "source_size": int(self.source_size),
-        }
 
 
 def _check_attrs(ds, attrs):
@@ -162,11 +124,11 @@ def marginal(ds, attrs, floor=None):
     return floor_probs(counts(ds, attrs) / len(ds), floor)
 
 
-def conditional_from_joint(joint_probs, child, parents, source_size, floor=None):
-    """Turn a joint table over parents + (child,) into a ConditionalTable.
+def conditional_from_joint(joint_probs, child, parents, floor=None):
+    """The factor ``(parents + (child,), probs)`` of a joint table whose axes are parents + (child,).
 
-    Unseen parent configurations become uniform after flooring; zero-count
-    child values get the floor; each conditional block is renormalized.
+    Each parent configuration's block is divided by its mass, or is uniform without
+    mass; a positive ``floor`` then raises every cell to it and renormalizes the blocks.
     """
     joint = np.asarray(joint_probs, dtype=np.float64)
     nc = joint.shape[-1]
@@ -175,8 +137,10 @@ def conditional_from_joint(joint_probs, child, parents, source_size, floor=None)
         cond = np.where(sums > 0, joint / np.where(sums > 0, sums, 1.0), 1.0 / nc)
     if floor is not None and floor > 0:
         cond = np.maximum(cond, floor)
-    cond = cond / cond.sum(axis=-1, keepdims=True)
-    return ConditionalTable(child, tuple(parents), cond, source_size)
+        cond = cond / cond.sum(axis=-1, keepdims=True)
+    cond = np.ascontiguousarray(cond)
+    cond.setflags(write=False)
+    return tuple(parents) + (child,), cond
 
 
 def draw(blocks, configs, rng):

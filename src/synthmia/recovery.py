@@ -76,7 +76,7 @@ def recover_tree(synth):
     """
     if len(synth) == 0 or len(synth.domain) < 2:
         raise ConfigurationError("tree recovery needs a non-empty dataset with d >= 2")
-    return sdg._select_tree_edges(synth, Accountant(DpParams(math.inf)), None)
+    return sdg.method_steps(sdg.METHOD_MST)[0](synth, Accountant(DpParams(math.inf)), None)
 
 
 def recover_bayesnet(synth, dp, seed):
@@ -85,21 +85,18 @@ def recover_bayesnet(synth, dp, seed):
     Requires the generator's hyper-parameters (epsilon, theta); returns the
     ordered (node, parent set) structure only.
     """
-    return sdg._select_bayes_order(synth, Accountant(dp), as_generator(seed))
+    return sdg.method_steps(sdg.METHOD_PRIVBAYES)[0](synth, Accountant(dp), as_generator(seed))
 
 
 def recover(synth, method, dp, seed):
     """The structure of a ``method`` generator recovered from synth (dp and seed: PrivBayes's)."""
-    if method not in (sdg.METHOD_MST, sdg.METHOD_PRIVBAYES):
-        raise ConfigurationError(f"unknown method {method!r}")
+    sdg.method_steps(method)  # ConfigurationError for an unknown method
     return recover_tree(synth) if method == sdg.METHOD_MST else recover_bayesnet(synth, dp, seed)
 
 
 def shadow_weights(aux, method, dp, seed, k, subset_size):
     """k selection runs at budget dp on uniform without-replacement subsets of aux, run i from derive_seed(seed, i)."""
-    select = {sdg.METHOD_MST: sdg._select_tree_edges, sdg.METHOD_PRIVBAYES: sdg._select_bayes_order}.get(method)
-    if select is None:
-        raise ConfigurationError(f"unknown method {method!r}")
+    select, _ = sdg.method_steps(method)
     if k < 1:
         raise ConfigurationError("shadow run count must be >= 1")
     if subset_size < 1:

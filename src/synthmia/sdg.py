@@ -3,9 +3,10 @@
 Both follow the same pipeline: privately select a graph structure, measure
 the associated statistics with calibrated noise, then sample i.i.d. records
 from the factorized joint density. ``BUDGET_SPLIT`` gives 1/3 of epsilon to
-structure selection and 2/3 to statistics measurement. Each generator has one
-measurement function; ``model_from_data`` runs it at epsilon = inf, which is
-the noiseless density the attacker fits on synth and on aux.
+structure selection and 2/3 to statistics measurement. ``method_steps`` names
+each method's selection and its one measurement, which turns every joint into a
+factor through ``marginals.conditional_from_joint``; ``model_from_data`` runs the
+measurement at epsilon = inf, the noiseless density the attacker fits on synth and aux.
 """
 
 import itertools
@@ -22,6 +23,7 @@ from .errors import ConfigurationError, EstimationError, ParseError, SchemaViola
 
 METHOD_MST = "mst"
 METHOD_PRIVBAYES = "privbayes"
+METHODS = (METHOD_MST, METHOD_PRIVBAYES)
 
 # default theta such that theta * epsilon * n = 4 * epsilon at |train| scale
 DEFAULT_THETA_SCALE = 4.0
@@ -68,12 +70,11 @@ class Structure:
     keys: tuple
 
     def __post_init__(self):
+        method_steps(self.method)  # ConfigurationError for an unknown method
         if self.method == METHOD_MST:
             keys = sorted((min(i, j), max(i, j)) for i, j in self.keys)
-        elif self.method == METHOD_PRIVBAYES:
-            keys = ((node, tuple(parents)) for node, parents in self.keys)
         else:
-            raise ConfigurationError(f"unknown method {self.method!r}")
+            keys = ((node, tuple(parents)) for node, parents in self.keys)
         object.__setattr__(self, "keys", tuple(keys))
 
     def validate(self, d):
@@ -131,17 +132,18 @@ class Structure:
 
 @dataclass
 class Model:
-    """A fitted generator: a Bayesian network over its structure.
+    """A fitted generator: a Bayesian network over its structure, measured on n records.
 
-    ``factors`` are ``marginals.ConditionalTable``s P(child | parents) in
-    sampling order. A tree is the network rooted at attribute 0 whose other
-    nodes each have one parent, visited breadth first over sorted neighbours.
+    ``factors`` are P(child | parents) as ``(attrs, probs)`` in sampling order. A tree is
+    the network rooted at attribute 0 whose other nodes each have one parent,
+    visited breadth first over sorted neighbours.
     """
 
     domain: Domain
     structure: Structure
     factors: tuple
-    ledger: Accountant = None
+    n: int
+    ledger: Accountant
 
     def to_json(self):
         # the structure's own form, with the domain second
@@ -149,8 +151,10 @@ class Model:
             "method": self.structure.method,
             "domain": self.domain.to_json(),
             **self.structure.to_json(),
-            "factors": [t.to_json() for t in self.factors],
-            "ledger": self.ledger.to_json() if self.ledger else None,
+            "factors": [{"kind": "conditional", "child": attrs[-1], "parents": list(attrs[:-1]),
+                         "shape": list(probs.shape), "probs": probs.ravel().tolist(), "source_size": self.n}
+                        for attrs, probs in self.factors],
+            "ledger": self.ledger.to_json(),
         }
 
 
@@ -163,8 +167,8 @@ def log_density(model, rows):
     if (rows.view(np.uint64) >= np.array(model.domain.cardinalities, dtype=np.uint64)).any():
         raise SchemaViolation("cell value outside its attribute domain")
     logp = np.zeros(rows.shape[0])
-    for table in model.factors:
-        logp += np.log(table.lookup_rows(rows))
+    for attrs, probs in model.factors:
+        logp += np.log(probs[tuple(rows[:, a] for a in attrs)])
     return logp
 
 
@@ -174,11 +178,11 @@ def sample(model, n, seed):
         raise ConfigurationError(f"sample size must be >= 0, got {n}")
     rng = as_generator(seed)
     rows = np.zeros((int(n), len(model.domain)), dtype=np.int64)
-    for table in model.factors:
+    for attrs, probs in model.factors:
         flat_cfg = np.zeros(int(n), dtype=np.int64)  # row-major parent configuration, as in the table
-        for p, card in zip(table.parents, table.probs.shape):
+        for p, card in zip(attrs[:-1], probs.shape):
             flat_cfg = flat_cfg * card + rows[:, p]
-        rows[:, table.child] = marginals.draw(table.probs.reshape(-1, table.probs.shape[-1]), flat_cfg, rng)
+        rows[:, attrs[-1]] = marginals.draw(probs.reshape(-1, probs.shape[-1]), flat_cfg, rng)
     return Dataset(model.domain, rows)
 
 
@@ -214,15 +218,15 @@ def _noisy_probs(probs, sigma, rng):
     return noisy / total
 
 
-def _ipf_to_margins(pair, pi, pj, tol=1e-13, max_iters=2000):
-    """Iterative proportional fitting of a 2-way table to fixed 1-way margins."""
+def _ipf_to_margins(pair, pi, pj):
+    """Iterative proportional fitting of a 2-way table to fixed 1-way margins, to 1e-13 or 2000 sweeps."""
     out = pair.copy()
-    for _ in range(max_iters):
+    for _ in range(2000):
         rows = out.sum(axis=1)
         out *= np.where(rows > 0, pi / np.where(rows > 0, rows, 1.0), 0.0)[:, None]
         cols = out.sum(axis=0)
         out *= np.where(cols > 0, pj / np.where(cols > 0, cols, 1.0), 0.0)[None, :]
-        if np.abs(out.sum(axis=1) - pi).max() < tol:
+        if np.abs(out.sum(axis=1) - pi).max() < 1e-13:
             break
     return out
 
@@ -285,21 +289,17 @@ def _measure_tree(ds, structure, acct, rng, floor=None):
     for i, j in structure.keys:
         adj[i].append(j)
         adj[j].append(i)
-    factors = [marginals.ConditionalTable(0, (), node_tables[0], n)]
-    placed = {0}
-    for factor in factors:  # the queue: each node reached is appended
-        parent = factor.child
+    root = node_tables[0]  # already a distribution: dividing it by its sum would move last bits
+    root.setflags(write=False)
+    factors, queue = [((0,), root)], [0]
+    for parent in queue:  # breadth first: each node reached is appended
         for child in sorted(adj[parent]):
-            if child in placed:
-                continue
-            placed.add(child)
-            pair = edge_tables[(min(parent, child), max(parent, child))]
-            probs = pair if parent < child else pair.T
-            mass = probs.sum(axis=1, keepdims=True)
-            # zero-mass parent values are never sampled; uniform placeholder
-            cond = np.where(mass > 0, probs / np.where(mass > 0, mass, 1.0), 1.0 / probs.shape[1])
-            factors.append(marginals.ConditionalTable(child, (parent,), cond, n))
-    return Model(ds.domain, structure, tuple(factors), acct)
+            if child not in queue:
+                queue.append(child)
+                pair = edge_tables[(min(parent, child), max(parent, child))]
+                # zero-mass parent values are never sampled; they get a uniform placeholder
+                factors.append(marginals.conditional_from_joint(pair if parent < child else pair.T, child, (parent,)))
+    return Model(ds.domain, structure, tuple(factors), n, acct)
 
 
 def fit_mst(train, dp, seed):
@@ -411,8 +411,8 @@ def _measure_network(ds, structure, acct, rng, floor=None):
         if scale is not None:
             joint = joint + laplace_noise(scale, joint.size, rng).reshape(joint.shape)
             joint = np.clip(joint, 0.0, None)
-        factors.append(marginals.conditional_from_joint(joint, node, parents, n, floor))
-    return Model(ds.domain, structure, tuple(factors), acct)
+        factors.append(marginals.conditional_from_joint(joint, node, parents, floor))
+    return Model(ds.domain, structure, tuple(factors), n, acct)
 
 
 def fit_privbayes(train, dp, seed):
@@ -422,16 +422,24 @@ def fit_privbayes(train, dp, seed):
     return _measure_network(train, _select_bayes_order(train, acct, rng), acct, rng)
 
 
+def method_steps(method):
+    """(selection, measurement) functions of a generator method; ConfigurationError for any name outside METHODS."""
+    if method == METHOD_MST:
+        return _select_tree_edges, _measure_tree
+    if method == METHOD_PRIVBAYES:
+        return _select_bayes_order, _measure_network
+    raise ConfigurationError(f"unknown method {method!r}")
+
+
 def model_from_data(ds, structure, floor=None):
     """The generator's own measurement of ``structure`` on ds at epsilon = inf (the attacker's density)."""
-    measure = _measure_tree if structure.method == METHOD_MST else _measure_network
+    _, measure = method_steps(structure.method)
     return measure(ds, structure, Accountant(DpParams(math.inf)), None, floor)
 
 
 def fit(train, method, dp, seed):
     """Fit a ``method`` generator with budget dp; its selection and noise draw from seed."""
-    if method not in (METHOD_MST, METHOD_PRIVBAYES):
-        raise ConfigurationError(f"unknown method {method!r}")
+    method_steps(method)  # ConfigurationError for an unknown method
     return fit_mst(train, dp, seed) if method == METHOD_MST else fit_privbayes(train, dp, seed)
 
 

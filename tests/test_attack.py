@@ -101,10 +101,7 @@ class TestOneMeasurement:
 
         def squared(*args, **kwargs):  # each conditional squared, then renormalised
             model = measure(*args, **kwargs)
-            factors = tuple(
-                marginals.ConditionalTable(t.child, t.parents, t.probs**2 / (t.probs**2).sum(-1, keepdims=True), 0)
-                for t in model.factors
-            )
+            factors = tuple((attrs, probs**2 / (probs**2).sum(-1, keepdims=True)) for attrs, probs in model.factors)
             return dataclasses.replace(model, factors=factors)
 
         monkeypatch.setattr(sdg, "_measure_network", squared)

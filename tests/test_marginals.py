@@ -62,9 +62,10 @@ class TestMarginal:
 
 
 def factor(ds, node, parents, floor=None):
-    """P(node | parents) as PrivBayes' noiseless measurement of the one-factor network builds it."""
-    (table,) = sdg.model_from_data(ds, sdg.Structure("privbayes", [(node, parents)]), floor=floor).factors
-    return table
+    """P(node | parents) as PrivBayes' noiseless measurement of the one-factor network builds it: its probs."""
+    ((attrs, probs),) = sdg.model_from_data(ds, sdg.Structure("privbayes", [(node, parents)]), floor=floor).factors
+    assert attrs == tuple(parents) + (node,)
+    return probs
 
 
 class TestConditional:
@@ -81,18 +82,18 @@ class TestConditional:
         for v in range(2):
             sub = child[parent == v]
             oracle = np.bincount(sub, minlength=3) / sub.size
-            assert np.allclose(cond.probs[v], oracle, atol=1e-12)
-            assert np.abs(cond.probs[v] - one).max() < 0.05
+            assert np.allclose(cond[v], oracle, atol=1e-12)
+            assert np.abs(cond[v] - one).max() < 0.05
 
     def test_unseen_parent_configuration_uniform(self):
         ds = make_ds([2, 3], [[0, 0], [1, 0], [0, 1]])
         cond = factor(ds, 0, (1,))
-        assert np.allclose(cond.probs[2], [0.5, 0.5])
+        assert np.allclose(cond[2], [0.5, 0.5])
 
     def test_empty_parents_equals_marginal(self):
         ds = make_ds([3], [[0], [1], [1], [2]])
         cond = factor(ds, 0, (), floor=0.0)
-        assert np.allclose(cond.probs, marginals.marginal(ds, (0,)))
+        assert np.allclose(cond, marginals.marginal(ds, (0,)))
 
     def test_child_in_parents_rejected(self):
         ds = make_ds([2, 2], [[0, 0]])
@@ -103,7 +104,7 @@ class TestConditional:
         rng = np.random.default_rng(7)
         ds = make_ds([3, 2, 2], rng.integers(0, [3, 2, 2], size=(40, 3)))
         cond = factor(ds, 0, (1, 2))
-        assert np.allclose(cond.probs.sum(axis=-1), 1.0, atol=1e-12)
+        assert np.allclose(cond.sum(axis=-1), 1.0, atol=1e-12)
 
     def test_chain_rule_before_flooring(self):
         rng = np.random.default_rng(9)
@@ -112,7 +113,7 @@ class TestConditional:
         rows[:3, 1] = [0, 1, 2]
         ds = make_ds([2, 3], rows)
         pair = marginals.marginal(ds, (1, 0))
-        cond = factor(ds, 0, (1,), floor=0.0).probs
+        cond = factor(ds, 0, (1,), floor=0.0)
         pj = marginals.marginal(ds, (1,))
         assert np.allclose(pair, cond * pj[:, None], atol=1e-12)
 

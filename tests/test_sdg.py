@@ -113,22 +113,29 @@ def check_factors(model):
     d = len(model.domain)
     model.structure.validate(d)
     placed = []
-    for table in model.factors:
-        assert set(table.parents) <= set(placed) and table.child not in placed
-        placed.append(table.child)
-        assert table.probs.shape == tuple(model.domain.cardinalities[a] for a in table.attrs)
-        assert np.abs(table.probs.sum(axis=-1) - 1.0).max() < 1e-12
+    for attrs, probs in model.factors:
+        assert set(attrs[:-1]) <= set(placed) and attrs[-1] not in placed
+        placed.append(attrs[-1])
+        assert probs.shape == tuple(model.domain.cardinalities[a] for a in attrs)
+        assert np.abs(probs.sum(axis=-1) - 1.0).max() < 1e-12
     assert sorted(placed) == list(range(d))
     if model.structure.method == "mst":
-        assert placed[0] == 0 and all(len(t.parents) == 1 for t in model.factors[1:])
-        edges = sorted(tuple(sorted((t.parents[0], t.child))) for t in model.factors[1:])
+        assert placed[0] == 0 and all(len(attrs) == 2 for attrs, _ in model.factors[1:])
+        edges = sorted(tuple(sorted(attrs)) for attrs, _ in model.factors[1:])
         assert edges == list(model.structure.keys)
     else:
-        assert [(t.child, t.parents) for t in model.factors] == list(model.structure.keys)
+        assert [(attrs[-1], attrs[:-1]) for attrs, _ in model.factors] == list(model.structure.keys)
 
 
 def factor_of(model, node):
-    return next(t for t in model.factors if t.child == node)
+    """The (attrs, probs) factor whose child is ``node``."""
+    return next(f for f in model.factors if f[0][-1] == node)
+
+
+def lookup(factor, rows):
+    """The factor's probability of each of the (n, d) rows."""
+    attrs, probs = factor
+    return probs[tuple(rows[:, a] for a in attrs)]
 
 
 class TestEdgeScore:
@@ -429,7 +436,7 @@ class TestFitPrivbayes:
         one = Dataset(Domain(["a0"], [ds.domain.cardinalities[0]]), ds.rows[:, :1])
         model = sdg.fit_privbayes(one, DpParams(INF), 0)
         assert model.structure == sdg.Structure("privbayes", ((0, ()),))
-        assert abs(model.factors[0].probs.sum() - 1.0) < 1e-12
+        assert abs(model.factors[0][1].sum() - 1.0) < 1e-12
 
     def test_acyclicity_over_seeds(self):
         ds = random_ds(16, d=5)
@@ -484,7 +491,7 @@ class TestBayesDensity:
         grid = enumerate_grid(ds.domain)
         want = np.ones(len(grid))
         for i in range(3):
-            want *= factor_of(model, i).lookup_rows(grid)
+            want *= lookup(factor_of(model, i), grid)
         assert np.allclose(np.exp(sdg.log_density(model, grid)), want, atol=1e-12)
 
     def test_normalization(self):
@@ -498,9 +505,9 @@ class TestBayesDensity:
         model = sdg.model_from_data(ds, sdg.Structure("privbayes", ((0, ()), (1, (0,)), (2, (1,)))))
         x = ds.rows[0]
         want = (
-            factor_of(model, 0).lookup_rows(x[None, :])[0]
-            * factor_of(model, 1).lookup_rows(x[None, :])[0]
-            * factor_of(model, 2).lookup_rows(x[None, :])[0]
+            lookup(factor_of(model, 0), x[None, :])[0]
+            * lookup(factor_of(model, 1), x[None, :])[0]
+            * lookup(factor_of(model, 2), x[None, :])[0]
         )
         assert np.exp(sdg.log_density(model, x))[0] == pytest.approx(want, abs=1e-15)
 
@@ -526,7 +533,7 @@ class TestSampleBayes:
         cards = out.domain.cardinalities
         joint = np.bincount(np.ravel_multi_index(out.rows.T, cards), minlength=math.prod(cards)).reshape(cards)
         emp = joint / joint.sum(axis=-1, keepdims=True)  # every parent configuration is drawn
-        assert np.abs(emp - factor_of(model, 2).probs).max() < 0.02
+        assert np.abs(emp - factor_of(model, 2)[1]).max() < 0.02
 
 
 class TestModelFromData:
@@ -539,8 +546,8 @@ class TestModelFromData:
         fitted = sdg.fit(ds, method, DpParams(INF), seed)
         model = sdg.model_from_data(ds, fitted.structure)
         assert model.structure == fitted.structure
-        assert [t.attrs for t in model.factors] == [t.attrs for t in fitted.factors]
-        assert [t.probs.tobytes() for t in model.factors] == [t.probs.tobytes() for t in fitted.factors]
+        assert [attrs for attrs, _ in model.factors] == [attrs for attrs, _ in fitted.factors]
+        assert [probs.tobytes() for _, probs in model.factors] == [probs.tobytes() for _, probs in fitted.factors]
 
     @pytest.mark.parametrize("structure", [
         sdg.Structure("mst", [(0, 1)]), sdg.Structure("privbayes", ((0, ()), (1, (0,)))),
@@ -580,9 +587,9 @@ class TestSerialization:
         assert obj["domain"] == model.domain.to_json()
         assert sdg.Structure.from_json(obj) == model.structure
         assert len(obj["factors"]) == len(model.factors)
-        for factor, table in zip(obj["factors"], model.factors):
-            assert (factor["child"], tuple(factor["parents"])) == (table.child, table.parents)
-            assert np.array_equal(np.array(factor["probs"]).reshape(factor["shape"]), table.probs)
+        for factor, (attrs, probs) in zip(obj["factors"], model.factors):
+            assert (factor["child"], tuple(factor["parents"])) == (attrs[-1], attrs[:-1])
+            assert np.array_equal(np.array(factor["probs"]).reshape(factor["shape"]), probs)
 
     def test_tree_round_trip(self, tmp_path):
         model = sdg.fit_mst(random_ds(25, d=3), DpParams(INF), 0)
