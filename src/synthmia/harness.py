@@ -61,6 +61,10 @@ class ExperimentConfig:
                 raise ConfigurationError(f"{name} {value!r} is not {must}")
         for name in self.attacks:
             attack_mod.lookup(name)
+        fraction, n = self.split.member_fraction_of_households, self.split.n_target_households
+        if not 0 < int(fraction * n) < n:  # snake_split_indices' member count; a prior needs both labels
+            raise ConfigurationError(f"split.member_fraction_of_households {fraction!r} leaves no member "
+                                     f"or no non-member among {n} target households")
         object.__setattr__(self, "epsilons", tuple(float(e) for e in self.epsilons))
         object.__setattr__(self, "methods", tuple(self.methods))
         object.__setattr__(self, "attacks", tuple(self.attacks))
@@ -94,11 +98,14 @@ _COUNT = (_is(numbers.Integral, lambda v: v >= 1), "an integer >= 1")
 _FIELD_CHECKS = {
     "out_dir": (_is(str), "a path"),
     "replicas": _COUNT,
-    "epsilons": (_is((list, tuple), lambda v: len(v) > 0 and all(_NUMBER(e) and e > 0 for e in v)),
-                 "a list of positive numbers"),
-    "methods": (_is((list, tuple), lambda v: all(m in sdg.METHODS for m in v)),
-                f"a list of methods out of {list(sdg.METHODS)}"),
-    "attacks": (_is((list, tuple)), "a list of attack names"),
+    # a repeated epsilon, method or attack would write its grid cells' rows twice
+    "epsilons": (_is((list, tuple), lambda v: len(v) > 0 and all(_NUMBER(e) and e > 0 for e in v)
+                     and len({format_epsilon(e) for e in v}) == len(v)),
+                 "a list of positive numbers, no two alike as written (6 significant digits)"),
+    "methods": (_is((list, tuple), lambda v: all(m in sdg.METHODS for m in v) and len(set(v)) == len(v)),
+                f"a list of distinct methods out of {list(sdg.METHODS)}"),
+    "attacks": (_is((list, tuple), lambda v: all(isinstance(a, str) for a in v) and len(set(v)) == len(v)),
+                "a list of distinct attack names"),
     "cross_targeted": (lambda v: isinstance(v, bool), "true or false"),
     "shadow_k": _COUNT,
     "delta": (_is(numbers.Real, lambda v: 0 <= v < 1), "a number in [0, 1)"),

@@ -74,6 +74,24 @@ class TestConfig:
         with pytest.raises(ConfigurationError, match="derives from seed"):
             small_config(str(tmp_path), split=dataclasses.replace(base, seed=3))
 
+    @pytest.mark.parametrize("name, value", [
+        ("epsilons", (1, 1.0)), ("epsilons", (1, 1.000001)), ("methods", ("mst", "mst")),
+        ("attacks", ("tamis-mst", "marginals-sigma", "tamis-mst")),
+    ])
+    def test_repeated_grid_cell_rejected(self, tmp_path, name, value):
+        """A repeated cell would write its rows twice, and summary.json would count one replica as two."""
+        with pytest.raises(ConfigurationError, match=f"^{name} "):
+            small_config(str(tmp_path), **{name: value})
+
+    @pytest.mark.parametrize("fraction", [0, 1, 0.001])
+    def test_member_fraction_must_leave_members_and_non_members(self, tmp_path, fraction):
+        """With no member (or no non-member) target household no activation can be calibrated."""
+        split = SplitSpec(n_target_households=20, min_household_size=3, train_size=800,
+                          member_fraction_of_households=fraction)
+        with pytest.raises(ConfigurationError, match=r"^split\.member_fraction_of_households "):
+            small_config(str(tmp_path), split=split)
+        assert small_config(str(tmp_path), split=dataclasses.replace(split, member_fraction_of_households=0.05))
+
     def test_json_round_trip_with_infinite_epsilon(self, tmp_path):
         cfg = small_config(str(tmp_path), epsilons=(0.1, math.inf))
         back = harness.ExperimentConfig.from_json(cfg.to_json())
@@ -410,9 +428,9 @@ def malformed_data_objects(draw):
 _BAD_FIELDS = {
     "out_dir": [1, None, ["exp"]],
     "replicas": ["2", 0, -1, 1.5, True, None],
-    "epsilons": [[1, "x"], [], [0], [-1], ["nan"], [True], [None], "1", 1, None],
-    "methods": ["privbayes", ["nope"], [1], 5],
-    "attacks": [[1], ["nope"], [["tamis-mst"]], 5],
+    "epsilons": [[1, "x"], [], [0], [-1], ["nan"], [True], [None], "1", 1, None, [1, 1.0], [1, 1.000001]],
+    "methods": ["privbayes", ["nope"], [1], 5, ["mst", "mst"]],
+    "attacks": [[1], ["nope"], [["tamis-mst"]], 5, ["tamis-mst", "tamis-mst"]],
     "cross_targeted": [1, "true", None],
     "shadow_k": ["5", 0, 2.0, False, None],
     "delta": ["a", -0.1, 1.0, True, None],
@@ -423,7 +441,7 @@ _BAD_FIELDS = {
     "split.n_target_households": ["15", 0, 1.5, None],
     "split.min_household_size": ["3", 0, True],
     "split.train_size": ["800", -1, 800.0],
-    "split.member_fraction_of_households": ["0.5", -0.1, 1.5, None],
+    "split.member_fraction_of_households": ["0.5", -0.1, 1.5, None, 0, 1, 0.001],
     "split.seed": ["0", 0.5, False, 1, -3],
 }
 
