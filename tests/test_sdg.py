@@ -117,6 +117,7 @@ def check_factors(model):
         assert set(attrs[:-1]) <= set(placed) and attrs[-1] not in placed
         placed.append(attrs[-1])
         assert probs.shape == tuple(model.domain.cardinalities[a] for a in attrs)
+        assert probs.dtype == np.float64 and probs.flags.c_contiguous and not probs.flags.writeable
         assert np.abs(probs.sum(axis=-1) - 1.0).max() < 1e-12
     assert sorted(placed) == list(range(d))
     if model.structure.method == "mst":
