@@ -822,11 +822,17 @@ class TestGoldenBytes:
         "mst": "d9b08ae742ab67466808d5158a26c38c8d2d844a2d5d7b6b92cb82c6d34eca54",
         "privbayes": "9b77895ece265727c795eb148c44fd658c4aee52f439c2a7a7387c8a7884249b",
     }
+    SHADOW_WIDE_MST = "c5e01486956a1a495709269736355e40eb6f5b17e71a7789a1c89398588b5c7b"
     ATTACK = {
         "tamis-mst": "4d1f06ee99dd129e10c8c78d7f462f5aea2dae7ce446dc3a95f41923173eef25",
         "tamis-pb": "326ec918675e5d51e94ee1503b068e519756be00d8103a6e0e2f6920415acd29",
         "mamamia-pb": "67595d1b883be05e35fbb40be0af4d01b4ff8e24ba24af912c3b2f9f3a7585c2",
         "hybrid-pb": "a27c20e3bd3f347af87abb4f35e10be081916940d831c84f256559254821240f",
+        "mamamia-mst": "552e9d3a74d0c39f54d9d0b8f03d50c0fc7bb384425330a7170ddc7159c4d23e",
+        "hybrid-mst": "531dffb086c3855a19f398d427d1e8c78df0a023132adc45f2dfe0f4b545c59e",
+        "tamis-mst-avg": "7190ba9566b6d9560a47408707e92145ff1c89e1b9630545d48c3ee63026b53d",
+        "marginals-sigma": "14f1f6aef43158c475057fd1a6cbae39169ab2b9e839990ad0efac7f87618750",
+        "marginals-pi": "3959b962e40b0367592e4f0f2b600923618f4817cffaea33c51bafab149633d2",
     }
 
     def test_run_experiment(self, tmp_path, monkeypatch):
@@ -871,10 +877,24 @@ class TestGoldenBytes:
         ]) == 0
         assert _sha256(out) == self.SHADOW[method]
 
+    def test_shadow_wide(self, tmp_path):
+        """Tree shadow weights over 16 attributes of cardinality 2 to 6: pairs of many table shapes."""
+        aux = generate_households(3000, n_attrs=16, max_cardinality=6, seed=3)
+        assert len(set(aux.domain.cardinalities)) >= 4
+        path = str(tmp_path / "aux.csv")
+        write_csv(aux, path)
+        out = tmp_path / "weights.json"
+        assert cli.main([
+            "shadow", "--aux", path, "--method", "mst", "--epsilon", "10", "--delta", "1e-9",
+            "--k", "4", "--subset-size", "1000", "--seed", "6", "--out", str(out),
+        ]) == 0
+        assert _sha256(out) == self.SHADOW_WIDE_MST
+
     @pytest.mark.parametrize("name", sorted(ATTACK))
     def test_attack(self, tmp_path, name):
-        """Scores of an attack on a generator's synth, through the noiseless densities fitted on synth and aux."""
-        method, needs, _, _ = attack.lookup(name)
+        """Scores of an attack on a generator's synth (a tree's, for a structure-free attack)."""
+        family, needs, _, _ = attack.lookup(name)
+        method = sdg.METHOD_MST if family == "free" else family
         aux = generate_households(2000, n_attrs=5, max_cardinality=4, seed=3)
         train, target, _ = make_snake_split(aux, SplitSpec(n_target_households=10, min_household_size=3,
                                                            train_size=500, seed=1))
@@ -894,7 +914,7 @@ class TestGoldenBytes:
         out = tmp_path / "scores.csv"
         assert cli.main([
             "attack", "--attack", name, "--target", paths["target"], "--synth", str(gen / "synth.csv"),
-            "--aux", paths["aux"], f"--{needs}", given, "--out", str(out),
+            "--aux", paths["aux"], *([f"--{needs}", given] if needs else []), "--out", str(out),
         ]) == 0
         assert _sha256(out) == self.ATTACK[name]
 
