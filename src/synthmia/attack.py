@@ -56,12 +56,16 @@ def _rows(target):
     return np.atleast_2d(np.asarray(getattr(target, "rows", target), dtype=np.int64))
 
 
-def _log_marginal_ratio(rows, attrs, synth, aux):
-    """log of the floored marginal ratio mu^synth / mu^aux, per record."""
+def _log_ratio_table(attrs, synth, aux):
+    """log of the floored marginal ratio mu^synth / mu^aux, per cell of the attrs table."""
     ts = marginals.marginal(synth, attrs, floor=marginals.default_floor(len(synth)))
     ta = marginals.marginal(aux, attrs, floor=marginals.default_floor(len(aux)))
-    cells = tuple(rows[:, a] for a in attrs)  # after both marginals, which reject an attribute outside the domain
-    return np.log(ts[cells]) - np.log(ta[cells])
+    return np.log(ts) - np.log(ta)
+
+
+def _marginal_ratio(rows, attrs, synth, aux):
+    """The floored marginal ratio per record, exponentiated per cell."""
+    return np.exp(_log_ratio_table(attrs, synth, aux))[tuple(rows[:, a] for a in attrs)]
 
 
 def _log_density_ratio(target, structure, synth, aux):
@@ -81,11 +85,15 @@ def tamis_pb(target, structure, synth, aux):
     return _log_density_ratio(target, structure, synth, aux)
 
 
-def _weighted_mean_ratio(target, terms, log_ratio, synth, aux):
+def _density_ratio(rows, structure, synth, aux):
+    return np.exp(_log_density_ratio(rows, structure, synth, aux))
+
+
+def _weighted_mean_ratio(target, terms, ratio, synth, aux):
     """log of the weighted mean of per-factor ratios, summed in ``terms`` order.
 
-    ``terms`` is a sequence of (key, weight) and ``log_ratio(rows, key, synth, aux)``
-    is ``_log_marginal_ratio`` (attribute-pair keys) or ``_log_density_ratio``
+    ``terms`` is a sequence of (key, weight) and ``ratio(rows, key, synth, aux)``
+    is ``_marginal_ratio`` (attribute-pair keys) or ``_density_ratio``
     (one-factor ``sdg.Structure`` keys, see ``_factors``).
     """
     rows = _rows(target)
@@ -95,14 +103,14 @@ def _weighted_mean_ratio(target, terms, log_ratio, synth, aux):
     acc = np.zeros(rows.shape[0])
     for key, w in terms:
         if w:
-            acc += w * np.exp(log_ratio(rows, key, synth, aux))
+            acc += w * ratio(rows, key, synth, aux)
     return np.log(acc / total)
 
 
 def mamamia_mst(target, weights, synth, aux):
     """Weight-normalized average of 2-way marginal ratios (1-ways excluded)."""
     terms = sorted(weights.weights.items())
-    return _weighted_mean_ratio(target, terms, _log_marginal_ratio, synth, aux)
+    return _weighted_mean_ratio(target, terms, _marginal_ratio, synth, aux)
 
 
 def _factors(terms):
@@ -113,34 +121,34 @@ def _factors(terms):
 def mamamia_pb(target, weights, synth, aux):
     """Weight-normalized average of conditional-table ratios."""
     terms = _factors(sorted(weights.weights.items()))
-    return _weighted_mean_ratio(target, terms, _log_density_ratio, synth, aux)
+    return _weighted_mean_ratio(target, terms, _density_ratio, synth, aux)
 
 
 def hybrid_mst(target, structure, synth, aux):
     """Uniform average of 2-way ratios over the recovered tree's edges."""
     # unit weights in sorted key order: exactly mamamia's sum under indicator weights
     terms = [(e, 1) for e in structure.keys]
-    return _weighted_mean_ratio(target, terms, _log_marginal_ratio, synth, aux)
+    return _weighted_mean_ratio(target, terms, _marginal_ratio, synth, aux)
 
 
 def hybrid_pb(target, structure, synth, aux):
     """Uniform average of conditional ratios over the recovered network."""
     # unit weights in sorted key order: exactly mamamia's sum under indicator weights
     terms = _factors((key, 1) for key in sorted(structure.keys))
-    return _weighted_mean_ratio(target, terms, _log_density_ratio, synth, aux)
+    return _weighted_mean_ratio(target, terms, _density_ratio, synth, aux)
 
 
 def _node_pair_mean(target, pairs, synth, aux):
     """log of the mean of the d node ratios and each pair's ratio over its nodes'."""
     rows = _rows(target)
     d = len(synth.domain)
-    node_ratio = [_log_marginal_ratio(rows, (i,), synth, aux) for i in range(d)]
+    node = [_log_ratio_table((i,), synth, aux) for i in range(d)]
     acc = np.zeros(rows.shape[0])
     for i in range(d):
-        acc += np.exp(node_ratio[i])
+        acc += np.exp(node[i])[rows[:, i]]
     for i, j in pairs:
-        pair = _log_marginal_ratio(rows, (i, j), synth, aux)
-        acc += np.exp(pair - node_ratio[i] - node_ratio[j])
+        pair = _log_ratio_table((i, j), synth, aux)
+        acc += np.exp(pair - node[i][:, None] - node[j])[rows[:, i], rows[:, j]]
     return np.log(acc / (d + len(pairs)))
 
 
@@ -162,10 +170,10 @@ def marginals_pi(target, synth, aux):
     d = len(synth.domain)
     logs = np.zeros(rows.shape[0])
     for i in range(d):
-        logs += (2 - d) * _log_marginal_ratio(rows, (i,), synth, aux)
+        logs += ((2 - d) * _log_ratio_table((i,), synth, aux))[rows[:, i]]
     for i in range(d):
         for j in range(i + 1, d):
-            logs += _log_marginal_ratio(rows, (i, j), synth, aux)
+            logs += _log_ratio_table((i, j), synth, aux)[rows[:, i], rows[:, j]]
     n_terms = d + d * (d - 1) // 2
     return logs - np.log(n_terms)
 

@@ -7,6 +7,7 @@ nonzero.
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -155,6 +156,7 @@ def _add_dp_args(p):
     p.add_argument("--seed", type=int, default=0)
 
 
+@functools.cache  # built once per process: parsing leaves the parser as it was
 def build_parser():
     parser = argparse.ArgumentParser(prog="synthmia", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -206,8 +208,7 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         args.fn(args)
     except SynthmiaError as exc:

@@ -8,6 +8,7 @@ Tables are dense numpy arrays; a marginal is a probability array whose axes
 follow its attributes, and a factor P(child | parents) is ``(attrs, probs)``
 with ``attrs = parents + (child,)``. Each distinct record is counted once, weighted
 by its multiplicity, so counts are exact integers independent of row order.
+Every 1- and 2-way table of a Dataset is a block of one one-hot product, its ``gram``.
 Zero cells can be floored to a small positive value and renormalized, which
 keeps density ratios finite downstream.
 """
@@ -21,28 +22,18 @@ from .errors import ConfigurationError, EstimationError, ParameterError
 # floor default: 1/(FLOOR_FACTOR * source_size)
 FLOOR_FACTOR = 10
 MAX_TABLE_CELLS = 10**8
+MAX_GRAM_CELLS = 128**2  # a gram of width w costs distinct rows x w**2 multiply-adds: none past this many cells
+_GRAM_CHUNK = 2048  # one-hot rows per block of the gram's product, which bounds its temporaries
+_FLOAT32_MAX_ROWS = 2**24  # float32 holds every integer up to 2**24, so it sums a gram of that many rows exactly
 # the tolerance of Generator.choice's check that p sums to 1
 _CHOICE_ATOL = math.sqrt(np.finfo(np.float64).eps)
 # the Dataset attribute holding its count tables, {attribute tuple: table},
-# and its distinct form under "distinct"
+# its distinct form under "distinct" and its gram under "gram"
 _CACHE_ATTR = "_counts"
 
 
 def default_floor(source_size):
     return 1.0 / (FLOOR_FACTOR * max(int(source_size), 1))
-
-
-def _check_attrs(ds, attrs):
-    d = len(ds.domain)
-    if len(set(attrs)) != len(attrs):
-        raise ConfigurationError("attributes must be distinct")
-    if any(a < 0 or a >= d for a in attrs):
-        raise ConfigurationError("attribute index outside the domain")
-    cells = 1
-    for a in attrs:
-        cells *= ds.domain.cardinalities[a]
-    if cells > MAX_TABLE_CELLS:
-        raise ConfigurationError(f"table of {cells} cells exceeds the dense-storage guard")
 
 
 def _cached(ds, key, compute):
@@ -82,15 +73,53 @@ def distinct(ds):
     return _cached(ds, "distinct", compute)
 
 
+def subset(ds, indices):
+    """``ds.subset(indices)`` as ds's distinct rows weighted by how often indices take each, in ``distinct`` order.
+
+    It has no household ids or labels, and its distinct form is taken from ds's, so its rows are never sorted."""
+    columns, mult, inverse = distinct(ds)
+    weights = np.bincount(inverse[indices], minlength=mult.size)
+    keep = np.flatnonzero(weights)
+    columns, weights, inverse = columns[:, keep], weights[keep], np.repeat(np.arange(keep.size), weights[keep])
+    out = type(ds)(ds.domain, np.repeat(columns.T, weights, axis=0))
+    _cached(out, "distinct", lambda: (columns, weights, inverse))
+    return out
+
+
+def gram(ds):
+    """(G, starts): every 1- and 2-way table of ds as a block of one matrix, or None past ``MAX_GRAM_CELLS``.
+
+    G = X^T diag(multiplicities) X over the one-hot matrix X of the distinct rows, with attribute a in the
+    columns from ``starts[a]``: block (i, j) of G is the (i, j) table and block (a, a) the a table on its diagonal.
+    """
+    width = sum(ds.domain.cardinalities)
+
+    def compute():
+        cols, mult, _ = distinct(ds)
+        dtype = np.float32 if mult.sum() <= _FLOAT32_MAX_ROWS else np.float64
+        starts = np.cumsum((0,) + ds.domain.cardinalities[:-1])
+        g = np.zeros((width, width), dtype=dtype)
+        for lo in range(0, mult.size, _GRAM_CHUNK):
+            hot = np.zeros((min(_GRAM_CHUNK, mult.size - lo), width), dtype=dtype)
+            hot.reshape(-1)[cols[:, lo : lo + len(hot)].T + starts + np.arange(0, hot.size, width)[:, None]] = 1
+            g += (hot.T * mult[lo : lo + len(hot)].astype(dtype)) @ hot
+        return g, starts
+
+    return None if width * width > MAX_GRAM_CELLS else _cached(ds, "gram", compute)
+
+
 def uncached_counts(ds, attrs):
-    """The table ``counts`` keeps, counted afresh: for a table asked for once, not worth keeping.
+    """The table ``counts`` keeps, counted afresh from the distinct rows: for a table asked for once.
 
     Each distinct row's flat cell index is built by Horner's rule, row-major like ``np.ravel_multi_index``
     but unchecked (a Dataset checks its cells), and counted with its multiplicity.
     """
-    _check_attrs(ds, attrs)
     cards = ds.domain.cardinalities
+    if len(set(attrs)) != len(attrs) or any(a < 0 or a >= len(cards) for a in attrs):
+        raise ConfigurationError("attributes must be distinct and inside the domain")
     shape = tuple(cards[a] for a in attrs)
+    if math.prod(shape) > MAX_TABLE_CELLS:
+        raise ConfigurationError(f"table of {math.prod(shape)} cells exceeds the dense-storage guard")
     cols, mult, _ = distinct(ds)
     flat = cols[attrs[0]].astype(np.int64)
     for a in attrs[1:]:
@@ -102,11 +131,35 @@ def uncached_counts(ds, attrs):
 def counts(ds, attrs):
     """Integer contingency table over the given attributes, counted once per Dataset.
 
-    Tables are kept on the Dataset, keyed by the attribute tuple, and every
-    caller asking for the same one shares it, so it is read-only.
+    A 1- or 2-way table is a block of the ``gram`` (``pair_counts``), any other ``uncached_counts``. Tables
+    are kept on the Dataset, keyed by the attribute tuple, and every caller asking for the same one shares
+    it, so it is read-only.
     """
     key = tuple(int(a) for a in attrs)
-    return _cached(ds, key, lambda: uncached_counts(ds, key))
+
+    def compute():
+        if len(key) == 1 and 0 <= key[0] < len(ds.domain) and (found := gram(ds)) is not None:
+            start = found[1][key[0]]
+            return found[0].diagonal()[start : start + ds.domain.cardinalities[key[0]]].astype(np.int64)
+        return next(pair_counts(ds, [key]))[1][0] if len(key) == 2 else uncached_counts(ds, key)
+
+    return _cached(ds, key, compute)
+
+
+def pair_counts(ds, pairs):
+    """(positions in pairs, their stacked int64 tables) per (c_i, c_j) shape of the (i, j) rows of pairs."""
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    if (pairs[:, 0] == pairs[:, 1]).any() or ((pairs < 0) | (pairs >= len(ds.domain))).any():
+        raise ConfigurationError("attributes must be distinct and inside the domain")
+    shapes = np.array(ds.domain.cardinalities, dtype=np.int64)[pairs]
+    found = gram(ds)
+    for ci, cj in sorted(set(map(tuple, shapes.tolist()))):
+        at = np.flatnonzero((shapes[:, 0] == ci) & (shapes[:, 1] == cj))
+        if found is None:  # counted one by one
+            yield at, np.stack([uncached_counts(ds, pair) for pair in pairs[at].tolist()])
+        else:  # one fancy index into the gram, from each table's first row and column in it
+            starts = found[1][pairs[at]][:, :, None, None]
+            yield at, found[0][starts[:, 0] + np.arange(ci)[:, None], starts[:, 1] + np.arange(cj)].astype(np.int64)
 
 
 def floor_probs(probs, floor):

@@ -8,9 +8,7 @@ synthetic data, or shadow modeling (K runs on random auxiliary subsets).
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from . import sdg
+from . import marginals, sdg
 from .dp import Accountant, DpParams, as_generator, derive_seed
 from .errors import ConfigurationError, ParseError
 
@@ -95,7 +93,10 @@ def recover(synth, method, dp, seed):
 
 
 def shadow_weights(aux, method, dp, seed, k, subset_size):
-    """k selection runs at budget dp on uniform without-replacement subsets of aux, run i from derive_seed(seed, i)."""
+    """k selection runs at budget dp on uniform without-replacement subsets of aux, run i from derive_seed(seed, i).
+
+    A subset is aux's distinct rows weighted by how often its draw took each (``marginals.subset``).
+    """
     select, _ = sdg.method_steps(method)
     if k < 1:
         raise ConfigurationError("shadow run count must be >= 1")
@@ -109,7 +110,7 @@ def shadow_weights(aux, method, dp, seed, k, subset_size):
     for run in range(k):
         rng = as_generator(derive_seed(seed, run))
         idx = rng.choice(len(aux), size=subset_size, replace=False)
-        subset = aux.subset(np.sort(idx))
+        subset = marginals.subset(aux, idx)
         for key in select(subset, Accountant(dp), rng).keys:
             weights.add(key)
     return weights

@@ -191,16 +191,23 @@ def sample(model, n, seed):
 # ---------------------------------------------------------------------------
 
 def mst_edge_score(ds, i, j, noisy_1way=None):
-    """Total-variation-style dependency score between attributes i and j."""
-    if i == j:
-        raise ConfigurationError("edge score needs two distinct attributes")
-    pair = marginals.marginal(ds, (i, j))
-    if noisy_1way is not None:
-        pi, pj = noisy_1way[i], noisy_1way[j]
-    else:
-        pi = pair.sum(axis=1)
-        pj = pair.sum(axis=0)
-    return float(np.abs(pair - np.outer(pi, pj)).sum())
+    """Total-variation-style dependency score between attributes i and j, or an array of them for index arrays.
+
+    The L1 distance of the (i, j) joint from the product of ``noisy_1way[i]`` and ``noisy_1way[j]``, or of its own
+    margins. Joints of one shape are scored as one array (``marginals.pair_counts``), each as one table alone.
+    """
+    if len(ds) == 0:
+        raise EstimationError("cannot estimate a marginal from an empty dataset")
+    pairs = np.column_stack((np.ravel(i), np.ravel(j)))
+    scores = np.empty(len(pairs))
+    for at, tables in marginals.pair_counts(ds, pairs):
+        joint = tables / len(ds)
+        if noisy_1way is None:
+            pi, pj = joint.sum(axis=2), joint.sum(axis=1)
+        else:
+            pi, pj = (np.array([noisy_1way[a] for a in pairs[at, k].tolist()]) for k in (0, 1))
+        scores[at] = np.abs(joint - pi[:, :, None] * pj[:, None, :]).sum(axis=(1, 2))
+    return scores if np.ndim(i) else float(scores[0])
 
 
 def _noisy_probs(probs, sigma, rng):
@@ -246,7 +253,7 @@ def _select_tree_edges(ds, acct, rng):
 
     pairs = np.array([(i, j) for i in range(d) for j in range(i + 1, d)], dtype=np.int64).reshape(-1, 2)
     # noiseless, each pair's score takes its 1-way margins from its own table
-    scores = np.array([mst_edge_score(ds, i, j, one_way or None) for i, j in pairs.tolist()])
+    scores = mst_edge_score(ds, pairs[:, 0], pairs[:, 1], one_way or None)
 
     component = np.arange(d)  # each attribute's component label
     edges = []

@@ -186,6 +186,73 @@ class TestHandValues:
         assert np.allclose(np.exp(logs), density(synth) / density(aux), rtol=1e-9)
 
 
+def record_log_ratio(rows, attrs, synth, aux):
+    """The floored marginal log ratio of each record, looked up record by record."""
+    ts = marginals.marginal(synth, attrs, floor=marginals.default_floor(len(synth)))
+    ta = marginals.marginal(aux, attrs, floor=marginals.default_floor(len(aux)))
+    cells = tuple(rows[:, a] for a in attrs)
+    return np.log(ts[cells]) - np.log(ta[cells])
+
+
+class TestPerTableEqualsPerRecord:
+    """The pair attacks take logs, exps and node terms per table; the same steps per record give the same bits."""
+
+    def inputs(self, seed):
+        rng = np.random.default_rng(seed)
+        domain = Domain([f"a{i}" for i in range(5)], rng.integers(2, 9, size=5).tolist())
+        aux = random_ds(seed, n=3000, domain=domain)
+        # skewed, so that ratios are far from 1 and a reordered sum shows in the last bit
+        skew = [rng.dirichlet(np.full(c, 0.3)) for c in domain.cardinalities]
+        synth = Dataset(domain, np.column_stack([rng.choice(len(p), size=500, p=p) for p in skew]))
+        return aux.rows, synth, aux
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bit_identical(self, seed):
+        rows, synth, aux = self.inputs(seed)
+        d = 5
+        pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
+        tree = sdg.Structure("mst", ((0, 1), (1, 2), (1, 3), (3, 4)))
+        weights = recovery.ShadowWeights("mst", 3, {(0, 1): 3, (1, 2): 1, (0, 4): 0, (2, 4): 2, (1, 3): 5})
+        node = [record_log_ratio(rows, (i,), synth, aux) for i in range(d)]
+
+        def weighted(terms):
+            acc = np.zeros(len(rows))
+            for key, w in terms:
+                if w:
+                    acc += w * np.exp(record_log_ratio(rows, key, synth, aux))
+            return np.log(acc / sum(w for _, w in terms))
+
+        def node_pair_mean(edges):
+            acc = np.zeros(len(rows))
+            for i in range(d):
+                acc += np.exp(node[i])
+            for i, j in edges:
+                acc += np.exp(record_log_ratio(rows, (i, j), synth, aux) - node[i] - node[j])
+            return np.log(acc / (d + len(edges)))
+
+        product = np.zeros(len(rows))
+        for i in range(d):
+            product += (2 - d) * node[i]
+        for i, j in pairs:
+            product += record_log_ratio(rows, (i, j), synth, aux)
+        want = {
+            "mamamia-mst": weighted(sorted(weights.weights.items())),
+            "hybrid-mst": weighted([(e, 1) for e in tree.keys]),
+            "tamis-mst-avg": node_pair_mean(tree.keys),
+            "marginals-sigma": node_pair_mean(pairs),
+            "marginals-pi": product - np.log(d + len(pairs)),
+        }
+        got = {
+            "mamamia-mst": attack.mamamia_mst(rows, weights, synth, aux),
+            "hybrid-mst": attack.hybrid_mst(rows, tree, synth, aux),
+            "tamis-mst-avg": attack.tamis_mst_avg(rows, tree, synth, aux),
+            "marginals-sigma": attack.marginals_sigma(rows, synth, aux),
+            "marginals-pi": attack.marginals_pi(rows, synth, aux),
+        }
+        for name in want:
+            assert np.array_equal(got[name], want[name]), name
+
+
 class TestPermutationInvariance:
     def test_marginals_sigma_column_permutation(self):
         domain = Domain(["a", "b", "c"], [2, 3, 2])

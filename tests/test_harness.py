@@ -601,6 +601,24 @@ class TestMalformedInput:
         assert not (tmp_path / "exp").exists()
 
     @pytest.mark.parametrize(
+        "name, value",
+        [(name, value) for name in sorted(_BAD_FIELDS) for value in _BAD_FIELDS[name]],
+        ids=[f"{name}={value!r}" for name in sorted(_BAD_FIELDS) for value in _BAD_FIELDS[name]],
+    )
+    def test_every_bad_field_is_one_json_error_line(self, tmp_path, capsys, name, value):
+        """Each (field, value) the Hypothesis test above samples from, run once: exit 1 before anything is written."""
+        obj = small_config(str(tmp_path / "exp")).to_json()
+        _set_field(obj, name, value)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(obj))
+        capsys.readouterr()
+        assert cli.main(["replicate", "--config", str(path)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "ConfigurationError"
+        assert not (tmp_path / "exp").exists()
+
+    @pytest.mark.parametrize(
         "text",
         [
             "record_id,label\n0,1\n",
@@ -937,6 +955,22 @@ class TestCli:
             paths[name] = str(tmp_path / f"{name}.csv")
             write_csv(ds, paths[name])
         return paths
+
+    def test_parser_is_built_once_and_reused(self, capsys):
+        """One parser serves every call: each usage error and each command's defaults come out as on the first call."""
+        assert cli.build_parser() is cli.build_parser()
+        usage = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["shadow", "--aux", "a.csv"])
+            assert exc.value.code == 2
+            usage.append(capsys.readouterr().err)
+        assert usage[0] == usage[1] and "--subset-size" in usage[0]
+        argv = ["recover", "--synth", "x.csv", "--out", "y.json"]
+        first = cli.build_parser().parse_args(argv + ["--method", "privbayes", "--seed", "3"])
+        again = cli.build_parser().parse_args(argv)
+        assert (first.method, first.seed, again.method, again.seed) == ("privbayes", 3, "mst", 0)
+        assert again.fn is cli.cmd_recover
 
     def test_full_pipeline(self, tmp_path, capsys):
         paths = self._prepare(tmp_path)

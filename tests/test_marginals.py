@@ -288,6 +288,113 @@ class TestCountCache:
         assert calls and set(calls.values()) == {1}
 
 
+def one_and_two_way_keys(d):
+    """Every 1-way key and every ordered pair, i > j included."""
+    return [(a,) for a in range(d)] + list(itertools.permutations(range(d), 2))
+
+
+def random_dataset(rng, d, n, max_card):
+    cards = rng.integers(1, max_card + 1, size=d)  # cardinality 1 included
+    return make_ds(cards, rng.integers(0, cards, size=(n, d)))
+
+
+class TestGram:
+    """Tables sliced from the gram against the same tables counted one at a time."""
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(0, 300), st.integers(1, 7))
+    @example(0, 3, 0, 3)  # empty
+    @example(1, 4, 50, 1)  # every attribute of cardinality 1
+    @settings(max_examples=60, deadline=None)
+    def test_tables_equal_uncached_counts(self, seed, d, n, max_card):
+        ds = random_dataset(np.random.default_rng(seed), d, n, max_card)
+        assert marginals.gram(ds)[0].dtype == np.float32
+        for key in one_and_two_way_keys(d):
+            table = marginals.counts(ds, key)
+            assert table.dtype == np.int64 and not table.flags.writeable
+            assert np.array_equal(table, marginals.uncached_counts(ds, key))
+            assert np.array_equal(table, reference_counts(ds, key))
+
+    def test_pair_counts_group_by_shape(self):
+        ds = random_dataset(np.random.default_rng(3), 8, 400, 5)
+        pairs = np.array(list(itertools.permutations(range(8), 2)))
+        seen = []
+        for at, tables in marginals.pair_counts(ds, pairs):
+            assert len({tuple(ds.domain.cardinalities[a] for a in pair) for pair in pairs[at].tolist()}) == 1
+            for pos, table in zip(at.tolist(), tables):
+                assert np.array_equal(table, marginals.uncached_counts(ds, tuple(pairs[pos])))
+            seen += at.tolist()
+        assert sorted(seen) == list(range(len(pairs)))
+
+    @pytest.mark.parametrize("pairs", [[(1, 1)], [(0, 3)], [(-1, 0)], [(0, 1), (2, 2)]])
+    def test_pair_counts_rejects_a_bad_pair(self, pairs):
+        ds = make_ds([2, 3, 2], [[0, 1, 1]])
+        with pytest.raises(ConfigurationError):
+            list(marginals.pair_counts(ds, pairs))
+
+    def test_empty_dataset(self):
+        ds = make_ds([2, 3], np.empty((0, 2), dtype=np.int64))
+        assert marginals.counts(ds, (1, 0)).tolist() == [[0, 0]] * 3
+        assert marginals.counts(ds, (0,)).tolist() == [0, 0]
+        with pytest.raises(EstimationError):
+            marginals.marginal(ds, (0, 1))
+        with pytest.raises(EstimationError):
+            marginals.marginal(ds, (1,))
+
+    def test_chunks_and_float64_and_bound(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        want = random_dataset(rng, 5, 200, 6)
+        keys = one_and_two_way_keys(5)
+        tables = [reference_counts(want, key) for key in keys]
+        for name, value in [("_GRAM_CHUNK", 7), ("_FLOAT32_MAX_ROWS", 0), ("MAX_GRAM_CELLS", 0)]:
+            with monkeypatch.context() as patch:
+                patch.setattr(marginals, name, value)
+                ds = make_ds(want.domain.cardinalities, want.rows)
+                found = marginals.gram(ds)
+                if name == "MAX_GRAM_CELLS":
+                    assert found is None
+                elif name == "_FLOAT32_MAX_ROWS":
+                    assert found[0].dtype == np.float64
+                assert all(np.array_equal(marginals.counts(ds, key), t) for key, t in zip(keys, tables))
+                scores = sdg.mst_edge_score(ds, *np.array(keys[5:]).T)
+                assert np.array_equal(scores, sdg.mst_edge_score(want, *np.array(keys[5:]).T))
+
+    def test_counts_past_float32_range(self):
+        """A distinct form of 2**24 + 1 rows in all (counted by weight, never materialised) is summed in float64."""
+        ds = make_ds([3, 2], [[0, 0], [2, 1], [1, 1]])
+        columns, _, inverse = marginals.distinct(make_ds([3, 2], [[0, 0], [2, 1], [1, 1]]))
+        mult = np.array([2**24 - 4, 3, 2])  # distinct rows in key order: (0, 0), (1, 1), (2, 1)
+        marginals._cached(ds, "distinct", lambda: (columns, mult, inverse))
+        assert marginals.gram(ds)[0].dtype == np.float64
+        assert marginals.counts(ds, (0,)).tolist() == [2**24 - 4, 3, 2]
+        assert marginals.counts(ds, (1, 0)).tolist() == [[2**24 - 4, 0, 0], [0, 3, 2]]
+        for key in one_and_two_way_keys(2):
+            assert np.array_equal(marginals.counts(ds, key), marginals.uncached_counts(ds, key))
+
+
+class TestSubset:
+    """A shadow subset as reweighted distinct rows against the subset it stands for."""
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(1, 200), st.floats(0.0, 1.0))
+    @example(0, 2, 1, 0.0)  # an empty subset
+    @example(1, 3, 50, 1.0)  # all of it
+    @settings(max_examples=60, deadline=None)
+    def test_same_distinct_form_and_counts(self, seed, d, n, share):
+        rng = np.random.default_rng(seed)
+        base = random_dataset(rng, d, n, 4)
+        idx = rng.choice(n, size=int(share * n), replace=False)
+        got, want = marginals.subset(base, idx), base.subset(np.sort(idx))
+        assert len(got) == len(want)
+        assert got.household_id is None and got.membership_label is None
+        (columns, mult, inverse), reference = marginals.distinct(got), marginals.distinct(want)
+        for ours, theirs in zip((columns, mult), reference):
+            assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs)
+        assert np.array_equal(columns.T[inverse], got.rows)
+        # the rows it holds are the subset's, in distinct order
+        assert np.array_equal(got.rows, want.rows[np.argsort(reference[2], kind="stable")])
+        for key in one_and_two_way_keys(d):
+            assert np.array_equal(marginals.counts(got, key), marginals.counts(want, key))
+
+
 def choice_loop(blocks, configs, rng):
     """The reference draw: one ``rng.choice`` per configuration present, ascending, over its rows in row order."""
     out = np.zeros(len(configs), dtype=np.int64)

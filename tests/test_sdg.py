@@ -157,6 +157,28 @@ class TestEdgeScore:
         with pytest.raises(ConfigurationError):
             sdg.mst_edge_score(random_ds(0), 1, 1)
 
+    def test_empty_dataset_rejected(self):
+        with pytest.raises(EstimationError):
+            sdg.mst_edge_score(make_ds([2, 3], np.empty((0, 2), dtype=np.int64)), 0, 1)
+
+    @pytest.mark.parametrize("d, max_card", [(2, 64), (3, 40), (3, 5), (16, 6), (16, 12)])
+    @pytest.mark.parametrize("noisy", [False, True])
+    def test_batched_scores_equal_written_out_formula(self, d, max_card, noisy):
+        """Every pair scored together, i > j included, equals one table scored alone, bit for bit."""
+        for seed in range(3):
+            rng = np.random.default_rng([seed, d, max_card])
+            cards = rng.integers(2, max_card + 1, size=d)
+            ds = make_ds(cards, rng.integers(0, cards, size=(int(rng.integers(1, 3000)), d)))
+            one_way = {i: rng.dirichlet(np.ones(c)) for i, c in enumerate(cards)} if noisy else None
+            pairs = np.array(list(itertools.permutations(range(d), 2)))
+            got = sdg.mst_edge_score(ds, pairs[:, 0], pairs[:, 1], one_way)
+            for (i, j), score in zip(pairs.tolist(), got.tolist()):
+                pair = marginals.uncached_counts(ds, (i, j)) / len(ds)
+                pi, pj = (one_way[i], one_way[j]) if noisy else (pair.sum(axis=1), pair.sum(axis=0))
+                want = float(np.abs(pair - np.outer(pi, pj)).sum())
+                assert score == want
+                assert sdg.mst_edge_score(ds, i, j, one_way) == want
+
 
 class TestFitMst:
     def test_two_attributes_single_edge(self):
