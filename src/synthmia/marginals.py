@@ -76,13 +76,13 @@ def distinct(ds):
 def subset(ds, indices):
     """``ds.subset(indices)`` as ds's distinct rows weighted by how often indices take each, in ``distinct`` order.
 
-    It has no household ids or labels, and its distinct form is taken from ds's, so its rows are never sorted."""
+    It has no household ids or labels, and its distinct form is taken from ds's, so its rows are never sorted.
+    """
     columns, mult, inverse = distinct(ds)
     weights = np.bincount(inverse[indices], minlength=mult.size)
-    keep = np.flatnonzero(weights)
-    columns, weights, inverse = columns[:, keep], weights[keep], np.repeat(np.arange(keep.size), weights[keep])
+    columns, weights = columns[:, weights > 0], weights[weights > 0]
     out = type(ds)(ds.domain, np.repeat(columns.T, weights, axis=0))
-    _cached(out, "distinct", lambda: (columns, weights, inverse))
+    _cached(out, "distinct", lambda: (columns, weights, np.repeat(np.arange(weights.size), weights)))
     return out
 
 
