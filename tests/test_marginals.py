@@ -359,14 +359,15 @@ class TestGram:
                 assert np.array_equal(scores, sdg.mst_edge_score(want, *np.array(keys[5:]).T))
 
     def test_counts_past_float32_range(self):
-        """A distinct form of 2**24 + 1 rows in all (counted by weight, never materialised) is summed in float64."""
-        ds = make_ds([3, 2], [[0, 0], [2, 1], [1, 1]])
-        columns, _, inverse = marginals.distinct(make_ds([3, 2], [[0, 0], [2, 1], [1, 1]]))
-        mult = np.array([2**24 - 4, 3, 2])  # distinct rows in key order: (0, 0), (1, 1), (2, 1)
+        """Multiplicities of 2**24 + 2 rows in all (set on the distinct form, never materialised) sum in float64."""
+        rows = [[0, 0], [1, 0], [2, 1]]  # in key order
+        ds = make_ds([3, 2], rows)
+        columns, _, inverse = marginals.distinct(make_ds([3, 2], rows))
+        mult = np.array([2**24 - 1, 2, 1])
         marginals._cached(ds, "distinct", lambda: (columns, mult, inverse))
         assert marginals.gram(ds)[0].dtype == np.float64
-        assert marginals.counts(ds, (0,)).tolist() == [2**24 - 4, 3, 2]
-        assert marginals.counts(ds, (1, 0)).tolist() == [[2**24 - 4, 0, 0], [0, 3, 2]]
+        assert marginals.counts(ds, (1,)).tolist() == [2**24 + 1, 1]  # float32 would round it to 2**24
+        assert marginals.counts(ds, (1, 0)).tolist() == [[2**24 - 1, 2, 0], [0, 0, 1]]
         for key in one_and_two_way_keys(2):
             assert np.array_equal(marginals.counts(ds, key), marginals.uncached_counts(ds, key))
 
