@@ -404,7 +404,7 @@ def _replica_rows(cfg, aux, pending):
     import multiprocessing  # runs that never fan out do not pay for the import
     from concurrent.futures import ProcessPoolExecutor  # unlike Pool, fails rather than hangs if a worker dies
     global _worker_inputs
-    marginals.gram(aux)  # with the distinct form it is built from, computed once here for every worker to inherit
+    marginals.distinct(aux)  # computed once here, for every worker to inherit
     _worker_inputs = (cfg, aux)  # fork: the workers inherit cfg and aux instead of unpickling them
     with ProcessPoolExecutor(min(cpus, len(tasks) - 1), multiprocessing.get_context("fork")) as pool:
         rest = pool.map(_worker_cell, tasks[1:])

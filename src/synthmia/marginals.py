@@ -8,7 +8,7 @@ Tables are dense numpy arrays; a marginal is a probability array whose axes
 follow its attributes, and a factor P(child | parents) is ``(attrs, probs)``
 with ``attrs = parents + (child,)``. Each distinct record is counted once, weighted
 by its multiplicity, so counts are exact integers independent of row order.
-Every 1- and 2-way table of a Dataset is a block of one one-hot product, its ``gram``.
+Counted together, the 2-way tables of a Dataset are blocks of one one-hot product, its ``gram``.
 Zero cells can be floored to a small positive value and renormalized, which
 keeps density ratios finite downstream.
 """
@@ -22,9 +22,13 @@ from .errors import ConfigurationError, EstimationError, ParameterError
 # floor default: 1/(FLOOR_FACTOR * source_size)
 FLOOR_FACTOR = 10
 MAX_TABLE_CELLS = 10**8
-MAX_GRAM_CELLS = 128**2  # a gram of width w costs distinct rows x w**2 multiply-adds: none past this many cells
+# a gram of width w costs w**2 multiply-adds per distinct row, a bincount per pair one pass over them: at 20k
+# distinct rows the bincounts caught up past about 80 gram cells per pair (float32, one OpenBLAS thread, x86)
+GRAM_CELLS_PER_PAIR = 80
 _GRAM_CHUNK = 2048  # one-hot rows per block of the gram's product, which bounds its temporaries
-_FLOAT32_MAX_ROWS = 2**24  # float32 holds every integer up to 2**24, so it sums a gram of that many rows exactly
+# float32 holds every integer up to 2**24, so it sums a gram of that many rows exactly, in about
+# half float64's time (5.1 against 9.3 ms for 13,725 distinct rows of width 66)
+_FLOAT32_MAX_ROWS = 2**24
 # the tolerance of Generator.choice's check that p sums to 1
 _CHOICE_ATOL = math.sqrt(np.finfo(np.float64).eps)
 # the Dataset attribute holding its count tables, {attribute tuple: table},
@@ -87,12 +91,12 @@ def subset(ds, indices):
 
 
 def gram(ds):
-    """(G, starts): every 1- and 2-way table of ds as a block of one matrix, or None past ``MAX_GRAM_CELLS``.
+    """(G, starts): every 2-way table of ds as a block of one matrix, or None past ``GRAM_CELLS_PER_PAIR``.
 
     G = X^T diag(multiplicities) X over the one-hot matrix X of the distinct rows, with attribute a in the
-    columns from ``starts[a]``: block (i, j) of G is the (i, j) table and block (a, a) the a table on its diagonal.
+    columns from ``starts[a]``: block (i, j) of G is the (i, j) table.
     """
-    width = sum(ds.domain.cardinalities)
+    d, width = len(ds.domain), sum(ds.domain.cardinalities)
 
     def compute():
         cols, mult, _ = distinct(ds)
@@ -105,7 +109,7 @@ def gram(ds):
             g += (hot.T * mult[lo : lo + len(hot)].astype(dtype)) @ hot
         return g, starts
 
-    return None if width * width > MAX_GRAM_CELLS else _cached(ds, "gram", compute)
+    return None if 2 * width * width > GRAM_CELLS_PER_PAIR * d * (d - 1) else _cached(ds, "gram", compute)
 
 
 def uncached_counts(ds, attrs):
@@ -131,19 +135,13 @@ def uncached_counts(ds, attrs):
 def counts(ds, attrs):
     """Integer contingency table over the given attributes, counted once per Dataset.
 
-    A 1- or 2-way table is a block of the ``gram`` (``pair_counts``), any other ``uncached_counts``. Tables
-    are kept on the Dataset, keyed by the attribute tuple, and every caller asking for the same one shares
-    it, so it is read-only.
+    A 2-way table is a block of the ``gram`` once ``pair_counts`` has built it (one pair alone does not pay
+    for a gram), any other ``uncached_counts``. Tables are kept on the Dataset, keyed by the attribute tuple,
+    and every caller asking for the same one shares it, so it is read-only.
     """
     key = tuple(int(a) for a in attrs)
-
-    def compute():
-        if len(key) == 1 and 0 <= key[0] < len(ds.domain) and (found := gram(ds)) is not None:
-            start = found[1][key[0]]
-            return found[0].diagonal()[start : start + ds.domain.cardinalities[key[0]]].astype(np.int64)
-        return next(pair_counts(ds, [key]))[1][0] if len(key) == 2 else uncached_counts(ds, key)
-
-    return _cached(ds, key, compute)
+    sliced = len(key) == 2 and "gram" in ds.__dict__.get(_CACHE_ATTR, {})
+    return _cached(ds, key, lambda: next(pair_counts(ds, [key]))[1][0] if sliced else uncached_counts(ds, key))
 
 
 def pair_counts(ds, pairs):

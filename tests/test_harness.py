@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from synthmia import attack, cli, harness, recovery, sdg
+from synthmia import attack, cli, harness, marginals, recovery, sdg
 from synthmia.data import SplitSpec, generate_households, make_snake_split, write_csv
 from synthmia.errors import ConfigurationError, ResumeMismatch
 
@@ -327,6 +327,21 @@ class TestWorkers:
         harness.run_experiment(grid_config(str(tmp_path / "pooled")))
         # PrivBayes (method 1) before MST, epsilon 1000 (index 1) before 1: the caller runs the first
         assert calls == [(0, 1, 1)]
+
+    def test_workers_inherit_aux_counted(self, tmp_path, monkeypatch):
+        """Every forked worker finds aux's distinct form built before the fork."""
+        caller = os.getpid()
+        run_cell = harness._run_cell
+
+        def checked(cfg, aux, *task):
+            cache = aux.__dict__.get(marginals._CACHE_ATTR, {})
+            if os.getpid() != caller and "distinct" not in cache:
+                raise ConfigurationError(f"a worker started with aux's cache holding {sorted(cache)}")
+            return run_cell(cfg, aux, *task)
+
+        monkeypatch.setattr(harness, "_run_cell", checked)
+        _cpus(monkeypatch, 2)
+        harness.run_experiment(grid_config(str(tmp_path / "exp")))
 
     def test_worker_error_reaches_the_caller_typed(self, tmp_path, monkeypatch):
         caller = os.getpid()

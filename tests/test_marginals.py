@@ -307,12 +307,29 @@ class TestGram:
     @settings(max_examples=60, deadline=None)
     def test_tables_equal_uncached_counts(self, seed, d, n, max_card):
         ds = random_dataset(np.random.default_rng(seed), d, n, max_card)
-        assert marginals.gram(ds)[0].dtype == np.float32
-        for key in one_and_two_way_keys(d):
-            table = marginals.counts(ds, key)
-            assert table.dtype == np.int64 and not table.flags.writeable
-            assert np.array_equal(table, marginals.uncached_counts(ds, key))
-            assert np.array_equal(table, reference_counts(ds, key))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(marginals, "GRAM_CELLS_PER_PAIR", 10**9)  # a gram at any width
+            assert d == 1 or marginals.gram(ds)[0].dtype == np.float32  # one attribute has no pairs
+            for key in one_and_two_way_keys(d):
+                table = marginals.counts(ds, key)
+                assert table.dtype == np.int64 and not table.flags.writeable
+                assert np.array_equal(table, marginals.uncached_counts(ds, key))
+                assert np.array_equal(table, reference_counts(ds, key))
+
+    @pytest.mark.parametrize("cards, built", [([6] * 10, True), ([6] * 9 + [7], False), ([4, 5], False)])
+    def test_gram_only_up_to_its_cells_per_pair(self, cards, built):
+        """Width 60 over 10 attributes is 3,600 gram cells for 45 pairs, 80 each; width 61 is past that."""
+        ds = make_ds(cards, [[0] * len(cards)])
+        assert (marginals.gram(ds) is not None) == built
+        assert np.array_equal(marginals.counts(ds, (1, 0)), reference_counts(ds, (1, 0)))
+
+    def test_one_pair_is_counted_alone(self):
+        """``counts`` of one pair builds no gram; once ``pair_counts`` has built one, its tables are the same."""
+        ds = random_dataset(np.random.default_rng(5), 4, 100, 3)
+        alone = marginals.counts(ds, (2, 0))
+        assert "gram" not in ds.__dict__[marginals._CACHE_ATTR]
+        list(marginals.pair_counts(ds, [(0, 1)]))
+        assert marginals.gram(ds) is not None and np.array_equal(marginals.counts(ds, (0, 2)), alone.T)
 
     def test_pair_counts_group_by_shape(self):
         ds = random_dataset(np.random.default_rng(3), 8, 400, 5)
@@ -345,15 +362,16 @@ class TestGram:
         want = random_dataset(rng, 5, 200, 6)
         keys = one_and_two_way_keys(5)
         tables = [reference_counts(want, key) for key in keys]
-        for name, value in [("_GRAM_CHUNK", 7), ("_FLOAT32_MAX_ROWS", 0), ("MAX_GRAM_CELLS", 0)]:
+        for name, value in [("_GRAM_CHUNK", 7), ("_FLOAT32_MAX_ROWS", 0), ("GRAM_CELLS_PER_PAIR", 0)]:
             with monkeypatch.context() as patch:
+                patch.setattr(marginals, "GRAM_CELLS_PER_PAIR", 10**9)
                 patch.setattr(marginals, name, value)
                 ds = make_ds(want.domain.cardinalities, want.rows)
                 found = marginals.gram(ds)
-                if name == "MAX_GRAM_CELLS":
+                if name == "GRAM_CELLS_PER_PAIR":
                     assert found is None
-                elif name == "_FLOAT32_MAX_ROWS":
-                    assert found[0].dtype == np.float64
+                else:
+                    assert found[0].dtype == (np.float64 if name == "_FLOAT32_MAX_ROWS" else np.float32)
                 assert all(np.array_equal(marginals.counts(ds, key), t) for key, t in zip(keys, tables))
                 scores = sdg.mst_edge_score(ds, *np.array(keys[5:]).T)
                 assert np.array_equal(scores, sdg.mst_edge_score(want, *np.array(keys[5:]).T))
