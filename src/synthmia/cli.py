@@ -156,7 +156,7 @@ def _add_dp_args(p):
     p.add_argument("--seed", type=int, default=0)
 
 
-@functools.cache  # built once per process: parsing leaves the parser as it was
+@functools.cache  # for callers that run main many times in one process; parsing leaves it as it was
 def build_parser():
     parser = argparse.ArgumentParser(prog="synthmia", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
