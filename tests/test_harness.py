@@ -867,6 +867,11 @@ class TestGoldenBytes:
         "marginals-sigma": "14f1f6aef43158c475057fd1a6cbae39169ab2b9e839990ad0efac7f87618750",
         "marginals-pi": "3959b962e40b0367592e4f0f2b600923618f4817cffaea33c51bafab149633d2",
     }
+    WIDE_CARDINALITIES_MST = {
+        "synth.csv": "3e95f47625fec3d8ec057773c7e0edc4b3d3783535982362e3862d4de163372b",
+        "model.json": "97ef13545f04fab0fe684b5b765495ec655096e4d3f20e29f404c8f56b9cae4f",
+        "tamis-mst": "a111284bd1f42a84107c83df9003c0ff2946ba5be4a3fb6973b95c302ff20999",
+    }
 
     def test_run_experiment(self, tmp_path, monkeypatch):
         _cpus(monkeypatch, 1)
@@ -922,6 +927,35 @@ class TestGoldenBytes:
             "--k", "4", "--subset-size", "1000", "--seed", "6", "--out", str(out),
         ]) == 0
         assert _sha256(out) == self.SHADOW_WIDE_MST
+
+    def test_generate_and_attack_wide_cardinalities(self, tmp_path):
+        """A tree over cardinalities up to 12: ``generate --method mst`` and ``tamis-mst`` scores on its synth.
+
+        Its edge tables have up to 8 columns and more than 8, on both sides of the width at which NumPy's
+        row sums change order, so the tree's IPF is pinned on both.
+        """
+        aux = generate_households(3000, n_attrs=8, max_cardinality=12, seed=8)
+        cards = aux.domain.cardinalities
+        assert max(cards) == 12
+        train, target, _ = make_snake_split(aux, SplitSpec(n_target_households=10, min_household_size=3,
+                                                           train_size=1000, seed=1))
+        paths = {}
+        for part, ds in (("aux", aux), ("train", train), ("target", target)):
+            paths[part] = str(tmp_path / f"{part}.csv")
+            write_csv(ds, paths[part])
+        gen = tmp_path / "gen"
+        assert cli.main(["generate", "--data", paths["train"], "--method", "mst", "--epsilon", "10",
+                         "--delta", "1e-9", "--n-synth", "1000", "--seed", "4", "--out", str(gen)]) == 0
+        with open(gen / "structure.json", encoding="utf-8") as fh:
+            widths = {cards[j] for _, j in json.load(fh)["edges"]}
+        assert min(widths) <= 8 < max(widths)
+        out = tmp_path / "scores.csv"
+        assert cli.main(["attack", "--attack", "tamis-mst", "--target", paths["target"], "--synth",
+                         str(gen / "synth.csv"), "--aux", paths["aux"], "--structure", str(gen / "structure.json"),
+                         "--out", str(out)]) == 0
+        found = {name: _sha256(gen / name) for name in ("synth.csv", "model.json")}
+        found["tamis-mst"] = _sha256(out)
+        assert found == self.WIDE_CARDINALITIES_MST
 
     @pytest.mark.parametrize("name", sorted(ATTACK))
     def test_attack(self, tmp_path, name):
