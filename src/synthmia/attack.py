@@ -57,15 +57,18 @@ def _rows(target):
 
 
 def _log_ratio_table(attrs, synth, aux):
-    """log of the floored marginal ratio mu^synth / mu^aux, per cell of the attrs table."""
-    ts = marginals.marginal(synth, attrs, floor=marginals.default_floor(len(synth)))
-    ta = marginals.marginal(aux, attrs, floor=marginals.default_floor(len(aux)))
-    return np.log(ts) - np.log(ta)
+    """log of the floored marginal ratio mu^synth / mu^aux, per cell of the attrs table (``marginals.log_marginal``)."""
+    return marginals.log_marginal(synth, attrs) - marginals.log_marginal(aux, attrs)
 
 
-def _marginal_ratio(rows, attrs, synth, aux):
-    """The floored marginal ratio per record, exponentiated per cell."""
-    return np.exp(_log_ratio_table(attrs, synth, aux))[tuple(rows[:, a] for a in attrs)]
+def _pair_cells(table, rows, i, j):
+    """``table[rows[:, i], rows[:, j]]``, one take by each record's flat cell."""
+    return table.ravel().take(rows[:, i] * table.shape[1] + rows[:, j])
+
+
+def _marginal_ratio(rows, pair, synth, aux):
+    """The floored marginal ratio of an attribute pair per record, exponentiated per cell."""
+    return _pair_cells(np.exp(_log_ratio_table(pair, synth, aux)), rows, *pair)
 
 
 def _log_density_ratio(target, structure, synth, aux):
@@ -148,7 +151,7 @@ def _node_pair_mean(target, pairs, synth, aux):
         acc += np.exp(node[i])[rows[:, i]]
     for i, j in pairs:
         pair = _log_ratio_table((i, j), synth, aux)
-        acc += np.exp(pair - node[i][:, None] - node[j])[rows[:, i], rows[:, j]]
+        acc += _pair_cells(np.exp(pair - node[i][:, None] - node[j]), rows, i, j)
     return np.log(acc / (d + len(pairs)))
 
 
@@ -173,7 +176,7 @@ def marginals_pi(target, synth, aux):
         logs += ((2 - d) * _log_ratio_table((i,), synth, aux))[rows[:, i]]
     for i in range(d):
         for j in range(i + 1, d):
-            logs += _log_ratio_table((i, j), synth, aux)[rows[:, i], rows[:, j]]
+            logs += _pair_cells(_log_ratio_table((i, j), synth, aux), rows, i, j)
     n_terms = d + d * (d - 1) // 2
     return logs - np.log(n_terms)
 

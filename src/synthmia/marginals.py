@@ -13,6 +13,7 @@ Zero cells can be floored to a small positive value and renormalized, which
 keeps density ratios finite downstream.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -31,8 +32,8 @@ _GRAM_CHUNK = 2048  # one-hot rows per block of the gram's product, which bounds
 _FLOAT32_MAX_ROWS = 2**24
 # the tolerance of Generator.choice's check that p sums to 1
 _CHOICE_ATOL = math.sqrt(np.finfo(np.float64).eps)
-# the Dataset attribute holding its count tables, {attribute tuple: table},
-# its distinct form under "distinct" and its gram under "gram"
+# the Dataset attribute holding its count tables, {attribute tuple: table}, its log marginals
+# under ("log", *attributes), its distinct form under "distinct" and its gram under "gram"
 _CACHE_ATTR = "_counts"
 
 
@@ -112,6 +113,11 @@ def gram(ds):
     return None if 2 * width * width > GRAM_CELLS_PER_PAIR * d * (d - 1) else _cached(ds, "gram", compute)
 
 
+def _check_attrs(cards, attrs):
+    if len(set(attrs)) != len(attrs) or any(a < 0 or a >= len(cards) for a in attrs):
+        raise ConfigurationError("attributes must be distinct and inside the domain")
+
+
 def uncached_counts(ds, attrs):
     """The table ``counts`` keeps, counted afresh from the distinct rows: for a table asked for once.
 
@@ -119,8 +125,7 @@ def uncached_counts(ds, attrs):
     but unchecked (a Dataset checks its cells), and counted with its multiplicity.
     """
     cards = ds.domain.cardinalities
-    if len(set(attrs)) != len(attrs) or any(a < 0 or a >= len(cards) for a in attrs):
-        raise ConfigurationError("attributes must be distinct and inside the domain")
+    _check_attrs(cards, attrs)
     shape = tuple(cards[a] for a in attrs)
     if math.prod(shape) > MAX_TABLE_CELLS:
         raise ConfigurationError(f"table of {math.prod(shape)} cells exceeds the dense-storage guard")
@@ -135,29 +140,56 @@ def uncached_counts(ds, attrs):
 def counts(ds, attrs):
     """Integer contingency table over the given attributes, counted once per Dataset.
 
-    A 2-way table is a block of the ``gram`` once ``pair_counts`` has built it (one pair alone does not pay
-    for a gram), any other ``uncached_counts``. Tables are kept on the Dataset, keyed by the attribute tuple,
-    and every caller asking for the same one shares it, so it is read-only.
+    Once ``pair_counts`` has built the ``gram``, a 2-way table is its block and a 1-way table that block's
+    diagonal (one pair alone does not pay for a gram); any other table is ``uncached_counts``. Tables are
+    kept on the Dataset, keyed by the attribute tuple, and every caller asking for the same one shares it,
+    so it is read-only.
     """
     key = tuple(int(a) for a in attrs)
-    sliced = len(key) == 2 and "gram" in ds.__dict__.get(_CACHE_ATTR, {})
-    return _cached(ds, key, lambda: next(pair_counts(ds, [key]))[1][0] if sliced else uncached_counts(ds, key))
+
+    def compute():
+        found = ds.__dict__[_CACHE_ATTR].get("gram")
+        if found is None or len(key) not in (1, 2):
+            return uncached_counts(ds, key)
+        _check_attrs(ds.domain.cardinalities, key)
+        (g, starts), cards, (i, j) = found, ds.domain.cardinalities, (key[0], key[-1])
+        block = g[starts[i] : starts[i] + cards[i], starts[j] : starts[j] + cards[j]]
+        return (block if len(key) == 2 else block.diagonal()).astype(np.int64)
+
+    return _cached(ds, key, compute)
+
+
+@functools.lru_cache(maxsize=64)
+def _pair_plan(cards, pairs_bytes):
+    """[(positions in pairs, flat indices of their tables' cells in a gram)] per (c_i, c_j) shape, kept per domain."""
+    pairs = np.frombuffer(pairs_bytes, dtype=np.int64).reshape(-1, 2)
+    starts, width = np.cumsum((0,) + cards[:-1]), sum(cards)
+    shapes = np.array(cards, dtype=np.int64)[pairs]
+    plan = []
+    for ci, cj in sorted(set(map(tuple, shapes.tolist()))):
+        at = np.flatnonzero((shapes[:, 0] == ci) & (shapes[:, 1] == cj))
+        first = starts[pairs[at]][:, :, None, None]  # each table's first row and column in the gram
+        plan.append((at, (first[:, 0] + np.arange(ci)[:, None]) * width + first[:, 1] + np.arange(cj)))
+        for arr in plan[-1]:
+            arr.setflags(write=False)
+    return plan
 
 
 def pair_counts(ds, pairs):
-    """(positions in pairs, their stacked int64 tables) per (c_i, c_j) shape of the (i, j) rows of pairs."""
+    """[(positions in pairs, their stacked int64 tables)] per (c_i, c_j) shape of the (i, j) rows of pairs."""
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     if (pairs[:, 0] == pairs[:, 1]).any() or ((pairs < 0) | (pairs >= len(ds.domain))).any():
         raise ConfigurationError("attributes must be distinct and inside the domain")
-    shapes = np.array(ds.domain.cardinalities, dtype=np.int64)[pairs]
-    found = gram(ds)
-    for ci, cj in sorted(set(map(tuple, shapes.tolist()))):
-        at = np.flatnonzero((shapes[:, 0] == ci) & (shapes[:, 1] == cj))
-        if found is None:  # counted one by one
-            yield at, np.stack([uncached_counts(ds, pair) for pair in pairs[at].tolist()])
-        else:  # one fancy index into the gram, from each table's first row and column in it
-            starts = found[1][pairs[at]][:, :, None, None]
-            yield at, found[0][starts[:, 0] + np.arange(ci)[:, None], starts[:, 1] + np.arange(cj)].astype(np.int64)
+    plan, found = _pair_plan(ds.domain.cardinalities, pairs.tobytes()), gram(ds)
+    if found is None:  # counted one by one
+        return [(at, np.stack([uncached_counts(ds, pair) for pair in pairs[at].tolist()])) for at, _ in plan]
+    return [(at, found[0].take(flat).astype(np.int64)) for at, flat in plan]
+
+
+def log_marginal(ds, attrs):
+    """``np.log`` of the marginal floored at ``default_floor(len(ds))``, kept on the Dataset beside its counts."""
+    key = tuple(int(a) for a in attrs)
+    return _cached(ds, ("log",) + key, lambda: np.log(marginal(ds, key, floor=default_floor(len(ds)))))
 
 
 def floor_probs(probs, floor):

@@ -31,6 +31,9 @@ DEFAULT_THETA_SCALE = 4.0
 # epsilon fractions for (structure selection, statistics measurement)
 BUDGET_SPLIT = (1.0 / 3.0, 2.0 / 3.0)
 
+# NumPy sums up to this many cells left to right; from 8 on it sums with 8 accumulators
+SEQUENTIAL_SUM_CELLS = 7
+
 def _table_sensitivity(n):
     """L1 sensitivity of a probability table of n records under one-record change."""
     if n == 0:
@@ -168,7 +171,10 @@ def log_density(model, rows):
         raise SchemaViolation("cell value outside its attribute domain")
     logp = np.zeros(rows.shape[0])
     for attrs, probs in model.factors:
-        logp += np.log(probs[tuple(rows[:, a] for a in attrs)])
+        flat = rows[:, attrs[0]]  # the row-major cell, as in sample
+        for a, card in zip(attrs[1:], probs.shape[1:]):
+            flat = flat * card + rows[:, a]
+        logp += np.log(probs.ravel().take(flat))
     return logp
 
 
@@ -200,12 +206,17 @@ def mst_edge_score(ds, i, j, noisy_1way=None):
         raise EstimationError("cannot estimate a marginal from an empty dataset")
     pairs = np.column_stack((np.ravel(i), np.ravel(j)))
     scores = np.empty(len(pairs))
-    for at, tables in marginals.pair_counts(ds, pairs):
+    groups = marginals.pair_counts(ds, pairs)
+    if noisy_1way is not None:  # row a holds noisy_1way[a], zero-padded
+        margins = np.zeros((len(ds.domain), max(ds.domain.cardinalities)))
+        for a in set(pairs.ravel().tolist()):
+            margins[a, : ds.domain.cardinalities[a]] = noisy_1way[a]
+    for at, tables in groups:
         joint = tables / len(ds)
         if noisy_1way is None:
             pi, pj = joint.sum(axis=2), joint.sum(axis=1)
         else:
-            pi, pj = (np.array([noisy_1way[a] for a in pairs[at, k].tolist()]) for k in (0, 1))
+            pi, pj = (margins[pairs[at, k], : tables.shape[k + 1]] for k in (0, 1))
         scores[at] = np.abs(joint - pi[:, :, None] * pj[:, None, :]).sum(axis=(1, 2))
     return scores if np.ndim(i) else float(scores[0])
 
@@ -225,19 +236,6 @@ def _noisy_probs(probs, sigma, rng):
     return noisy / total
 
 
-def _ipf_to_margins(pair, pi, pj):
-    """Iterative proportional fitting of a 2-way table to fixed 1-way margins, to 1e-13 or 2000 sweeps."""
-    out = pair.copy()
-    for _ in range(2000):
-        rows = out.sum(axis=1)
-        out *= np.where(rows > 0, pi / np.where(rows > 0, rows, 1.0), 0.0)[:, None]
-        cols = out.sum(axis=0)
-        out *= np.where(cols > 0, pj / np.where(cols > 0, cols, 1.0), 0.0)[None, :]
-        if np.abs(out.sum(axis=1) - pi).max() < 1e-13:
-            break
-    return out
-
-
 def _select_tree_edges(ds, acct, rng):
     """DP spanning-tree selection: noisy scores + d-1 exponential-mechanism steps."""
     d = len(ds.domain)
@@ -245,6 +243,7 @@ def _select_tree_edges(ds, acct, rng):
     sens = _table_sensitivity(n)
     sel_frac = BUDGET_SPLIT[0]
 
+    marginals.gram(ds)  # built first, its diagonal gives the 1-way tables
     one_way = {}
     for i in range(d):
         sigma = acct.gaussian(f"mst/select/1way/{i}", sens, (sel_frac, 2 * d), _tree_delta_share(d))
@@ -267,13 +266,49 @@ def _select_tree_edges(ds, acct, rng):
     return Structure(METHOD_MST, edges)
 
 
+def _stack_key(shape):
+    """Edge tables of one key are fitted as one zero-padded stack, each sum as on its own table.
+
+    Zeros appended to a sum of up to ``SEQUENTIAL_SUM_CELLS`` cells move no bit, so a longer row is stacked
+    only with rows of its length. Columns are summed row by row, but a table's one column like a row.
+    """
+    length = shape[0] if shape[1] == 1 else shape[1]
+    return shape[1] == 1, length if length > SEQUENTIAL_SUM_CELLS else 0
+
+
+def _ipf_factors(margins, sums, done):
+    """IPF's scaling of each row or column to its margin, 0 where it has no mass, and 1.0 for a done edge."""
+    return np.where(done[:, None], 1.0, np.where(sums > 0, margins / np.where(sums > 0, sums, 1.0), 0.0))
+
+
 def _consistent_tree_tables(node_probs, edge_probs, edges, floor):
-    """Floor all tables and project edge tables onto common node margins."""
+    """Floor all tables and fit each edge table to its floored node margins by IPF, to 1e-13 or 2000 sweeps.
+
+    Edge tables are fitted a stack at a time (``_stack_key``); an edge whose rows match stops there, its
+    factors 1.0 from then on, so each table is the one its own IPF loop would give.
+    """
     node_tables = {i: marginals.floor_probs(probs, floor) for i, probs in node_probs.items()}
+    stacks = {}
+    for e in edges:
+        stacks.setdefault(_stack_key(edge_probs[e].shape), []).append(e)
     edge_tables = {}
-    for (i, j) in edges:
-        pair = marginals.floor_probs(edge_probs[(i, j)], floor)
-        edge_tables[(i, j)] = _ipf_to_margins(pair, node_tables[i], node_tables[j])
+    for stack in stacks.values():
+        shapes = [edge_probs[e].shape for e in stack]
+        out = np.zeros((len(stack), max(r for r, _ in shapes), max(c for _, c in shapes)))
+        pi, pj = np.zeros(out.shape[:2]), np.zeros((len(stack), out.shape[2]))
+        for k, ((i, j), (r, c)) in enumerate(zip(stack, shapes)):
+            out[k, :r, :c] = marginals.floor_probs(edge_probs[(i, j)], floor)
+            pi[k, :r], pj[k, :c] = node_tables[i], node_tables[j]
+        rows, done = out.sum(axis=2), np.zeros(len(stack), dtype=bool)
+        for _ in range(2000):
+            out *= _ipf_factors(pi, rows, done)[:, :, None]
+            cols = out.sum(axis=1)
+            out *= _ipf_factors(pj, cols, done)[:, None, :]
+            rows = out.sum(axis=2)
+            done |= np.abs(rows - pi).max(axis=1) < 1e-13
+            if done.all():
+                break
+        edge_tables.update((e, out[k, :r, :c].copy()) for k, (e, (r, c)) in enumerate(zip(stack, shapes)))
     return node_tables, edge_tables
 
 

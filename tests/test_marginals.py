@@ -342,6 +342,21 @@ class TestGram:
             seen += at.tolist()
         assert sorted(seen) == list(range(len(pairs)))
 
+    def test_plan_cache_keys(self, monkeypatch):
+        """A kept gather plan serves only its own pairs on its own cardinalities: two pairs arrays on one
+        domain, then the same arrays on a domain of equal width whose cardinalities differ."""
+        monkeypatch.setattr(marginals, "GRAM_CELLS_PER_PAIR", 10**9)
+        marginals._pair_plan.cache_clear()
+        rng = np.random.default_rng(8)
+        for cards in ((2, 3, 4, 5), (5, 4, 3, 2)):
+            ds = make_ds(cards, rng.integers(0, cards, size=(300, 4)))
+            for pairs in ([(0, 1), (2, 3), (3, 1)], [(3, 1), (0, 2), (1, 0)]):
+                for _ in range(2):  # the second time from the kept plan
+                    for at, tables in marginals.pair_counts(ds, pairs):
+                        for pos, table in zip(at.tolist(), tables):
+                            assert np.array_equal(table, marginals.uncached_counts(ds, pairs[pos]))
+        assert marginals._pair_plan.cache_info().misses == 4
+
     @pytest.mark.parametrize("pairs", [[(1, 1)], [(0, 3)], [(-1, 0)], [(0, 1), (2, 2)]])
     def test_pair_counts_rejects_a_bad_pair(self, pairs):
         ds = make_ds([2, 3, 2], [[0, 1, 1]])

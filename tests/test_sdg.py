@@ -180,6 +180,84 @@ class TestEdgeScore:
                 assert sdg.mst_edge_score(ds, i, j, one_way) == want
 
 
+def _ipf_to_margins(pair, pi, pj):
+    """Iterative proportional fitting of one 2-way table to fixed 1-way margins, to 1e-13 or 2000 sweeps."""
+    out = pair.copy()
+    for _ in range(2000):
+        rows = out.sum(axis=1)
+        out *= np.where(rows > 0, pi / np.where(rows > 0, rows, 1.0), 0.0)[:, None]
+        cols = out.sum(axis=0)
+        out *= np.where(cols > 0, pj / np.where(cols > 0, cols, 1.0), 0.0)[None, :]
+        if np.abs(out.sum(axis=1) - pi).max() < 1e-13:
+            break
+    return out
+
+
+@st.composite
+def tree_measurements(draw):
+    """(node tables, edge tables, edges, floor) of a random tree: cardinalities 1 to 12, noiseless or noisy."""
+    d = draw(st.integers(2, 7))
+    cards = draw(st.lists(st.integers(1, 12), min_size=d, max_size=d))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 400))
+    ds = make_ds(cards, rng.integers(0, cards, size=(n, d)))
+    edges = sdg.Structure("mst", [(int(rng.integers(k)), k) for k in range(1, d)]).keys
+    sigma = draw(st.sampled_from([None, 1e-3, 0.05, 1.0]))
+    node = {i: sdg._noisy_probs(marginals.marginal(ds, (i,)), sigma, rng) for i in range(d)}
+    edge = {e: sdg._noisy_probs(marginals.marginal(ds, e), sigma, rng) for e in edges}
+    floor = draw(st.sampled_from([None, 0.0, marginals.default_floor(n)]))
+    return node, edge, edges, floor
+
+
+class TestStackedIpf:
+    """The tree's edge tables fitted a stack at a time equal each table's own IPF loop, bit for bit."""
+
+    @staticmethod
+    def assert_equals_one_edge_loop(node, edge, edges, floor):
+        nodes, fitted = sdg._consistent_tree_tables(node, edge, edges, floor)
+        want = {i: marginals.floor_probs(probs, floor) for i, probs in node.items()}
+        assert all(np.array_equal(nodes[i], want[i]) for i in want)
+        for i, j in edges:
+            pair = _ipf_to_margins(marginals.floor_probs(edge[(i, j)], floor), want[i], want[j])
+            assert fitted[(i, j)].flags.c_contiguous and np.array_equal(fitted[(i, j)], pair), (i, j)
+
+    @settings(max_examples=120, deadline=None)
+    @given(tree_measurements())
+    def test_equals_one_edge_loop(self, measured):
+        self.assert_equals_one_edge_loop(*measured)
+
+    @pytest.mark.parametrize("cards", [(3, 12, 5, 9), (12, 1, 3, 11, 1), (9, 1, 7, 8), (1, 4, 1, 12)])
+    def test_widths_on_both_sides_of_the_rule(self, cards):
+        """A star whose edges have 1, up to 7 and 8 or more columns, and single columns of up to 12 rows."""
+        rng = np.random.default_rng(list(cards))
+        ds = make_ds(cards, rng.integers(0, cards, size=(300, len(cards))))
+        edges = sdg.Structure("mst", [(0, k) for k in range(1, len(cards))]).keys
+        for sigma in (None, 0.05):
+            node = {i: sdg._noisy_probs(marginals.marginal(ds, (i,)), sigma, rng) for i in range(len(cards))}
+            edge = {e: sdg._noisy_probs(marginals.marginal(ds, e), sigma, rng) for e in edges}
+            self.assert_equals_one_edge_loop(node, edge, edges, marginals.default_floor(len(ds)))
+
+    def test_one_column_tables(self):
+        """NumPy sums the one column of a table like a row: 4 rows left to right, 9 rows with 8 accumulators.
+
+        Edges (0, 2) and (1, 3) are single columns of 4 and 9 rows, (1, 4) has 3 columns beside (1, 3)'s 9 rows.
+        """
+        cards, edges = (4, 9, 1, 1, 3), ((0, 1), (0, 2), (1, 3), (1, 4))
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            node = {i: rng.dirichlet(np.ones(c)) for i, c in enumerate(cards)}
+            edge = {(i, j): rng.dirichlet(np.ones(cards[i] * cards[j])).reshape(cards[i], cards[j]) for i, j in edges}
+            self.assert_equals_one_edge_loop(node, edge, edges, None)
+
+    def test_sweep_cap(self):
+        """An edge whose margins no scaling reaches runs all 2000 sweeps beside one that stops after a few."""
+        node = {0: np.array([0.5, 0.5]), 1: np.array([0.3, 0.7]), 2: np.array([0.2, 0.3, 0.5])}
+        edge = {(0, 1): np.array([[0.6, 0.0], [0.0, 0.4]]), (0, 2): np.array([[0.1, 0.3, 0.2], [0.05, 0.25, 0.1]])}
+        want = _ipf_to_margins(edge[(0, 1)], node[0], node[1])
+        assert np.abs(want.sum(axis=1) - node[0]).max() > 0.1  # the cap, not convergence, ended it
+        self.assert_equals_one_edge_loop(node, edge, ((0, 1), (0, 2)), None)
+
+
 class TestFitMst:
     def test_two_attributes_single_edge(self):
         ds = random_ds(1, d=2)
@@ -583,9 +661,13 @@ class TestModelFromData:
 @pytest.mark.parametrize("method", ["mst", "privbayes"])
 def test_log_density_rejects_rows_outside_the_domain(method):
     model = sdg.fit(random_ds(28, d=3), method, DpParams(INF), 0)
-    for row in ([-1, 0, 0], [model.domain.cardinalities[0], 0, 0]):
-        with pytest.raises(SchemaViolation, match="cell value outside its attribute domain"):
-            sdg.log_density(model, [[0, 0, 0], row])
+    # past the last attribute's cardinality, a flat cell index would land inside the table
+    for a, card in enumerate(model.domain.cardinalities):
+        for bad in (-1, card):
+            row = [0, 0, 0]
+            row[a] = bad
+            with pytest.raises(SchemaViolation, match="cell value outside its attribute domain"):
+                sdg.log_density(model, [[0, 0, 0], row])
     with pytest.raises(SchemaViolation, match=r"rows must be a \(n, d\) matrix matching the domain"):
         sdg.log_density(model, [[0, 0]])
 
