@@ -43,11 +43,6 @@ class Accountant:
     total: DpParams
     spent: list = field(default_factory=list)
 
-    def __post_init__(self):
-        # running totals of the spent shares, added in ``spent`` order from 0 as ``sum`` adds them
-        self._epsilon = sum(e for _, e, _, _ in self.spent)
-        self._delta = sum(d for _, _, d, _ in self.spent)
-
     def gaussian(self, label, sensitivity, share, delta_share):
         """Sigma of a Gaussian measurement with this L1 sensitivity; None at epsilon = inf."""
         if math.isinf(self.total.epsilon):
@@ -72,17 +67,15 @@ class Accountant:
     def _spend(self, label, mechanism, share, delta_share=(0.0, 1)):
         (fraction, count), (delta_fraction, delta_count) = share, delta_share
         self.spent.append((label, fraction / count, delta_fraction / delta_count, mechanism))
-        self._epsilon += fraction / count
-        self._delta += delta_fraction / delta_count
-        if self._epsilon > 1.0 + 1e-9 or self._delta > 1.0 + 1e-9:
+        if self.epsilon_spent() > 1.0 + 1e-9 or self.delta_spent() > 1.0 + 1e-9:
             raise ConfigurationError(f"privacy budget exceeded at {label!r}")
         return _part(self.total.epsilon, share)
 
     def epsilon_spent(self):
-        return self._epsilon
+        return sum(e for _, e, _, _ in self.spent)
 
     def delta_spent(self):
-        return self._delta
+        return sum(d for _, _, d, _ in self.spent)
 
     def to_json(self):
         return {
@@ -160,7 +153,4 @@ def exponential_mechanism(scores, epsilon, sensitivity, seed, size=None):
     rng = as_generator(seed)
     if size is not None:
         return rng.choice(scores.size, size=int(size), p=probs)
-    # the one draw of rng.choice(scores.size, p=probs), which would check probs again
-    cdf = probs.cumsum()
-    cdf /= cdf[-1]
-    return int(cdf.searchsorted(rng.random(), side="right"))
+    return int(rng.choice(scores.size, p=probs))

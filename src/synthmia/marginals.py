@@ -140,34 +140,37 @@ def uncached_counts(ds, attrs):
 def counts(ds, attrs):
     """Integer contingency table over the given attributes, counted once per Dataset.
 
-    Once ``pair_counts`` has built the ``gram``, a 2-way table is its block and a 1-way table that block's
-    diagonal (one pair alone does not pay for a gram); any other table is ``uncached_counts``. Tables are
-    kept on the Dataset, keyed by the attribute tuple, and every caller asking for the same one shares it,
-    so it is read-only.
+    A 2-way table is a block of the ``gram`` once ``pair_counts`` has built it (one pair alone does not pay
+    for a gram), any other ``uncached_counts``. Tables are kept on the Dataset, keyed by the attribute tuple,
+    and every caller asking for the same one shares it, so it is read-only.
     """
     key = tuple(int(a) for a in attrs)
 
     def compute():
         found = ds.__dict__[_CACHE_ATTR].get("gram")
-        if found is None or len(key) not in (1, 2):
+        if found is None or len(key) != 2:
             return uncached_counts(ds, key)
         _check_attrs(ds.domain.cardinalities, key)
-        (g, starts), cards, (i, j) = found, ds.domain.cardinalities, (key[0], key[-1])
-        block = g[starts[i] : starts[i] + cards[i], starts[j] : starts[j] + cards[j]]
-        return (block if len(key) == 2 else block.diagonal()).astype(np.int64)
+        (g, starts), cards, (i, j) = found, ds.domain.cardinalities, key
+        return g[starts[i] : starts[i] + cards[i], starts[j] : starts[j] + cards[j]].astype(np.int64)
 
     return _cached(ds, key, compute)
 
 
+def _pair_groups(cards, pairs):
+    """[((c_i, c_j), positions in pairs)] per shape of the (i, j) rows of pairs, in sorted shape order."""
+    shapes = np.array(cards, dtype=np.int64)[pairs]
+    return [(shape, np.flatnonzero((shapes[:, 0] == shape[0]) & (shapes[:, 1] == shape[1])))
+            for shape in sorted(set(map(tuple, shapes.tolist())))]
+
+
 @functools.lru_cache(maxsize=64)
 def _pair_plan(cards, pairs_bytes):
-    """[(positions in pairs, flat indices of their tables' cells in a gram)] per (c_i, c_j) shape, kept per domain."""
+    """[(positions in pairs, flat indices of their tables' cells in a gram)] per ``_pair_groups`` group, kept per domain."""
     pairs = np.frombuffer(pairs_bytes, dtype=np.int64).reshape(-1, 2)
     starts, width = np.cumsum((0,) + cards[:-1]), sum(cards)
-    shapes = np.array(cards, dtype=np.int64)[pairs]
     plan = []
-    for ci, cj in sorted(set(map(tuple, shapes.tolist()))):
-        at = np.flatnonzero((shapes[:, 0] == ci) & (shapes[:, 1] == cj))
+    for (ci, cj), at in _pair_groups(cards, pairs):
         first = starts[pairs[at]][:, :, None, None]  # each table's first row and column in the gram
         plan.append((at, (first[:, 0] + np.arange(ci)[:, None]) * width + first[:, 1] + np.arange(cj)))
         for arr in plan[-1]:
@@ -176,14 +179,18 @@ def _pair_plan(cards, pairs_bytes):
 
 
 def pair_counts(ds, pairs):
-    """[(positions in pairs, their stacked int64 tables)] per (c_i, c_j) shape of the (i, j) rows of pairs."""
+    """[(positions in pairs, their stacked int64 tables)] per (c_i, c_j) shape of the (i, j) rows of pairs.
+
+    Without a gram each table is ``uncached_counts``, so no plan is built and the dense-storage guard holds.
+    """
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     if (pairs[:, 0] == pairs[:, 1]).any() or ((pairs < 0) | (pairs >= len(ds.domain))).any():
         raise ConfigurationError("attributes must be distinct and inside the domain")
-    plan, found = _pair_plan(ds.domain.cardinalities, pairs.tobytes()), gram(ds)
+    found, cards = gram(ds), ds.domain.cardinalities
     if found is None:  # counted one by one
-        return [(at, np.stack([uncached_counts(ds, pair) for pair in pairs[at].tolist()])) for at, _ in plan]
-    return [(at, found[0].take(flat).astype(np.int64)) for at, flat in plan]
+        return [(at, np.stack([uncached_counts(ds, pair) for pair in pairs[at].tolist()]))
+                for _, at in _pair_groups(cards, pairs)]
+    return [(at, found[0].take(flat).astype(np.int64)) for at, flat in _pair_plan(cards, pairs.tobytes())]
 
 
 def log_marginal(ds, attrs):

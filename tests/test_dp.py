@@ -2,11 +2,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from synthmia import dp, sdg
-from synthmia.data import Dataset, Domain
 from synthmia.errors import ConfigurationError, ParameterError, SelectionError
 
 
@@ -146,58 +143,3 @@ class TestExponentialMechanism:
         # huge logits must not overflow thanks to the max subtraction
         k = dp.exponential_mechanism([1e6, 0.0], 10.0, 1e-4, seed=0)
         assert k == 0
-
-
-class TestDrawAndLedgerUnchanged:
-    """The one-draw path and the running ledger totals give what ``Generator.choice`` and ``sum`` gave."""
-
-    @given(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0]) | st.floats(0.0, 2.0), min_size=1, max_size=40),
-           st.floats(1e-3, 1e3), st.floats(1e-4, 1.0), st.integers(0, 2**32 - 1))
-    @settings(max_examples=300, deadline=None)
-    def test_one_draw_is_generator_choice(self, scores, eps, sens, seed):
-        logits = eps * np.asarray(scores) / (2.0 * sens)
-        logits -= logits.max()
-        probs = np.exp(logits)
-        probs /= probs.sum()
-        rng, rng2 = np.random.default_rng(seed), np.random.default_rng(seed)
-        assert dp.exponential_mechanism(scores, eps, sens, seed=rng) == rng2.choice(len(scores), p=probs)
-        assert rng.random() == rng2.random()
-
-    @pytest.mark.parametrize("method", ["mst", "privbayes"])
-    def test_totals_are_the_sums_at_every_spend(self, monkeypatch, method):
-        spends = []
-
-        def checked(acct, *args, **kwargs):
-            out = spend(acct, *args, **kwargs)
-            assert acct.epsilon_spent() == sum(e for _, e, _, _ in acct.spent)
-            assert acct.delta_spent() == sum(d for _, _, d, _ in acct.spent)
-            spends.append(len(acct.spent))
-            return out
-
-        spend = dp.Accountant._spend
-        monkeypatch.setattr(dp.Accountant, "_spend", checked)
-        rng = np.random.default_rng(4)
-        cards = rng.integers(2, 6, size=7)
-        ds = Dataset(Domain([f"a{i}" for i in range(7)], cards.tolist()), rng.integers(0, cards, size=(200, 7)))
-        for eps in (0.1, 1.0, 3.0, 1000.0):
-            sdg.fit(ds, method, dp.DpParams(eps, delta=1e-9), 0)
-        assert len(spends) == 4 * (3 * 7 - 1 + 6 if method == "mst" else 7 + 6)
-
-    @given(st.lists(st.tuples(st.sampled_from(["exponential", "gaussian"]), st.floats(0.01, 1.0), st.integers(1, 9),
-                              st.integers(1, 9)), min_size=1, max_size=30))
-    @settings(max_examples=200, deadline=None)
-    def test_overspend_raises_at_the_same_label(self, spends):
-        acct = dp.Accountant(dp.DpParams(1.0, delta=1e-9))
-        recorded = []
-        for k, (mechanism, fraction, count, delta_count) in enumerate(spends):
-            recorded.append((fraction / count, 1.0 / delta_count if mechanism == "gaussian" else 0.0))
-            over = sum(e for e, _ in recorded) > 1.0 + 1e-9 or sum(d for _, d in recorded) > 1.0 + 1e-9
-            if mechanism == "gaussian":
-                call = lambda: acct.gaussian(f"s{k}", 1.0, (fraction, count), (1.0, delta_count))  # noqa: E731
-            else:
-                call = lambda: acct.exponential(f"s{k}", (fraction, count))  # noqa: E731
-            if over:
-                with pytest.raises(ConfigurationError, match=f"exceeded at 's{k}'"):
-                    call()
-                return
-            call()

@@ -357,6 +357,17 @@ class TestGram:
                             assert np.array_equal(table, marginals.uncached_counts(ds, pairs[pos]))
         assert marginals._pair_plan.cache_info().misses == 4
 
+    def test_pair_past_the_storage_guard_without_a_gram(self):
+        """Two attributes of 10**5 values build no gram, so their pair meets the dense-storage guard at once,
+        with no gather plan made or kept for it."""
+        ds = make_ds([10**5, 10**5], [[0, 0]])
+        marginals._pair_plan.cache_clear()
+        with pytest.raises(ConfigurationError, match="dense-storage guard"):
+            marginals.pair_counts(ds, [(0, 1)])
+        with pytest.raises(ConfigurationError, match="dense-storage guard"):
+            sdg.mst_edge_score(ds, 0, 1)
+        assert marginals._pair_plan.cache_info().currsize == 0
+
     @pytest.mark.parametrize("pairs", [[(1, 1)], [(0, 3)], [(-1, 0)], [(0, 1), (2, 2)]])
     def test_pair_counts_rejects_a_bad_pair(self, pairs):
         ds = make_ds([2, 3, 2], [[0, 1, 1]])
