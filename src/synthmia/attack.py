@@ -192,6 +192,8 @@ def aggregate_households(log_scores, household_id):
 
 def activate_simple(log_scores, threshold=0.5):
     """Map raw scores through 2*sigmoid(score) - 1, then threshold."""
+    if not np.isfinite(threshold):
+        raise ConfigurationError("threshold must be a finite number")
     lam = np.exp(log_scores)
     probs = 2.0 / (1.0 + np.exp(-lam)) - 1.0
     preds = (probs >= threshold).astype(np.int64)
@@ -208,6 +210,8 @@ def activate_calibrated(log_scores, prior, threshold=0.5):
     """
     if not 0.0 < prior < 1.0:
         raise ConfigurationError("prior must lie in (0, 1)")
+    if not np.isfinite(threshold):
+        raise ConfigurationError("threshold must be a finite number")
     lam = np.exp(log_scores)
     std = lam.std()
     if lam.size < 2 or std == 0.0:

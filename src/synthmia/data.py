@@ -71,6 +71,15 @@ class Domain:
         ]
 
 
+def check_rows(rows, domain):
+    """SchemaViolation unless the int64 array ``rows`` is an (n, d) matrix of cells inside ``domain``."""
+    if rows.ndim != 2 or rows.shape[1] != len(domain):
+        raise SchemaViolation("rows must be a (n, d) matrix matching the domain")
+    # read as unsigned, a negative cell is above every cardinality: one comparison checks both ends
+    if (rows.view(np.uint64) >= np.array(domain.cardinalities, dtype=np.uint64)).any():
+        raise SchemaViolation("cell value outside its attribute domain")
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Encoded records over a Domain, immutable after construction.
@@ -89,10 +98,7 @@ class Dataset:
         if rows.base is not None:
             # a view: whoever holds its base could still write the rows
             rows = rows.copy()
-        if rows.ndim != 2 or rows.shape[1] != len(self.domain):
-            raise SchemaViolation("rows must be a (n, d) matrix matching the domain")
-        if (rows < 0).any() or (rows >= np.array(self.domain.cardinalities)).any():
-            raise SchemaViolation("cell value outside its attribute domain")
+        check_rows(rows, self.domain)
         rows.setflags(write=False)
         object.__setattr__(self, "rows", rows)
         for field in ("household_id", "membership_label"):

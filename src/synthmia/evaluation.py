@@ -40,8 +40,11 @@ def balanced_accuracy(predictions, labels):
     """0.5 * (true-positive rate + true-negative rate)."""
     predictions = np.asarray(predictions, dtype=np.int64)
     labels, n_pos, n_neg = _binary_labels(labels, predictions.shape, "predictions", "balanced accuracy")
-    tpr = float(((predictions == 1) & (labels == 1)).sum()) / n_pos
-    tnr = float(((predictions == 0) & (labels == 0)).sum()) / n_neg
+    positive, negative = predictions == 1, predictions == 0
+    if not (positive | negative).all():
+        raise ConfigurationError("balanced accuracy predictions must be 0 or 1")
+    tpr = float(np.count_nonzero(positive & (labels == 1))) / n_pos
+    tnr = float(np.count_nonzero(negative & (labels == 0))) / n_neg
     return 0.5 * (tpr + tnr)
 
 

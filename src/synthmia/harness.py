@@ -112,7 +112,7 @@ _FIELD_CHECKS = {
     "theta": (lambda v: v is None or _NUMBER(v) and v > 0, "null or a positive number"),
     "n_synth": (lambda v: v is None or _INT(v) and v >= 1, "null or an integer >= 1"),
     "seed": (_INT, "an integer"),
-    "threshold": (_NUMBER, "a number"),
+    "threshold": (_is(numbers.Real, lambda v: -math.inf < v < math.inf), "a finite number"),
     "split.n_target_households": _COUNT,
     "split.min_household_size": _COUNT,
     "split.train_size": _COUNT,

@@ -324,6 +324,15 @@ class TestActivations:
         probs, preds = attack.activate_calibrated(logs, 0.3)
         assert preds.sum() == 3
 
+    @pytest.mark.parametrize("threshold", [np.nan, np.inf, -np.inf])
+    def test_non_finite_threshold_rejected(self, threshold):
+        # it would predict one class for every record
+        logs = np.arange(10.0)
+        with pytest.raises(ConfigurationError, match="threshold must be a finite number"):
+            attack.activate_simple(logs, threshold)
+        with pytest.raises(ConfigurationError, match="threshold must be a finite number"):
+            attack.activate_calibrated(logs, 0.5, threshold)
+
 
 class TestRegistry:
     def test_every_name_resolves_to_its_public_scorer(self):

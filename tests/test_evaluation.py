@@ -112,6 +112,12 @@ def test_labels_other_than_0_and_1_rejected(metric, bad):
         metric([5.0, 1.0, 3.0], [1, 0, bad])
 
 
+@pytest.mark.parametrize("bad", [2, -1])
+def test_predictions_other_than_0_and_1_rejected(bad):
+    with pytest.raises(ConfigurationError, match="balanced accuracy predictions must be 0 or 1"):
+        evaluation.balanced_accuracy([bad, bad, 0, 1], [1, 1, 0, 0])
+
+
 class TestRecoveryMetrics:
     def test_identical_structures(self):
         m = evaluation.recovery_metrics(tree([(0, 1), (1, 2)]), tree([(1, 2), (0, 1)]))

@@ -452,7 +452,7 @@ _BAD_FIELDS = {
     "theta": ["a", 0, -1, True],
     "n_synth": [-3, 0, "10", 1.5, True],
     "seed": ["1", 1.5, True, None],
-    "threshold": ["a", [0.5], True, None],
+    "threshold": ["a", [0.5], True, None, float("nan"), float("inf"), float("-inf")],
     "split.n_target_households": ["15", 0, 1.5, None],
     "split.min_household_size": ["3", 0, True],
     "split.train_size": ["800", -1, 800.0],
@@ -648,6 +648,14 @@ class TestMalformedInput:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == "ParseError"
+
+    def test_evaluate_prediction_other_than_0_and_1(self, tmp_path, capsys):
+        path = tmp_path / "scores.csv"
+        path.write_text("raw_score,prediction,label\n4,2,1\n3,2,1\n1,0,0\n2,1,0\n")
+        assert cli.main(["evaluate", "--scores", str(path)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "ConfigurationError"
 
     @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(st.one_of(malformed_data_csvs(), malformed_structures(), malformed_weights()))
@@ -1112,6 +1120,20 @@ class TestCli:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == error  # an OSError would mean a CSV was opened
+
+    @pytest.mark.parametrize("prior", [[], ["--prior", "0.5"]], ids=["simple", "calibrated"])
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
+    def test_non_finite_threshold(self, tmp_path, capsys, threshold, prior):
+        paths = self._prepare(tmp_path)
+        out = tmp_path / "scores.csv"
+        assert cli.main([
+            "attack", "--attack", "marginals-sigma", "--target", paths["target"], "--synth", paths["aux"],
+            "--aux", paths["aux"], f"--threshold={threshold}", *prior, "--out", str(out),
+        ]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "ConfigurationError"
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "command", [["generate", "--data", "empty.csv", "--out", "gen"], ["recover", "--synth", "empty.csv", "--out", "s.json"]]

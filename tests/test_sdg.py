@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from synthmia import marginals, recovery, sdg
 from synthmia.data import Dataset, Domain
-from synthmia.dp import DpParams
+from synthmia.dp import Accountant, DpParams
 from synthmia.errors import ConfigurationError, EstimationError, SchemaViolation
 
 INF = math.inf
@@ -584,6 +584,139 @@ class TestFitPrivbayes:
                 assert recovery.recover_bayesnet(ds, DpParams(eps), seed) == fitted.structure
 
 
+def _reference_parent_subsets(placed, cards, limit):
+    """The parent sets that fit one node's limit, enumerated again for each node (selection before one per step)."""
+    out = []
+    if limit >= 1:
+        out.append(())
+    if math.isinf(limit) and len(placed) > 20:
+        raise ConfigurationError("unbounded parent-set enumeration is capped at 20 placed nodes")
+    for r in range(1, len(placed) + 1):
+        for comb in itertools.combinations(placed, r):
+            size = 1
+            for c in comb:
+                size *= cards[c]
+            if size <= limit:
+                out.append(comb)
+    return out
+
+
+def reference_select_bayes_order(ds, acct, rng):
+    """``sdg._select_bayes_order`` with each step's candidates built node by node from the per-node enumeration."""
+    d, n = len(ds.domain), len(ds)
+    sens = sdg._privbayes_score_sensitivity(n)
+    cards = ds.domain.cardinalities
+    threshold = sdg._domain_threshold(acct.total, n)
+    first = int(rng.integers(d))
+    order, placed, scored = [(first, ())], [first], {}
+    if d == 1:
+        return sdg.Structure("privbayes", order)
+    for step in range(1, d):
+        unplaced = sorted(set(range(d)) - set(placed))
+        candidates = [(node, sub) for node in unplaced
+                      for sub in _reference_parent_subsets(sorted(placed), cards, threshold / cards[node])]
+        if not candidates:
+            candidates = [(node, ()) for node in unplaced]
+        for key in candidates:
+            if key not in scored:
+                scored[key] = sdg.privbayes_score(ds, *key)
+        scores = np.array([scored[key] for key in candidates])
+        eps_step = acct.exponential(f"privbayes/select/{step}", (sdg.BUDGET_SPLIT[0], d - 1))
+        node, sub = candidates[sdg.exponential_mechanism(scores, eps_step, sens, rng)]
+        order.append((node, sub))
+        placed.append(node)
+    return sdg.Structure("privbayes", order)
+
+
+@st.composite
+def selection_inputs(draw):
+    """(cardinalities with 1s among them, threshold, seed): thresholds below 1, on a (subset, node) table's size,
+    anywhere between, or infinite."""
+    d = draw(st.integers(1, 7))
+    cards = draw(st.lists(st.integers(1, 5), min_size=d, max_size=d))
+    kind = draw(st.sampled_from(["below 1", "on a table size", "between", "infinite"]))
+    if kind == "below 1":
+        threshold = draw(st.floats(0.01, 0.99))
+    elif kind == "on a table size":
+        node = draw(st.integers(0, d - 1))
+        others = [a for a in range(d) if a != node]
+        parents = draw(st.lists(st.sampled_from(others), unique=True, max_size=len(others))) if others else []
+        threshold = float(cards[node] * math.prod(cards[p] for p in parents))
+    elif kind == "between":
+        threshold = draw(st.floats(1.0, 400.0))
+    else:
+        threshold = INF
+    return cards, threshold, draw(st.integers(0, 2**32 - 1))
+
+
+class TestOneEnumerationPerStep:
+    """Each selection step's candidate list equals the per-node enumeration's, entry for entry."""
+
+    @staticmethod
+    def _candidate_lists(select, cards, threshold, seed, monkeypatch):
+        """Every step's candidate list when ``select`` runs with the threshold given and a uniform draw."""
+        ds = make_ds(cards, np.zeros((5, len(cards)), dtype=np.int64))
+        keys, lists = {}, []
+
+        def score(ds, i, parents):
+            return float(keys.setdefault((i, tuple(parents)), len(keys)))  # a score that names its candidate
+
+        def draw(scores, epsilon, sensitivity, rng):
+            lists.append([list(keys)[int(s)] for s in scores])
+            return int(rng.integers(len(scores)))
+
+        monkeypatch.setattr(sdg, "_domain_threshold", lambda dp, n: threshold)
+        monkeypatch.setattr(sdg, "privbayes_score", score)
+        monkeypatch.setattr(sdg, "exponential_mechanism", draw)
+        structure = select(ds, Accountant(DpParams(1.0)), np.random.default_rng(seed))
+        return structure, lists
+
+    @settings(max_examples=300, deadline=None)
+    @given(selection_inputs())
+    @example(([2, 3, 2], 6.0, 0))  # a card-2 node takes the card-3 parent only if 3 <= 6 / 2 counts
+    @example(([2, 3, 2], 6.0, 1))
+    @example(([1, 1, 3], 0.5, 0))  # nothing fits: every unplaced node with no parents
+    @example(([4, 1, 2, 3], INF, 5))
+    def test_candidate_lists_equal_the_per_node_enumeration(self, case):
+        cards, threshold, seed = case
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            got = self._candidate_lists(sdg._select_bayes_order, cards, threshold, seed, monkeypatch)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            want = self._candidate_lists(reference_select_bayes_order, cards, threshold, seed, monkeypatch)
+        assert got == want
+
+    def test_boundary_and_empty_parent_set_reach_the_lists(self, monkeypatch):
+        """The exact-limit subset and () are among the candidates, so a strict < or a dropped () changes a list."""
+        cards = [2, 3, 2]
+        _, lists = self._candidate_lists(sdg._select_bayes_order, cards, 6.0, 0, monkeypatch)
+        flat = {key for step in lists for key in step}
+        assert any(not parents for _, parents in flat)
+        assert any(parents and cards[node] * math.prod(cards[p] for p in parents) == 6 for node, parents in flat)
+
+    def test_subsets_come_in_combinations_order_with_their_sizes(self):
+        cards = (2, 1, 3, 4)
+        got = sdg._parent_subsets([0, 1, 3], cards, 10.0)
+        assert [sub for sub, _ in got] == [(), (0,), (1,), (3,), (0, 1), (0, 3), (1, 3), (0, 1, 3)]
+        assert [size for _, size in got] == [1, 2, 1, 4, 2, 8, 4, 8]
+
+    def test_unbounded_cap_raises_past_20_placed_nodes(self):
+        placed, cards = list(range(21)), [2] * 22
+        with pytest.raises(ConfigurationError, match="capped at 20 placed nodes"):
+            sdg._parent_subsets(placed, cards, INF)
+        with pytest.raises(ConfigurationError, match="capped at 20 placed nodes"):
+            _reference_parent_subsets(placed, cards, INF / cards[21])
+
+    @pytest.mark.parametrize("epsilon", [0.05, 1.0, 20.0, INF])
+    def test_structures_rng_and_ledger_equal_the_reference(self, epsilon):
+        for seed in range(6):
+            ds = random_ds(40 + seed, d=5, n=200, max_card=5)
+            acct, rng = Accountant(DpParams(epsilon)), np.random.default_rng(seed)
+            ref_acct, ref_rng = Accountant(DpParams(epsilon)), np.random.default_rng(seed)
+            assert sdg._select_bayes_order(ds, acct, rng) == reference_select_bayes_order(ds, ref_acct, ref_rng)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+            assert acct.to_json() == ref_acct.to_json()
+
+
 class TestBayesDensity:
     def test_empty_parents_product_of_marginals(self):
         ds = random_ds(20, d=3)
@@ -670,6 +803,27 @@ def test_log_density_rejects_rows_outside_the_domain(method):
                 sdg.log_density(model, [[0, 0, 0], row])
     with pytest.raises(SchemaViolation, match=r"rows must be a \(n, d\) matrix matching the domain"):
         sdg.log_density(model, [[0, 0]])
+
+
+BAD_ROWS = {  # over cardinalities (2, 3, 2)
+    "negative cell": ([[0, 0, 0], [0, -1, 0]], "cell value outside its attribute domain"),
+    "cell equal to its cardinality": ([[0, 0, 2]], "cell value outside its attribute domain"),
+    "wrong width": ([[0, 0]], "rows must be a (n, d) matrix matching the domain"),
+    "3-D array": ([[[0, 0, 0]]], "rows must be a (n, d) matrix matching the domain"),
+}
+
+
+@pytest.mark.parametrize("entry", ["Dataset", "log_density"])
+@pytest.mark.parametrize("case", sorted(BAD_ROWS))
+def test_bad_rows_raise_one_message_at_both_entry_points(entry, case):
+    rows, message = BAD_ROWS[case]
+    ds = make_ds([2, 3, 2], [[0, 0, 0], [1, 2, 1]])
+    with pytest.raises(SchemaViolation) as err:
+        if entry == "Dataset":
+            Dataset(ds.domain, np.array(rows))
+        else:
+            sdg.log_density(sdg.fit(ds, "privbayes", DpParams(INF), 0), rows)
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("method", ["mst", "privbayes"])
