@@ -190,10 +190,17 @@ def aggregate_households(log_scores, household_id):
     return np.log(np.bincount(inverse, weights=np.exp(log_scores)) / np.bincount(inverse))
 
 
-def activate_simple(log_scores, threshold=0.5):
-    """Map raw scores through 2*sigmoid(score) - 1, then threshold."""
+def check_activation(threshold, prior=None):
+    """ConfigurationError unless ``prior``, when given, lies in (0, 1) and ``threshold`` is finite."""
+    if prior is not None and not 0.0 < prior < 1.0:
+        raise ConfigurationError("prior must lie in (0, 1)")
     if not np.isfinite(threshold):
         raise ConfigurationError("threshold must be a finite number")
+
+
+def activate_simple(log_scores, threshold=0.5):
+    """Map raw scores through 2*sigmoid(score) - 1, then threshold."""
+    check_activation(threshold)
     lam = np.exp(log_scores)
     probs = 2.0 / (1.0 + np.exp(-lam)) - 1.0
     preds = (probs >= threshold).astype(np.int64)
@@ -208,10 +215,7 @@ def activate_calibrated(log_scores, prior, threshold=0.5):
     sigmoid, and thresholded. Degenerate (constant) scores give all
     negative predictions.
     """
-    if not 0.0 < prior < 1.0:
-        raise ConfigurationError("prior must lie in (0, 1)")
-    if not np.isfinite(threshold):
-        raise ConfigurationError("threshold must be a finite number")
+    check_activation(threshold, prior)
     lam = np.exp(log_scores)
     std = lam.std()
     if lam.size < 2 or std == 0.0:

@@ -56,6 +56,7 @@ def cmd_shadow(args):
 
 
 def cmd_attack(args):
+    attack_mod.check_activation(args.threshold, args.prior)  # before any file is read
     family, needs, _, fn = attack_mod.lookup(args.attack)
     inputs = ()
     if needs is not None:

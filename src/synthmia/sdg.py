@@ -1,12 +1,12 @@
 """DP synthetic data generators: tree graphical model and Bayesian network.
 
-Both follow the same pipeline: privately select a graph structure, measure
-the associated statistics with calibrated noise, then sample i.i.d. records
-from the factorized joint density. ``BUDGET_SPLIT`` gives 1/3 of epsilon to
-structure selection and 2/3 to statistics measurement. ``method_steps`` names
-each method's selection and its one measurement, which turns every joint into a
-factor through ``marginals.conditional_from_joint``; ``model_from_data`` runs the
-measurement at epsilon = inf, the noiseless density the attacker fits on synth and aux.
+Both follow the same pipeline: privately select a graph structure, measure the associated statistics with
+calibrated noise, then sample i.i.d. records from the factorized joint density. ``BUDGET_SPLIT`` gives 1/3 of
+epsilon to structure selection and 2/3 to statistics measurement. Both selections are one step loop, ``_select``:
+each step draws one key by the exponential mechanism (``dp.selection_probs``) from what the method's step rule
+scores. ``method_steps`` names each method's selection and its one measurement, which turns every joint into a
+factor through ``marginals.conditional_from_joint``; ``model_from_data`` runs the measurement at epsilon = inf,
+the noiseless density the attacker fits on synth and aux.
 """
 
 import itertools
@@ -232,16 +232,24 @@ def _noisy_probs(probs, sigma, rng):
     return noisy / total
 
 
+def _select(step, chosen, steps, label, count, sens, acct, rng):
+    """Append ``steps`` keys to ``chosen``, each the exponential mechanism's pick of ``step(chosen)``'s scored keys."""
+    for _ in range(steps):
+        keys, scores = step(chosen)
+        eps = acct.exponential(f"{label}{len(chosen)}", (BUDGET_SPLIT[0], count))
+        chosen.append(keys[exponential_mechanism(scores, eps, sens, rng)])
+    return chosen
+
+
 def _select_tree_edges(ds, acct, rng):
     """DP spanning-tree selection: noisy scores + d-1 exponential-mechanism steps."""
     d = len(ds.domain)
     n = len(ds)
     sens = _table_sensitivity(n)
-    sel_frac = BUDGET_SPLIT[0]
 
     one_way = {}
     for i in range(d):
-        sigma = acct.gaussian(f"mst/select/1way/{i}", sens, (sel_frac, 2 * d), _tree_delta_share(d))
+        sigma = acct.gaussian(f"mst/select/1way/{i}", sens, (BUDGET_SPLIT[0], 2 * d), _tree_delta_share(d))
         if sigma is not None:
             one_way[i] = _noisy_probs(marginals.marginal(ds, (i,)), sigma, rng)
 
@@ -250,15 +258,15 @@ def _select_tree_edges(ds, acct, rng):
     scores = mst_edge_score(ds, pairs[:, 0], pairs[:, 1], one_way or None)
 
     component = np.arange(d)  # each attribute's component label
-    edges = []
-    for step in range(d - 1):
+
+    def step(edges):  # the pairs that join two components, once the last edge has joined its two
+        for i, j in edges[-1:]:
+            component[component == component[j]] = component[i]
         candidates = np.flatnonzero(component[pairs[:, 0]] != component[pairs[:, 1]])
-        eps_edge = acct.exponential(f"mst/select/edge/{step}", (sel_frac, 2 * (d - 1)))
-        k = exponential_mechanism(scores[candidates], eps_edge, sens, rng)
-        i, j = pairs[candidates[k]].tolist()
-        component[component == component[j]] = component[i]
-        edges.append((i, j))
-    return Structure(METHOD_MST, edges)
+        return pairs[candidates], scores[candidates]
+
+    edges = _select(step, [], d - 1, "mst/select/edge/", 2 * (d - 1), sens, acct, rng)
+    return Structure(METHOD_MST, [e.tolist() for e in edges])
 
 
 def _stack_key(shape):
@@ -402,12 +410,10 @@ def _select_bayes_order(ds, acct, rng):
     cards = ds.domain.cardinalities
     threshold = _domain_threshold(acct.total, n)
 
-    first = int(rng.integers(d))
-    order = [(first, ())]
-    placed = [first]
-    # a candidate's score does not depend on the step, so each is scored once
-    scored = {}
-    for step in range(1, d):
+    scored = {}  # a candidate's score does not depend on the step, so each is scored once
+
+    def step(order):
+        placed = [node for node, _ in order]
         unplaced = sorted(set(range(d)) - set(placed))
         subsets = _parent_subsets(sorted(placed), cards, threshold)
         candidates = [(node, sub) for node in unplaced for sub, size in subsets if size <= threshold / cards[node]]
@@ -416,13 +422,10 @@ def _select_bayes_order(ds, acct, rng):
         for key in candidates:
             if key not in scored:
                 scored[key] = privbayes_score(ds, *key)
-        scores = np.array([scored[key] for key in candidates])
-        eps_step = acct.exponential(f"privbayes/select/{step}", (BUDGET_SPLIT[0], d - 1))
-        k = exponential_mechanism(scores, eps_step, sens, rng)
-        node, sub = candidates[k]
-        order.append((node, sub))
-        placed.append(node)
-    return Structure(METHOD_PRIVBAYES, order)
+        return candidates, np.array([scored[key] for key in candidates])
+
+    order = [(int(rng.integers(d)), ())]
+    return Structure(METHOD_PRIVBAYES, _select(step, order, d - 1, "privbayes/select/", d - 1, sens, acct, rng))
 
 
 def _measure_network(ds, structure, acct, rng, floor=None):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from synthmia import dp, sdg
 from synthmia.errors import ConfigurationError, ParameterError, SelectionError
@@ -143,3 +145,82 @@ class TestExponentialMechanism:
         # huge logits must not overflow thanks to the max subtraction
         k = dp.exponential_mechanism([1e6, 0.0], 10.0, 1e-4, seed=0)
         assert k == 0
+
+
+def reference_probs(scores, epsilon, sensitivity):
+    """The probabilities ``exponential_mechanism`` computed inline before ``selection_probs`` held them."""
+    scores = np.asarray(scores, dtype=np.float64)
+    logits = epsilon * scores / (2.0 * sensitivity)
+    logits -= logits.max()
+    probs = np.exp(logits)
+    probs /= probs.sum()
+    return probs
+
+
+# bounded so that no logit overflows: every probability is a number, and == compares them all
+SCORES = st.lists(st.floats(-1e3, 1e3, allow_nan=False), min_size=1, max_size=40)
+EPSILONS = st.floats(1e-3, 1e4)
+SENSITIVITIES = st.floats(1e-6, 10.0)
+
+
+class TestSelectionProbs:
+    @settings(max_examples=300, deadline=None)
+    @given(SCORES, EPSILONS, SENSITIVITIES)
+    def test_equal_the_inline_expression(self, scores, epsilon, sensitivity):
+        got = dp.selection_probs(scores, epsilon, sensitivity)
+        want = reference_probs(scores, epsilon, sensitivity)
+        assert got.shape == want.shape and (got == want).all()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(-3, 3), min_size=1, max_size=12), SENSITIVITIES)
+    def test_one_hot_on_the_first_maximum_at_infinite_epsilon(self, scores, sensitivity):
+        want = np.zeros(len(scores))
+        want[scores.index(max(scores))] = 1.0  # ties go to the lowest index
+        got = dp.selection_probs(scores, math.inf, sensitivity)
+        assert got.dtype == np.float64 and (got == want).all()
+
+    @pytest.mark.parametrize("scores, sensitivity, error, message", [
+        ([], 1.0, SelectionError, "no candidates"),
+        ([np.nan], 1.0, SelectionError, "scores must be finite"),
+        ([1.0, np.inf], 1.0, SelectionError, "scores must be finite"),
+        ([1.0, -np.inf], 1.0, SelectionError, "scores must be finite"),
+        ([1.0], 0.0, ParameterError, "sensitivity must be positive"),
+        ([1.0], -1.0, ParameterError, "sensitivity must be positive"),
+        ([1.0], np.nan, ParameterError, "sensitivity must be positive"),
+    ])
+    @pytest.mark.parametrize("epsilon", [1.0, math.inf])
+    def test_bad_input_raises_the_typed_error(self, scores, sensitivity, error, message, epsilon):
+        with pytest.raises(error, match=message):
+            dp.selection_probs(scores, epsilon, sensitivity)
+        with pytest.raises(error, match=message):
+            dp.exponential_mechanism(scores, epsilon, sensitivity, seed=0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(SCORES, EPSILONS, SENSITIVITIES, st.integers(0, 2**32 - 1), st.one_of(st.none(), st.integers(0, 20)))
+    def test_draw_is_rng_choice_on_the_inline_probabilities(self, scores, epsilon, sensitivity, seed, size):
+        ref = np.random.default_rng(seed)
+        if size is None:
+            want = int(ref.choice(len(scores), p=reference_probs(scores, epsilon, sensitivity)))
+        else:
+            want = ref.choice(len(scores), size=size, p=reference_probs(scores, epsilon, sensitivity))
+        rng = np.random.default_rng(seed)
+        got = dp.exponential_mechanism(scores, epsilon, sensitivity, rng, size)
+        assert rng.bit_generator.state == ref.bit_generator.state
+        from_seed = dp.exponential_mechanism(scores, epsilon, sensitivity, seed=seed, size=size)
+        for k in (got, from_seed):
+            if size is None:
+                assert type(k) is int and k == want
+            else:
+                assert k.dtype == want.dtype and np.array_equal(k, want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(SCORES, SENSITIVITIES, st.integers(0, 2**32 - 1), st.one_of(st.none(), st.integers(0, 20)))
+    def test_infinite_epsilon_draws_nothing(self, scores, sensitivity, seed, size):
+        rng = np.random.default_rng(seed)
+        got = dp.exponential_mechanism(scores, math.inf, sensitivity, rng, size)
+        assert rng.bit_generator.state == np.random.default_rng(seed).bit_generator.state
+        best = int(np.argmax(scores))
+        if size is None:
+            assert type(got) is int and got == best
+        else:
+            assert got.dtype == np.int64 and np.array_equal(got, np.full(size, best))

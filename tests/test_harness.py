@@ -1121,6 +1121,19 @@ class TestCli:
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == error  # an OSError would mean a CSV was opened
 
+    @pytest.mark.parametrize(
+        "number", ["--threshold=nan", "--threshold=inf", "--prior=0", "--prior=1.5", "--prior=nan"]
+    )
+    def test_bad_number_rejected_before_csvs_are_read(self, tmp_path, capsys, number):
+        missing = str(tmp_path / "missing.csv")
+        assert cli.main([
+            "attack", "--attack", "marginals-sigma", "--target", missing, "--synth", missing, "--aux", missing,
+            number, "--out", str(tmp_path / "scores.csv"),
+        ]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "ConfigurationError"  # an OSError would mean a CSV was opened
+
     @pytest.mark.parametrize("prior", [[], ["--prior", "0.5"]], ids=["simple", "calibrated"])
     @pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
     def test_non_finite_threshold(self, tmp_path, capsys, threshold, prior):

@@ -1,5 +1,6 @@
-"""Source hygiene: every name a synthmia module imports is used in it, and every
-top-level function or class it defines is used somewhere."""
+"""Source hygiene: every name a synthmia module imports is used in it, every
+top-level function or class it defines is used somewhere, and the exponential
+mechanism is called from one place."""
 
 import ast
 import importlib
@@ -88,6 +89,34 @@ def test_detects_a_dead_name(tmp_path):
     user = tmp_path / "user.py"
     user.write_text("import lib\nprint(lib.used())\n")
     assert dead_names([lib], [user]) == ["lib.py:4 dead", "lib.py:7 _Private"]
+
+
+def call_sites(name, paths):
+    """``file:line`` of each call, by plain name or attribute, of a function called ``name`` in ``paths``."""
+    sites = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            if name in (getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                sites.append(f"{path.name}:{node.lineno}")
+    return sites
+
+
+def test_one_selection_loop():
+    """Both generators' selections draw through one exponential-mechanism call, in ``sdg._select``."""
+    sites = call_sites("exponential_mechanism", sorted(SRC.glob("*.py")))
+    assert len(sites) == 1, sites
+
+
+def test_detects_a_second_call_site(tmp_path):
+    lib = tmp_path / "lib.py"
+    lib.write_text(
+        "from dp import exponential_mechanism\n\ndef a(s):\n    return exponential_mechanism(s, 1.0, 1.0, 0)\n\n"
+        "def b(s):\n    named = exponential_mechanism  # not a call\n"
+        "    return dp.exponential_mechanism(s, 1.0, 1.0, 0)\n"
+    )
+    assert call_sites("exponential_mechanism", [lib]) == ["lib.py:4", "lib.py:8"]
 
 
 def test_traced_names_are_distinct_functions():

@@ -311,6 +311,58 @@ class TestFitMst:
         assert model.ledger.delta_spent() == pytest.approx(1.0)
 
 
+def reference_select_tree_edges(ds, acct, rng):
+    """``sdg._select_tree_edges`` with its own step loop, as it was before both selections shared ``sdg._select``."""
+    d = len(ds.domain)
+    n = len(ds)
+    sens = sdg._table_sensitivity(n)
+    sel_frac = sdg.BUDGET_SPLIT[0]
+
+    one_way = {}
+    for i in range(d):
+        sigma = acct.gaussian(f"mst/select/1way/{i}", sens, (sel_frac, 2 * d), sdg._tree_delta_share(d))
+        if sigma is not None:
+            one_way[i] = sdg._noisy_probs(marginals.marginal(ds, (i,)), sigma, rng)
+
+    pairs = np.array([(i, j) for i in range(d) for j in range(i + 1, d)], dtype=np.int64).reshape(-1, 2)
+    scores = sdg.mst_edge_score(ds, pairs[:, 0], pairs[:, 1], one_way or None)
+
+    component = np.arange(d)
+    edges = []
+    for step in range(d - 1):
+        candidates = np.flatnonzero(component[pairs[:, 0]] != component[pairs[:, 1]])
+        eps_edge = acct.exponential(f"mst/select/edge/{step}", (sel_frac, 2 * (d - 1)))
+        k = sdg.exponential_mechanism(scores[candidates], eps_edge, sens, rng)
+        i, j = pairs[candidates[k]].tolist()
+        component[component == component[j]] = component[i]
+        edges.append((i, j))
+    return sdg.Structure("mst", edges)
+
+
+@st.composite
+def selection_datasets(draw):
+    """A dataset of 2-6 attributes of 1-5 values, over 1-200 rows."""
+    d = draw(st.integers(2, 6))
+    cards = draw(st.lists(st.integers(1, 5), min_size=d, max_size=d))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return make_ds(cards, rng.integers(0, cards, size=(draw(st.integers(1, 200)), d)))
+
+
+class TestTreeSelectionAgainstReference:
+    @pytest.mark.parametrize("epsilon", [0.05, 1.0, 20.0, INF])
+    @settings(max_examples=100, deadline=None)
+    @given(ds=selection_datasets(), seed=st.integers(0, 2**32 - 1))
+    def test_structure_rng_and_ledger_equal_the_reference(self, epsilon, ds, seed):
+        acct, rng = Accountant(DpParams(epsilon, delta=1e-9)), np.random.default_rng(seed)
+        ref_acct, ref_rng = Accountant(DpParams(epsilon, delta=1e-9)), np.random.default_rng(seed)
+        got = sdg._select_tree_edges(ds, acct, rng)
+        want = reference_select_tree_edges(ds, ref_acct, ref_rng)
+        assert got == want
+        assert json.dumps(got.to_json()) == json.dumps(want.to_json())  # plain ints, as model.json writes them
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert acct.to_json() == ref_acct.to_json()
+
+
 class TestBudgetTotals:
     @pytest.mark.parametrize("d", [2, 3, 8, 16])
     def test_generators_spend_exactly_their_budget(self, d):
